@@ -274,7 +274,7 @@ def price_fundraiser_mc(f: SmoothMap, x0: float, j0: float, T: float,
     """MC mean of h(f(X_T)) over reflected paths started at (x0 - j0, j0).
 
     The paths reflect on the exact Brownian-bridge minimum of each step
-    (see simulate_skorokhod), so no sub-step excursion below the floor is
+    (see reflected_ensemble), so no sub-step excursion below the floor is
     lost.  Returns (price, stderr).
     """
     return price_and_decompose(f, x0, j0, T, payoff, n_paths,

@@ -23,8 +23,7 @@ from .boundary import PayoffSpec, ThetaTable, estimate_theta, \
     price_and_decompose, price_fundraiser_mc
 from .errors import ConfigError, DomainError, NumericsError
 from .pathlab import TimeGrid, bessel_dual_ensemble, drifted_ensemble, \
-    reflected_ensemble, simulate_bessel3_dual, simulate_drifted, \
-    simulate_skorokhod, simulate_wiener
+    reflected_ensemble, wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
     SpaceGrid, TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, \
     f_from_sigma, solve
@@ -459,44 +458,32 @@ def run_simulate(cfg: dict) -> int:
     grid = TimeGrid.uniform(T, num["time_steps"])
     seed, n_paths = num["seed"], num["paths"]
 
-    def one(i):
+    def run(n, record):
+        """X, and J* for the floor-carrying kinds, at the recorded nodes."""
         if kind == "wiener":
-            return simulate_wiener(x0, grid, seed, i)
+            return wiener_ensemble(x0, grid, n, seed, record), None
         if kind == "bessel3":
-            return simulate_bessel3_dual(x0, j0, grid, seed, i)
+            return bessel_dual_ensemble(x0, grid, n, seed, record, j0=j0)
         if kind == "drifted":
-            return simulate_drifted(f, x0, grid, seed, i)
-        return simulate_skorokhod(f, x0, j0, grid, seed, i)
+            return drifted_ensemble(f, x0, grid, n, seed, record)[0], None
+        vals, _contact, floors = reflected_ensemble(f, x0 - j0, j0, grid, n,
+                                                    seed, record)
+        return vals, floors
 
-    # path dumps through the single-path simulators, the ensemble summary
-    # through the vectorized runners -- per-path streams make them identical
     n_dump = min(num["dump_paths"], n_paths)
+    paths, jpaths = run(n_dump, range(grid.n_steps + 1))
     for i in range(n_dump):
-        p = one(i)
         lines = ["t,X,Jstar"]
         for k_node in range(len(grid.nodes)):
-            jcell = "" if p.Jstar is None else repr(float(p.Jstar[k_node]))
+            jcell = "" if jpaths is None else repr(float(jpaths[i, k_node]))
             lines.append(f"{float(grid.nodes[k_node])!r},"
-                         f"{float(p.X[k_node])!r},{jcell}")
+                         f"{float(paths[i, k_node])!r},{jcell}")
         (out / f"path_{i:04d}.csv").write_text("\n".join(lines) + "\n")
 
-    jends = None
-    if kind == "wiener":
-        ends = np.array([simulate_wiener(x0, grid, seed, i).X[-1]
-                         for i in range(n_paths)])
-    elif kind == "bessel3":
-        vals, jstars = bessel_dual_ensemble(x0, grid, n_paths, seed,
-                                            [grid.n_steps], j0=j0)
-        ends, jends = vals[:, 0], jstars[:, 0]
-    elif kind == "drifted":
-        vals, _alive = drifted_ensemble(f, x0, grid, n_paths, seed,
-                                        [grid.n_steps])
-        ends = vals[:, 0]
-    else:
-        vals, _contact, floor = reflected_ensemble(f, x0 - j0, j0, grid,
-                                                   n_paths, seed,
-                                                   [grid.n_steps])
-        ends, jends = vals[:, 0], floor
+    ends, jends = run(n_paths, [grid.n_steps])
+    ends = ends[:, 0]
+    if jends is not None:
+        jends = jends[:, 0]
 
     rows = [f"X_T_mean,{_fmt(ends.mean())},{_fmt(ends.std(ddof=1) / np.sqrt(n_paths))}",
             f"X_T_var,{_fmt(ends.var(ddof=1))},"]

@@ -5,12 +5,8 @@ bond/forward prices of the two solvable benchmark markets (driftless unit map
 and reciprocal-Bessel map), and the growth-optimal-portfolio evaluators along
 simulated paths.
 
-The normal CDF is computed from the complementary error function via Cody's
-rational Chebyshev approximations (the SPECFUN "calerf" scheme): three branches
-with max relative error around 1.2e-16 each, giving the CDF well below 1e-13
-absolute error everywhere on [-8, 8]. No lookup tables, no library call --
-the independent cross-check against a continued-fraction reference lives in
-the test suite.
+The normal CDF is computed from scipy's complementary error function; the
+test suite checks it against a continued-fraction reference and mpmath.
 """
 
 from __future__ import annotations
@@ -19,99 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from .errors import DomainError, NumericsError
 from .smoothmaps import SmoothMap, compose, reciprocal_map, schwarzian, schwarzian_process
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-# Cody's rational coefficients for erf on |x| <= 0.46875 ...
-_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
-          3.77485237685302021e02, 3.20937758913846947e03)
-_ERF_A4 = 1.85777706184603153e-1
-_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
-          1.28261652607737228e03, 2.84423683343917062e03)
-# ... for erfc on 0.46875 < x <= 4 ...
-_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00,
-           6.61191906371416295e01, 2.98635138197400131e02,
-           8.81952221241769090e02, 1.71204761263407058e03,
-           2.05107837782607147e03)
-_ERFC_C7 = 1.23033935479799725e03
-_ERFC_C8 = 2.15311535474403846e-8
-_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02,
-           5.37181101862009858e02, 1.62138957456669019e03,
-           3.29079923573345963e03, 4.36261909014324716e03,
-           3.43936767414372164e03, 1.23033935480374942e03)
-# ... and for the asymptotic branch x > 4.
-_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
-           1.25781726111229246e-1, 1.60837851487422766e-2,
-           6.58749161529837803e-4)
-_ERFC_P5 = 1.63153871373020978e-2
-_ERFC_Q = (2.56852019228982242e00, 1.87295284992346047e00,
-           5.27905102951428412e-1, 6.05183413124413191e-2,
-           2.33520497626869185e-3)
-_SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
-
-
-def _erf_small(x):
-    z = x * x
-    xnum = _ERF_A4 * z
-    xden = z
-    for i in range(3):
-        xnum = (xnum + _ERF_A[i]) * z
-        xden = (xden + _ERF_B[i]) * z
-    return x * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
-
-
-def _erfc_mid(y):
-    xnum = _ERFC_C8 * y
-    xden = y
-    for i in range(7):
-        xnum = (xnum + _ERFC_C[i]) * y
-        xden = (xden + _ERFC_D[i]) * y
-    result = (xnum + _ERFC_C7) / (xden + _ERFC_D[7])
-    ysq = np.floor(y * 16.0) / 16.0
-    dl = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-dl) * result
-
-
-def _erfc_far(y):
-    z = 1.0 / (y * y)
-    xnum = _ERFC_P5 * z
-    xden = z
-    for i in range(4):
-        xnum = (xnum + _ERFC_P[i]) * z
-        xden = (xden + _ERFC_Q[i]) * z
-    result = z * (xnum + _ERFC_P[4]) / (xden + _ERFC_Q[4])
-    result = (_SQRPI - result) / y
-    ysq = np.floor(y * 16.0) / 16.0
-    dl = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-dl) * result
-
-
-def erfc(x):
-    """Complementary error function, Cody rational approximation, vectorized."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    y = np.abs(x)
-    out = np.empty_like(y)
-
-    small = y <= 0.46875
-    mid = (y > 0.46875) & (y <= 4.0)
-    far = y > 4.0
-    if np.any(small):
-        out[small] = 1.0 - _erf_small(x[small])
-    if np.any(mid):
-        out[mid] = _erfc_mid(y[mid])
-    if np.any(far):
-        yf = y[far]
-        v = np.where(yf < 26.6, _erfc_far(np.minimum(yf, 26.6)), 0.0)
-        out[far] = v
-    neg = x < -0.46875
-    out[neg] = 2.0 - out[neg]
-    return out[0] if scalar else out
 
 
 def norm_cdf(x):

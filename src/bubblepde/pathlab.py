@@ -1,16 +1,20 @@
 """Seeded path simulation: Wiener, Bessel-3 via the max-dual construction,
 drifted unit-diffusion SDEs, and the reflected (floor-constrained) SDE with
 its Euler-Maruyama scheme reflected on the exact Brownian-bridge minimum of
-each step; plus path functionals.
+each step; plus path functionals.  Each law has one vectorized ensemble
+runner, and each single-path simulator is a one-path call of it that records
+every node, so a single path equals the same path of any ensemble by
+construction.
 
 Reproducibility contract: every path index i owns a counter-based stream
 keyed by (master seed, i) -- numpy Philox -- so path i is bit-identical no
 matter how an ensemble is chunked or batched, and ensemble reductions run in
-fixed path-index order.  The Wiener, drifted and dual simulators read one
-standard normal per step from the stream.  The reflected simulator reads
-its steps in segments of _SEGMENT steps: for each segment, first its normals
-and then one uniform per step from the same stream (the last segment may be
-shorter).  The layout is fixed by the step count alone.
+fixed path-index order.  The Wiener, drifted and dual runners read one
+standard normal per step from the stream (the dual with a random floor first
+reads the floor's uniform).  The reflected runner reads its steps in
+segments of _SEGMENT steps: for each segment, first its normals and then one
+uniform per step from the same stream (the last segment may be shorter).
+The layout is fixed by the step count alone.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ EDGE_GUARD = 1e-12
 # of bounded footprint; both knobs are implementation constants, invisible in
 # results thanks to the per-path streams.
 _BLOCK = 32768
-_CHUNK_BUDGET = 2 ** 22  # floats per (block x chunk) draw, normals and uniforms
-# Steps per segment of the reflected simulator's stream layout (see above).
+_CHUNK_BUDGET = 2 ** 22  # floats per (block x chunk) buffer set
+# Steps per segment of the reflected runner's stream layout (see above).
 # It is part of the layout: changing it changes every reflected path.
 _SEGMENT = 512
-_TILE = 64  # paths per transposed tile of a time-major segment draw
+_TILE = 64  # paths per transposed tile of a time-major draw
 # A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so the
 # minimum of a Brownian bridge from chi to chi^ over dt stays >= 0 whenever
 # chi * chi^ >= (53 ln 2 / 2) dt = 18.37 dt; 18.5 leaves room for rounding.
@@ -80,12 +84,11 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """One discretized path: values per node, optional floor series, raw
-    Brownian increments, and the stream identity that produced it."""
+    """One discretized path: values per node, optional floor series, and the
+    stream identity that produced it."""
 
     grid: TimeGrid
     X: np.ndarray
-    increments: np.ndarray
     seed: int
     path_index: int = 0
     Jstar: Optional[np.ndarray] = None
@@ -97,7 +100,6 @@ class PathBundle:
             self,
             grid=TimeGrid(self.grid.nodes[: node + 1]),
             X=self.X[: node + 1],
-            increments=self.increments[:node],
             Jstar=None if self.Jstar is None else self.Jstar[: node + 1],
             truncated_at=self.truncated_at
             if self.truncated_at is not None and self.truncated_at <= node
@@ -137,34 +139,36 @@ class _StreamBlock:
     def __init__(self, seed, indices):
         self.gens = [path_stream(seed, i) for i in indices]
 
-    def normals(self, n_steps_chunk):
-        out = np.empty((len(self.gens), n_steps_chunk))
-        for row, g in enumerate(self.gens):
-            out[row] = g.standard_normal(n_steps_chunk)
-        return out
+    def normals(self, z):
+        """The next z.shape[1] normals of stream r into row r of z."""
+        for row, g in zip(z, self.gens):
+            g.standard_normal(out=row)
 
-    def segment(self, z, u):
-        """One reflected-layout segment per path: the normals go time-major
-        into column r of z, drawn a tile of paths at a time and transposed
-        tile by tile to keep the copy cache-local; the uniforms go into row r
-        of u."""
-        tile = np.empty((_TILE, z.shape[0]))
+    def normals_by_step(self, z):
+        """The next z.shape[0] normals of stream r into column r of z, drawn
+        a tile of paths at a time and transposed tile by tile to keep the
+        copy cache-local."""
+        tile = np.empty((min(_TILE, len(self.gens)), z.shape[0]))
         for r0 in range(0, len(self.gens), _TILE):
             gens = self.gens[r0:r0 + _TILE]
-            for i, g in enumerate(gens):
-                _draw_segment(g, tile[i], u[r0 + i])
+            for row, g in zip(tile, gens):
+                g.standard_normal(out=row)
             z[:, r0:r0 + len(gens)] = tile[:len(gens)].T
 
+    def uniforms(self, u):
+        """The next u.shape[1] uniforms on [0, 1) of stream r into row r of u."""
+        for row, g in zip(u, self.gens):
+            g.random(out=row)
 
-def _blocks(n_paths, size=_BLOCK):
+
+def _stream_blocks(seed, first_index, n_paths, size):
+    """(rows, sampler) for each block of at most size paths: rows slices the
+    block out of the ensemble's outputs, sampler holds the streams of paths
+    first_index + rows."""
     for start in range(0, n_paths, size):
-        yield range(start, min(start + size, n_paths))
-
-
-def _chunks(n_steps, block_size):
-    step = max(1, min(n_steps, _CHUNK_BUDGET // max(block_size, 1)))
-    for a in range(0, n_steps, step):
-        yield a, min(a + step, n_steps)
+        stop = min(start + size, n_paths)
+        yield slice(start, stop), _StreamBlock(
+            seed, range(first_index + start, first_index + stop))
 
 
 def _segments(n_steps):
@@ -172,82 +176,155 @@ def _segments(n_steps):
         yield a, min(a + _SEGMENT, n_steps)
 
 
-def _draw_segment(g: np.random.Generator, z: np.ndarray, u: np.ndarray):
-    """One segment of the reflected layout: its normals, then its uniforms."""
-    g.standard_normal(out=z)
-    g.random(out=u)
+def _record(record, grid: TimeGrid) -> np.ndarray:
+    """The distinct recorded node indices in increasing order."""
+    rec = np.sort(np.asarray(record, dtype=np.intp))
+    if rec.size and (rec[0] < 0 or rec[-1] > grid.n_steps):
+        raise DomainError("record index outside the grid")
+    return np.concatenate((rec[:1], rec[1:][rec[1:] != rec[:-1]]))
 
 
-def _reflected_draws(g: np.random.Generator, n_steps: int):
-    """The whole reflected-layout draw of one path: (normals, uniforms)."""
-    z, u = np.empty(n_steps), np.empty(n_steps)
-    for a, b in _segments(n_steps):
-        _draw_segment(g, z[a:b], u[a:b])
-    return z, u
+def _every_node(grid: TimeGrid) -> np.ndarray:
+    return np.arange(grid.n_steps + 1)
+
+
+def _guarded(domain):
+    """The domain pulled in by EDGE_GUARD at each finite edge."""
+    lo, hi = domain
+    lo_g = lo + EDGE_GUARD * (1 + abs(lo)) if np.isfinite(lo) else -np.inf
+    hi_g = hi - EDGE_GUARD * (1 + abs(hi)) if np.isfinite(hi) else np.inf
+    return lo_g, hi_g
+
+
+def _walk(sampler, start, sqdt, floor=None):
+    """Driftless walks of one block of paths from start, a time chunk at a
+    time: yields (a, W, M) with W[:, k] the walk at node a + k and M[:, k]
+    its running maximum from floor (None without a floor).  W is the left
+    fold np.add.accumulate of the carry and the increments sqrt(dt) xi, M
+    that of np.maximum of the floor carry and W, both in place in one buffer
+    of at most _CHUNK_BUDGET floats that the next chunk overwrites."""
+    rows, n_steps = len(start), len(sqdt)
+    folds = 1 if floor is None else 2
+    width = max(1, min(n_steps, _CHUNK_BUDGET // (folds * rows)))
+    buf = np.empty((folds, rows * (width + 1)))
+    carry, top, M = start, floor, None
+    for a in range(0, n_steps, width):
+        b = min(a + width, n_steps)
+        W = buf[0, :rows * (b - a + 1)].reshape(rows, b - a + 1)
+        W[:, 0] = carry
+        sampler.normals(W[:, 1:])
+        W[:, 1:] *= sqdt[a:b]
+        np.add.accumulate(W, axis=1, out=W)
+        carry = W[:, -1].copy()
+        if floor is not None:
+            M = buf[1, :W.size].reshape(W.shape)
+            M[:, 0] = top
+            M[:, 1:] = W[:, 1:]
+            np.maximum.accumulate(M, axis=1, out=M)
+            top = M[:, -1].copy()
+        yield a, W, M
+
+
+def _recorded(rec, a, width):
+    """(positions, offsets from a) of the recorded nodes in a ... a + width - 1."""
+    i0, i1 = rec.searchsorted(a), rec.searchsorted(a + width)
+    return slice(i0, i1), rec[i0:i1] - a
 
 
 # ---------------------------------------------------------------------------
-# Single-path simulators.
+# Ensemble runners.
 
-def simulate_wiener(x0: float, grid: TimeGrid, seed: int, path_index: int = 0) -> PathBundle:
-    """Driftless unit-variance walk: X_n = X_{n-1} + sqrt(dt_n) * xi_n."""
-    g = path_stream(seed, path_index)
-    incr = g.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
-    # left-fold accumulation: keeps this bit-identical to the drifted
-    # simulator with zero drift and to the chunked ensemble runners
-    X = np.add.accumulate(np.concatenate(([x0], incr)))
-    return PathBundle(grid=grid, X=X, increments=incr, seed=seed, path_index=path_index)
+def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
+                    record, first_index: int = 0) -> np.ndarray:
+    """Driftless unit-variance walks X_n = X_{n-1} + sqrt(dt_n) xi_n from x0.
+
+    Returns values[p, k] = X at node record[k] of path first_index + p
+    (record sorted and deduplicated).
+    """
+    rec = _record(record, grid)
+    sqdt = np.sqrt(grid.dt)
+    values = np.empty((n_paths, len(rec)))
+    for rows, sampler in _stream_blocks(seed, first_index, n_paths, _BLOCK):
+        start = np.full(rows.stop - rows.start, float(x0))
+        for a, W, _ in _walk(sampler, start, sqdt):
+            at, nodes = _recorded(rec, a, W.shape[1])
+            values[rows, at] = W[:, nodes]
+    return values
 
 
-def simulate_bessel3_dual(x0: float, j0: float, grid: TimeGrid, seed: int,
-                          path_index: int = 0) -> PathBundle:
+def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
+                         record, j0: Optional[float] = None,
+                         first_index: int = 0):
     """Bessel-3 through its dual walk: X* Brownian from 2 j0 - x0,
     J*_n = max(J*_{n-1}, X*_n) from j0, X = 2 J* - X*.
 
     With j0 = x0 -> 0 this is the classical 2*max - walk representation of
     the Bessel-3 process from 0; for fixed 0 < j0 <= x0 it realizes the
-    process conditioned to have overall infimum j0.
+    process conditioned to have overall infimum j0.  j0=None draws each
+    path's floor uniformly on (0, x0) (the overall-infimum law of the
+    Bessel-3 process), giving the unconditioned process from x0.
+
+    Returns (values, jstars): X and J* at the recorded nodes of paths
+    first_index ... first_index + n_paths - 1.
     """
-    if not (0 < j0 <= x0):
-        raise DomainError("simulate_bessel3_dual needs 0 < j0 <= x0")
-    g = path_stream(seed, path_index)
-    incr = g.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
-    Xstar = np.add.accumulate(np.concatenate(([2 * j0 - x0], incr)))
-    Jstar = np.maximum(np.maximum.accumulate(Xstar), j0)
-    X = 2 * Jstar - Xstar
-    return PathBundle(grid=grid, X=X, increments=incr, seed=seed,
-                      path_index=path_index, Jstar=Jstar)
+    if j0 is not None and not (0 < j0 <= x0):
+        raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0")
+    rec = _record(record, grid)
+    sqdt = np.sqrt(grid.dt)
+    values = np.empty((n_paths, len(rec)))
+    jstars = np.empty((n_paths, len(rec)))
+    for rows, sampler in _stream_blocks(seed, first_index, n_paths, _BLOCK):
+        u = np.ones((rows.stop - rows.start, 1))
+        if j0 is None:  # the floor's uniform is the first variate of each stream
+            sampler.uniforms(u)
+        floor = (x0 if j0 is None else j0) * u[:, 0]
+        for a, Xstar, Jstar in _walk(sampler, 2 * floor - x0, sqdt, floor):
+            at, nodes = _recorded(rec, a, Xstar.shape[1])
+            values[rows, at] = 2 * Jstar[:, nodes] - Xstar[:, nodes]
+            jstars[rows, at] = Jstar[:, nodes]
+    return values, jstars
 
 
-def simulate_drifted(f: SmoothMap, x0: float, grid: TimeGrid, seed: int,
-                     path_index: int = 0) -> PathBundle:
-    """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbing at the domain edge.
+def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
+                     seed: int, record, first_index: int = 0):
+    """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbing at the domain
+    edge: X_n = X_{n-1} - 1/2 T_f(X_{n-1}) dt_n + sqrt(dt_n) xi_n.
 
     A path whose proposal exits the (guarded) domain is parked at the edge
-    from that node on and flagged via truncated_at -- matching the stopped
-    process, not an error.
+    from that node on -- the stopped process, not an error.
+
+    Returns (values, alive): values[p, k] = X at node record[k] of path
+    first_index + p, alive[p] False when the path was absorbed.
     """
     if not f.contains(x0):
         raise DomainError("x0 outside the domain of f")
-    g = path_stream(seed, path_index)
-    incr = g.standard_normal(grid.n_steps) * np.sqrt(grid.dt)
-    lo, hi = f.domain
-    lo_g = lo + EDGE_GUARD * (1 + abs(lo)) if np.isfinite(lo) else -np.inf
-    hi_g = hi - EDGE_GUARD * (1 + abs(hi)) if np.isfinite(hi) else np.inf
-    X = np.empty(grid.n_steps + 1)
-    X[0] = x0
-    truncated = None
-    for n in range(1, grid.n_steps + 1):
-        x = X[n - 1]
-        x_new = x + (-0.5 * (f.d2(x) / f.d1(x)) * grid.dt[n - 1]) + incr[n - 1]
-        if not (lo_g < x_new < hi_g):
-            edge = lo_g if x_new <= lo_g else hi_g
-            X[n:] = edge
-            truncated = n
-            break
-        X[n] = x_new
-    return PathBundle(grid=grid, X=X, increments=incr, seed=seed,
-                      path_index=path_index, truncated_at=truncated)
+    rec = _record(record, grid)
+    rec_pos = {int(k): i for i, k in enumerate(rec)}
+    dt = grid.dt
+    sqdt = np.sqrt(dt)
+    lo_g, hi_g = _guarded(f.domain)
+    values = np.empty((n_paths, len(rec)))
+    alive_all = np.ones(n_paths, dtype=bool)
+    for rows, sampler in _stream_blocks(seed, first_index, n_paths, _BLOCK):
+        X = np.full(rows.stop - rows.start, float(x0))
+        alive = np.ones(len(X), dtype=bool)
+        if 0 in rec_pos:
+            values[rows, rec_pos[0]] = X
+        width = max(1, min(grid.n_steps, _CHUNK_BUDGET // len(X)))
+        zbuf = np.empty((width, len(X)))
+        for a in range(0, grid.n_steps, width):
+            b = min(a + width, grid.n_steps)
+            zs = zbuf[:b - a]
+            sampler.normals_by_step(zs)
+            for n in range(a, b):
+                drift = -0.5 * (f.d2(X) / f.d1(X)) * dt[n]
+                prop = X + drift + sqdt[n] * zs[n - a]
+                X = np.where(alive, np.clip(prop, lo_g, hi_g), X)
+                alive &= (lo_g < prop) & (prop < hi_g)
+                if (n + 1) in rec_pos:
+                    values[rows, rec_pos[n + 1]] = X
+        alive_all[rows] = alive
+    return values, alive_all
 
 
 def _bridge_drop(chi, prop, u, dt):
@@ -258,12 +335,12 @@ def _bridge_drop(chi, prop, u, dt):
     return np.maximum(-m, 0.0)
 
 
-def simulate_skorokhod(f: SmoothMap, x0: float, j0: float, grid: TimeGrid, seed: int,
-                       path_index: int = 0) -> PathBundle:
+def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
+                       n_paths: int, seed: int, record, first_index: int = 0):
     """Reflected Euler-Maruyama for the floor-constrained SDE, reflected on
     the exact minimum of each step's Brownian bridge.
 
-    Per step, with chi_0 = x0 - j0 and l_0 = j0, and the drift frozen at the
+    Per step, from chi_0 = chi0 and l_0 = l0, with the drift frozen at the
     start of the step:
         proposal  chi^ = chi + dgamma - 1/2 T_f(chi + l) dt
         bridge minimum  m = (chi + chi^ - sqrt((chi^ - chi)^2 - 2 dt log(1 - U))) / 2
@@ -275,93 +352,55 @@ def simulate_skorokhod(f: SmoothMap, x0: float, j0: float, grid: TimeGrid, seed:
     whenever the path dips below it between two nodes, not only at them;
     without drift the scheme is exact in law (Asmussen, Glynn & Pitman 1995).
     m is computed only where it can be negative, chi * chi^ < 18.5 dt;
-    elsewhere dl = 0 for every U.  Bit-identical to reflected_ensemble.
+    elsewhere dl = 0 for every U.  With a finite upper domain edge hi, a
+    path stays where it is from its first node at or above hi.
+
+    Returns (values, contact, floors) for paths first_index + p:
+    values[p, k] = X at node record[k], floors[p, k] = the floor level l
+    there, and contact[p] True when any reflection increment occurred
+    (dl > 0) up to the horizon, counting dips below the floor between nodes.
+    Paths run in blocks, one stream segment at a time, in one reused buffer
+    of at most _CHUNK_BUDGET floats.
     """
-    if not (0 < j0 <= x0):
-        raise DomainError("simulate_skorokhod needs 0 < j0 <= x0")
     lo, hi = f.domain
-    if not (lo < j0):
-        raise DomainError(f"floor j0={j0} outside domain of f")
-    g = path_stream(seed, path_index)
-    z, u = _reflected_draws(g, grid.n_steps)
-    dt = grid.dt
-    incr = z * np.sqrt(dt)
-    reach = _BRIDGE_REACH * dt
-    X = np.empty(grid.n_steps + 1)
-    J = np.empty(grid.n_steps + 1)
-    chi, level = x0 - j0, j0
-    X[0], J[0] = x0, j0
-    truncated = None
-    for n in range(1, grid.n_steps + 1):
-        x_abs = chi + level
-        if not (x_abs < hi):  # upward domain exit (finite hi only)
-            X[n:] = X[n - 1]
-            J[n:] = J[n - 1]
-            truncated = n
-            break
-        drift = -0.5 * (f.d2(x_abs) / f.d1(x_abs)) * dt[n - 1]
-        prop = chi + drift + incr[n - 1]
-        if chi * prop < reach[n - 1]:
-            dl = _bridge_drop(chi, prop, u[n - 1], dt[n - 1])
-            prop = prop + dl
-            level = level + dl
-        chi = prop
-        X[n] = chi + level
-        J[n] = level
-    return PathBundle(grid=grid, X=X, increments=incr, seed=seed,
-                      path_index=path_index, Jstar=J, truncated_at=truncated)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized ensemble runners (same streams as the single-path simulators).
-
-def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
-                       n_paths: int, seed: int, record: list[int]):
-    """Run the reflection recursion of simulate_skorokhod over an ensemble,
-    bit-identical to it path by path.
-
-    Returns (values, contact, floor): values[p, k] = X at record[k] for
-    path p (X in the simulator's own coordinates, X = chi + l), contact[p]
-    True when any reflection increment occurred (dl > 0) up to the horizon,
-    counting dips below the floor between nodes, floor[p] = the final floor
-    level l_N.
-
-    Paths run in blocks, one stream segment at a time; the normal and
-    uniform buffers of a block together hold at most _CHUNK_BUDGET floats
-    and are reused from block to block.
-    """
-    record = sorted(set(int(r) for r in record))
-    if record and record[-1] > grid.n_steps:
-        raise DomainError("record index beyond the grid")
+    if not lo < l0:
+        raise DomainError(f"floor {l0} outside the domain of f")
+    edge = hi < np.inf
+    rec = _record(record, grid)
+    rec_pos = {int(k): i for i, k in enumerate(rec)}
     dt = grid.dt
     sqdt = np.sqrt(dt)
     reach = _BRIDGE_REACH * dt
-    values = np.empty((n_paths, len(record)))
+    values = np.empty((n_paths, len(rec)))
+    floors = np.empty((n_paths, len(rec)))
     contact = np.zeros(n_paths, dtype=bool)
-    floor = np.empty(n_paths)
-    rec_pos = {k: i for i, k in enumerate(record)}
     seg = min(grid.n_steps, _SEGMENT)
     size = max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * seg)))
     rows_max = min(size, n_paths)
     buf = np.empty(2 * seg * rows_max)  # one allocation, released as one
     zbuf = buf[:seg * rows_max].reshape(seg, rows_max)
     ubuf = buf[seg * rows_max:].reshape(rows_max, seg)
-    for block in _blocks(n_paths, size):
-        rows = slice(block.start, block.stop)
-        sampler = _StreamBlock(seed, block)
-        chi = np.full(len(block), float(chi0))
-        lev = np.full(len(block), float(l0))
-        hit = np.zeros(len(block), dtype=bool)
+    for rows, sampler in _stream_blocks(seed, first_index, n_paths, size):
+        chi = np.full(rows.stop - rows.start, float(chi0))
+        lev = np.full(len(chi), float(l0))
+        hit = np.zeros(len(chi), dtype=bool)
         if 0 in rec_pos:
             values[rows, rec_pos[0]] = chi + lev
+            floors[rows, rec_pos[0]] = lev
         for a, b in _segments(grid.n_steps):
-            zs, us = zbuf[:b - a, :len(block)], ubuf[:len(block), :b - a]
-            sampler.segment(zs, us)
+            zs, us = zbuf[:b - a, :len(chi)], ubuf[:len(chi), :b - a]
+            sampler.normals_by_step(zs)  # each stream: normals, then uniforms
+            sampler.uniforms(us)
             for n in range(a, b):
                 x_abs = chi + lev
                 drift = -0.5 * (f.d2(x_abs) / f.d1(x_abs)) * dt[n]
                 prop = chi + drift + sqdt[n] * zs[n - a]
-                near = np.flatnonzero(chi * prop < reach[n])
+                near = chi * prop < reach[n]
+                if edge:
+                    live = x_abs < hi
+                    prop = np.where(live, prop, chi)
+                    near &= live
+                near = np.flatnonzero(near)
                 if near.size:
                     p = prop[near]
                     dl = _bridge_drop(chi[near], p, us[near, n - a], dt[n])
@@ -371,87 +410,53 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
                 chi = prop
                 if (n + 1) in rec_pos:
                     values[rows, rec_pos[n + 1]] = chi + lev
+                    floors[rows, rec_pos[n + 1]] = lev
         contact[rows] = hit
-        floor[rows] = lev
-    return values, contact, floor
+    return values, contact, floors
 
 
-def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
-                     seed: int, record: list[int]):
-    """Vectorized version of simulate_drifted.
+# ---------------------------------------------------------------------------
+# Single paths: one-path calls of the ensemble runners, every node recorded.
 
-    Returns (values, alive): values[p, k] = X at record[k] (absorbed paths
-    parked at the edge), alive[p] False when the path was absorbed.
-    """
-    record = sorted(set(int(r) for r in record))
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    lo, hi = f.domain
-    lo_g = lo + EDGE_GUARD * (1 + abs(lo)) if np.isfinite(lo) else -np.inf
-    hi_g = hi - EDGE_GUARD * (1 + abs(hi)) if np.isfinite(hi) else np.inf
-    values = np.empty((n_paths, len(record)))
-    alive_all = np.ones(n_paths, dtype=bool)
-    rec_pos = {k: i for i, k in enumerate(record)}
-    for block in _blocks(n_paths):
-        rows = slice(block.start, block.stop)
-        sampler = _StreamBlock(seed, block)
-        X = np.full(len(block), float(x0))
-        alive = np.ones(len(block), dtype=bool)
-        if 0 in rec_pos:
-            values[rows, rec_pos[0]] = X
-        for a, b in _chunks(grid.n_steps, len(block)):
-            zs = sampler.normals(b - a)
-            for n in range(a, b):
-                drift = np.where(alive, -0.5 * (f.d2(X) / f.d1(X)) * dt[n], 0.0)
-                prop = X + drift + np.where(alive, sqdt[n] * zs[:, n - a], 0.0)
-                exited = alive & ((prop <= lo_g) | (prop >= hi_g))
-                prop[exited] = np.where(prop[exited] <= lo_g, lo_g, hi_g)
-                alive &= ~exited
-                X = np.where(alive | exited, prop, X)
-                if (n + 1) in rec_pos:
-                    values[rows, rec_pos[n + 1]] = X
-        alive_all[rows] = alive
-    return values, alive_all
+def simulate_wiener(x0: float, grid: TimeGrid, seed: int, path_index: int = 0) -> PathBundle:
+    """Path path_index of wiener_ensemble."""
+    X = wiener_ensemble(x0, grid, 1, seed, _every_node(grid), path_index)
+    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index)
 
 
-def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
-                         record: list[int], j0: Optional[float] = None):
-    """Ensemble of dual-construction paths; j0=None draws each path's floor
-    uniformly on (0, x0) (the overall-infimum law of the Bessel-3 process),
-    giving the unconditioned process from x0.
+def simulate_bessel3_dual(x0: float, j0: float, grid: TimeGrid, seed: int,
+                          path_index: int = 0) -> PathBundle:
+    """Path path_index of bessel_dual_ensemble with floor 0 < j0 <= x0."""
+    X, J = bessel_dual_ensemble(x0, grid, 1, seed, _every_node(grid), j0,
+                                path_index)
+    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
+                      Jstar=J[0])
 
-    Returns (values, jstars): X and J* at the recorded node indices.
-    """
-    record = sorted(set(int(r) for r in record))
-    sqdt = np.sqrt(grid.dt)
-    values = np.empty((n_paths, len(record)))
-    jstars = np.empty((n_paths, len(record)))
-    rec_pos = {k: i for i, k in enumerate(record)}
-    for block in _blocks(n_paths):
-        rows = slice(block.start, block.stop)
-        sampler = _StreamBlock(seed, block)
-        if j0 is None:
-            # the floor draw is the first variate of each path's stream
-            u = np.array([g.uniform() for g in sampler.gens])
-            floor = x0 * u
-        else:
-            if not (0 < j0 <= x0):
-                raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0")
-            floor = np.full(len(block), float(j0))
-        Xstar = 2 * floor - x0
-        Jstar = floor.copy()
-        if 0 in rec_pos:
-            values[rows, rec_pos[0]] = 2 * Jstar - Xstar
-            jstars[rows, rec_pos[0]] = Jstar
-        for a, b in _chunks(grid.n_steps, len(block)):
-            zs = sampler.normals(b - a)
-            for n in range(a, b):
-                Xstar = Xstar + sqdt[n] * zs[:, n - a]
-                np.maximum(Jstar, Xstar, out=Jstar)
-                if (n + 1) in rec_pos:
-                    values[rows, rec_pos[n + 1]] = 2 * Jstar - Xstar
-                    jstars[rows, rec_pos[n + 1]] = Jstar
-    return values, jstars
+
+def simulate_drifted(f: SmoothMap, x0: float, grid: TimeGrid, seed: int,
+                     path_index: int = 0) -> PathBundle:
+    """Path path_index of drifted_ensemble; truncated_at is the node from
+    which an absorbed path is parked at the guarded domain edge."""
+    X, alive = drifted_ensemble(f, x0, grid, 1, seed, _every_node(grid),
+                                path_index)
+    lo_g, hi_g = _guarded(f.domain)
+    parked = np.flatnonzero((X[0, 1:] <= lo_g) | (X[0, 1:] >= hi_g))
+    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
+                      truncated_at=None if alive[0] else 1 + int(parked[0]))
+
+
+def simulate_skorokhod(f: SmoothMap, x0: float, j0: float, grid: TimeGrid, seed: int,
+                       path_index: int = 0) -> PathBundle:
+    """Path path_index of reflected_ensemble from (x0 - j0, j0), with the
+    floor level recorded as J*; truncated_at is the first node at or above
+    a finite upper domain edge, from which the path stays where it is."""
+    if not (0 < j0 <= x0):
+        raise DomainError("simulate_skorokhod needs 0 < j0 <= x0")
+    X, _, J = reflected_ensemble(f, x0 - j0, j0, grid, 1, seed,
+                                 _every_node(grid), path_index)
+    stuck = np.flatnonzero(X[0] >= f.domain[1])
+    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
+                      Jstar=J[0], truncated_at=int(stuck[0]) if stuck.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +502,21 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     if not (lo < x0 < hi):
         raise DomainError("x0 must start inside the band")
     vals = np.empty(n_paths)
-    for i in range(n_paths):
-        p = simulate_wiener(x0, grid, seed, path_index=i)
-        outside = (p.X <= lo) | (p.X >= hi)
-        if outside.any():
-            stop = int(np.argmax(outside))
-            p.X[stop] = min(max(p.X[stop], lo), hi)
-            stopped = p.stopped_at(stop)
-        else:
-            stopped = p
-        weight = schwarzian_process(s, stopped)[-1]
-        vals[i] = weight * payoff(stopped)
+    nodes = _every_node(grid)
+    # paths in blocks whose recorded nodes and walk buffer fit _CHUNK_BUDGET
+    size = max(1, _CHUNK_BUDGET // (2 * len(nodes)))
+    for start in range(0, n_paths, size):
+        block = wiener_ensemble(x0, grid, min(size, n_paths - start), seed,
+                                nodes, start)
+        for i, X in enumerate(block, start):
+            p = PathBundle(grid=grid, X=X, seed=seed, path_index=i)
+            outside = (p.X <= lo) | (p.X >= hi)
+            if outside.any():
+                stop = int(np.argmax(outside))
+                p.X[stop] = min(max(p.X[stop], lo), hi)
+                stopped = p.stopped_at(stop)
+            else:
+                stopped = p
+            weight = schwarzian_process(s, stopped)[-1]
+            vals[i] = weight * payoff(stopped)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

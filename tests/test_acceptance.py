@@ -251,7 +251,7 @@ def test_derivative_identities_and_process_composition():
         comp = schwarzian_process(compose(phi2, g2), p)
         inner = schwarzian_process(g2, p)
         gX = g2(p.X)
-        pg = PathBundle(grid=grid, X=gX, increments=np.diff(gX), seed=p.seed,
+        pg = PathBundle(grid=grid, X=gX, seed=p.seed,
                         path_index=p.path_index)
         outer = schwarzian_process(phi2, pg)
         np.testing.assert_allclose(comp, outer * inner, atol=1e-12)
@@ -274,7 +274,7 @@ def test_derivative_identities_and_process_composition():
             d1sq = gi.d1(p.X) ** 2
             tau = np.concatenate(([0.0], np.cumsum(
                 0.5 * (d1sq[:-1] + d1sq[1:]) * np.diff(grid.nodes))))
-            pg = PathBundle(grid=TimeGrid(tau), X=gX, increments=np.diff(gX),
+            pg = PathBundle(grid=TimeGrid(tau), X=gX,
                             seed=p.seed, path_index=p.path_index)
             outer = schwarzian_process(fo, pg)
             assert np.max(np.abs(comp - outer * inner) / np.abs(comp)) < tol

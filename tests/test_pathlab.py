@@ -77,7 +77,6 @@ def test_wiener_uses_grid_and_stream():
     p = simulate_wiener(2.0, grid, SEED, 0)
     assert p.X[0] == 2.0
     incr = path_stream(SEED, 0).standard_normal(16) * np.sqrt(grid.dt)
-    np.testing.assert_array_equal(p.increments, incr)
     np.testing.assert_array_equal(p.X, np.add.accumulate(np.concatenate(([2.0], incr))))
 
 
@@ -131,7 +130,7 @@ def test_skorokhod_stays_above_floor():
 def test_stopped_at_keeps_truncation_only_if_before_node():
     grid = TimeGrid.uniform(1.0, 10)
     X = np.linspace(1.0, 2.0, 11)
-    p = PathBundle(grid=grid, X=X, increments=np.diff(X), seed=0, path_index=0,
+    p = PathBundle(grid=grid, X=X, seed=0, path_index=0,
                    truncated_at=7)
     assert p.stopped_at(5).truncated_at is None
     assert p.stopped_at(8).truncated_at == 7
@@ -145,13 +144,35 @@ def test_stopped_at_keeps_truncation_only_if_before_node():
 def test_reflected_ensemble_matches_single_path_bitwise():
     f = reciprocal_map()
     grid = TimeGrid.uniform(1.0, 128)
-    vals, contact, floor = reflected_ensemble(f, 0.5, 0.5, grid, 6, SEED, [64, 128])
+    vals, contact, floors = reflected_ensemble(f, 0.5, 0.5, grid, 6, SEED, [64, 128])
+    floor = floors[:, -1]
     for k in range(6):
         p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
         assert vals[k, 0] == p.X[64]
         assert vals[k, 1] == p.X[128]
         assert floor[k] == p.Jstar[-1]
         assert contact[k] == (p.Jstar[-1] > 0.5)
+
+    # every node of 64 paths x 512 steps
+    grid = TimeGrid.uniform(1.0, 512)
+    vals, _, floors = reflected_ensemble(f, 0.5, 0.5, grid, 64, SEED, range(513))
+    for k in range(64):
+        p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
+        np.testing.assert_array_equal(vals[k], p.X)
+        np.testing.assert_array_equal(floors[k], p.Jstar)
+
+    # a finite upper domain edge: a path stays where it is from its first
+    # node at or above the edge
+    edge = affine_map(1.0, 0.0, domain=(0.0, 1.2))
+    grid = TimeGrid.uniform(1.0, 64)
+    vals, _, floors = reflected_ensemble(edge, 0.5, 0.5, grid, 8, SEED, range(65))
+    for k in range(8):
+        p = simulate_skorokhod(edge, 1.0, 0.5, grid, SEED, k)
+        np.testing.assert_array_equal(vals[k], p.X)
+        np.testing.assert_array_equal(floors[k], p.Jstar)
+        n = len(p.X) if p.truncated_at is None else p.truncated_at
+        assert np.all(p.X[:n] < 1.2)
+        assert np.all(p.X[n:] == p.X[-1])
 
 
 def test_drifted_ensemble_matches_single_path_bitwise():
@@ -165,6 +186,14 @@ def test_drifted_ensemble_matches_single_path_bitwise():
             assert vals[k, -1] == p.X[-1]
         else:
             assert not alive[k]
+
+    # every node of 64 paths x 512 steps
+    grid = TimeGrid.uniform(1.0, 512)
+    vals, alive = drifted_ensemble(f, 1.0, grid, 64, SEED, range(513))
+    for k in range(64):
+        p = simulate_drifted(f, 1.0, grid, SEED, k)
+        np.testing.assert_array_equal(vals[k], p.X)
+        assert alive[k] == (p.truncated_at is None)
 
 
 def test_ensemble_partition_independence(monkeypatch):
@@ -214,7 +243,7 @@ def test_bessel_dual_ensemble_random_floor_law():
 def test_first_hitting_interpolates():
     grid = TimeGrid.uniform(1.0, 4)
     X = np.array([1.0, 0.8, 0.4, 0.9, 1.2])
-    p = PathBundle(grid=grid, X=X, increments=np.diff(X), seed=0, path_index=0)
+    p = PathBundle(grid=grid, X=X, seed=0, path_index=0)
     t = first_hitting(p, 0.6)
     # crossing between nodes 1 (t=0.25, X=0.8) and 2 (t=0.5, X=0.4)
     assert t == pytest.approx(0.25 + 0.25 * (0.8 - 0.6) / (0.8 - 0.4))
@@ -226,7 +255,7 @@ def test_first_hitting_interpolates():
 def test_future_infimum_backward_min():
     grid = TimeGrid.uniform(1.0, 4)
     X = np.array([3.0, 1.0, 2.0, 0.5, 4.0])
-    p = PathBundle(grid=grid, X=X, increments=np.diff(X), seed=0, path_index=0)
+    p = PathBundle(grid=grid, X=X, seed=0, path_index=0)
     np.testing.assert_array_equal(future_infimum(p), [0.5, 0.5, 0.5, 0.5, 4.0])
 
 
@@ -241,11 +270,12 @@ def test_change_of_measure_closes_to_bessel_mean():
     tot = 0.0
     tot2 = 0.0
     n = 4000
-    for k in range(n):
-        p = simulate_drifted(reciprocal_map(), 1.0, grid, SEED + 1, k)
-        exit_ = np.where((p.X <= band[0]) | (p.X >= band[1]))[0]
-        stop = int(exit_[0]) if len(exit_) else len(p.X) - 1
-        v = min(max(p.X[stop], band[0]), band[1])
+    paths, _ = drifted_ensemble(reciprocal_map(), 1.0, grid, n, SEED + 1,
+                                range(grid.n_steps + 1))
+    for X in paths:
+        exit_ = np.where((X <= band[0]) | (X >= band[1]))[0]
+        stop = int(exit_[0]) if len(exit_) else len(X) - 1
+        v = min(max(X[stop], band[0]), band[1])
         tot += v
         tot2 += v * v
     m2 = tot / n

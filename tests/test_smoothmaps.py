@@ -207,7 +207,7 @@ def test_process_power_law_closed_form():
 def test_process_constant_path():
     f = power_law_map(1.0)  # identity: S == 0
     grid = TimeGrid.uniform(1.0, 10)
-    p = PathBundle(grid=grid, X=np.full(11, 2.0), increments=np.zeros(10),
+    p = PathBundle(grid=grid, X=np.full(11, 2.0),
                    seed=0, path_index=0)
     np.testing.assert_array_equal(schwarzian_process(f, p), np.ones(11))
 
@@ -216,7 +216,7 @@ def test_process_truncates_at_domain_exit():
     f = power_law_map(0.5)  # needs X > 0
     grid = TimeGrid.uniform(1.0, 4)
     X = np.array([1.0, 0.5, -0.1, 0.2, 0.3])
-    p = PathBundle(grid=grid, X=X, increments=np.diff(X), seed=0, path_index=0)
+    p = PathBundle(grid=grid, X=X, seed=0, path_index=0)
     s = schwarzian_process(f, p)
     assert len(s) == 2
     assert s[0] == 1.0
@@ -226,7 +226,7 @@ def test_process_rejects_start_outside_domain():
     f = power_law_map(0.5)
     grid = TimeGrid.uniform(1.0, 2)
     p = PathBundle(grid=grid, X=np.array([-1.0, 1.0, 1.0]),
-                   increments=np.zeros(2), seed=0, path_index=0)
+                   seed=0, path_index=0)
     with pytest.raises(DomainError):
         schwarzian_process(f, p)
 
@@ -245,7 +245,7 @@ def test_process_composition_multiplicativity_mobius_outer():
         comp = schwarzian_process(compose(phi, g), p)
         inner = schwarzian_process(g, p)
         gX = g(p.X)
-        pg = PathBundle(grid=grid, X=gX, increments=np.diff(gX),
+        pg = PathBundle(grid=grid, X=gX,
                         seed=p.seed, path_index=p.path_index)
         outer = schwarzian_process(phi, pg)
         np.testing.assert_allclose(comp, outer * inner, atol=1e-12)
