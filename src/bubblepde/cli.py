@@ -110,6 +110,10 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
                 "theta_taus", "space_nodes", "levels", "dump_paths"):
         numerics[key] = _number(numerics, "numerics", key, positive=True,
                                 integer=True)
+    if numerics["theta_taus"] < 2:
+        _fail("numerics.theta_taus",
+              f"the theta table needs at least 2 tau nodes, got "
+              f"{numerics['theta_taus']}")
     numerics["seed"] = _number(numerics, "numerics", "seed", integer=True)
     tw = _number(numerics, "numerics", "theta_weight")
     if not 0.0 <= tw <= 1.0:

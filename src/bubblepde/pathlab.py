@@ -291,7 +291,8 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
     edge: X_n = X_{n-1} - 1/2 T_f(X_{n-1}) dt_n + sqrt(dt_n) xi_n.
 
     A path whose proposal exits the (guarded) domain is parked at the edge
-    from that node on -- the stopped process, not an error.
+    from that node on -- the stopped process, not an error.  A block stops
+    stepping once all its paths are parked.
 
     Returns (values, alive): values[p, k] = X at node record[k] of path
     first_index + p, alive[p] False when the path was absorbed.
@@ -323,6 +324,12 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
                 alive &= (lo_g < prop) & (prop < hi_g)
                 if (n + 1) in rec_pos:
                     values[rows, rec_pos[n + 1]] = X
+                if not alive.any():
+                    break
+            if not alive.any():
+                # every path of the block is parked: X holds from here on
+                values[rows, rec > n + 1] = X[:, None]
+                break
         alive_all[rows] = alive
     return values, alive_all
 

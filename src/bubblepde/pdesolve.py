@@ -11,12 +11,13 @@ local martingales from true ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .boundary import PayoffSpec, ThetaTable
@@ -334,6 +335,75 @@ def _taper(payoff: PayoffSpec, n: float, y: np.ndarray) -> np.ndarray:
     return np.where(y <= n / 2.0, h, np.maximum(ramp, 0.0))
 
 
+def _neumann_row(y: np.ndarray) -> tuple:
+    """Weights (gamma, beta, alpha) of the one-sided second-order v_y at the
+    top node, on the nodes y[-3], y[-2], y[-1]."""
+    h1 = y[-1] - y[-2]
+    h2 = y[-2] - y[-3]
+    return (h1 / (h2 * (h1 + h2)), -(h1 + h2) / (h1 * h2),
+            (2 * h1 + h2) / (h1 * (h1 + h2)))
+
+
+def _require_finite(what: str, vals: np.ndarray, y: np.ndarray,
+                    first: int = 0, t: Optional[np.ndarray] = None) -> None:
+    """Raise NumericsError naming the first non-finite entry of vals, whose
+    last axis runs over the nodes first, first + 1, ... and whose rows (when
+    2-d) belong to the times t."""
+    if np.all(np.isfinite(vals)):
+        return
+    *k, i = np.argwhere(~np.isfinite(vals))[0]
+    i += first
+    when = f" at t={t[k[0]]:.6g}" if k else ""
+    raise NumericsError(
+        f"non-finite {what} at node i={i}, y={y[i]:.6g}{when}")
+
+
+def _factor_step(thdt: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 cap_row: Optional[tuple]) -> Callable:
+    """LU-factor the implicit step matrix and return rhs -> (solution, info).
+
+    Rows 1..m-1 are I - thdt * (a, b, c), row 0 is the Dirichlet bottom row,
+    and row m is either Dirichlet (cap_row None) or the Neumann cap row
+    (gamma, beta, alpha).  The tridiagonal matrix goes through dgttrf/dgttrs
+    and the Neumann one, with its extra sub-subdiagonal entry, through
+    dgbtrf/dgbtrs: the LAPACK arithmetic of gtsv and gbsv, factor and solve
+    split apart.
+    """
+    m = len(b) + 1
+    lower = np.zeros(m)
+    lower[:-1] = -thdt * a  # lower[i] = A[i + 1, i]
+    diag = np.ones(m + 1)
+    diag[1:-1] = 1.0 - thdt * b
+    upper = np.zeros(m)
+    upper[1:] = -thdt * c  # upper[i] = A[i, i + 1]
+    if cap_row is None:
+        *factors, info = dgttrf(lower, diag, upper)
+        _lapack_ok(info, thdt)
+        return partial(dgttrs, *factors)
+    # band storage for dgbtrf with kl = 2, ku = 1: A[i, j] at row 3 + i - j
+    # of column j, below two rows of fill-in space
+    gamma, beta, alpha = cap_row
+    diag[m] = alpha
+    lower[m - 1] = beta
+    ab = np.zeros((6, m + 1))
+    ab[2, 1:] = upper
+    ab[3] = diag
+    ab[4, :-1] = lower
+    ab[5, m - 2] = gamma
+    lu, ipiv, info = dgbtrf(ab, 2, 1)
+    _lapack_ok(info, thdt)
+    return partial(dgbtrs, lu, 2, 1, ipiv=ipiv)
+
+
+def _lapack_ok(info: int, thdt: float) -> None:
+    """Turn a nonzero LAPACK info into NumericsError: info > 0 is a zero
+    pivot (a singular step matrix), info < 0 an illegal argument."""
+    if info != 0:
+        raise NumericsError(
+            f"LAPACK returned info={info} for the implicit step matrix at "
+            f"theta_weight * dt = {thdt:.6g}")
+
+
 def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
           grid: Optional[SpaceGrid] = None, times: Optional[TimeGrid] = None,
           theta_weight: float = 1.0) -> PdeSolution:
@@ -381,6 +451,8 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
         a = a - conv * hp / (hm * (hm + hp))
         c = c + conv * hm / (hp * (hm + hp))
     b = -(a + c)  # the operator annihilates constants
+    # b is finite exactly when a and c both are
+    _require_finite("diffusion coefficient", b, y, first=1)
     bad = np.where((a < 0) | (c < 0))[0]
     if len(bad):
         i = int(bad[0]) + 1
@@ -404,60 +476,41 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
     if isinstance(scheme, TransformedCauchyScheme):
         bottom = 0.0
 
-    def top_datum(t_new: float) -> Optional[float]:
-        if isinstance(scheme, FundraiserScheme):
-            return float(theta_of(T - t_new))
-        if isinstance(scheme, TaperedTerminalScheme):
-            return 0.0
-        if isinstance(scheme, TransformedCauchyScheme):
-            return 0.0
-        if isinstance(scheme, NaiveDirichletScheme):
-            return float(payoff(scheme.cap))
-        return None  # NeumannCap: handled by its own row
-
-    neumann = isinstance(scheme, NeumannCapScheme)
-    if neumann:
-        h1 = y[m] - y[m - 1]
-        h2 = y[m - 1] - y[m - 2]
-        alpha = (2 * h1 + h2) / (h1 * (h1 + h2))
-        beta = -(h1 + h2) / (h1 * h2)
-        gamma = h1 / (h2 * (h1 + h2))
-
     n_t = times.n_steps
+    # top-row datum of each step k, which solves for time node k
+    if isinstance(scheme, FundraiserScheme):
+        top = theta_of(T - times.nodes[:-1])
+    elif isinstance(scheme, NaiveDirichletScheme):
+        top = np.full(n_t, float(payoff(scheme.cap)))
+    else:  # Dirichlet 0, or the zero right-hand side of the Neumann cap row
+        top = np.zeros(n_t)
+    _require_finite("terminal datum", v, y)
+    _require_finite("top-row datum", top[:, None], y, first=m,
+                    t=times.nodes)
+
+    cap_row = _neumann_row(y) if isinstance(scheme, NeumannCapScheme) else None
     dts = times.dt
+    th = theta_weight
     out = np.empty((n_t + 1, m + 1))
     out[n_t] = v if not isinstance(scheme, TransformedCauchyScheme) else v * y
-
-    lower_bw = 2 if neumann else 1
-    ab = np.zeros((lower_bw + 2, m + 1))
     rhs = np.empty(m + 1)
-
-    # banded layout for solve_banded((lower_bw, 1)): row 0 holds A[i, i+1] at
-    # column i+1, row 1 the diagonal, row 2 A[i, i-1] at column i-1, and (for
-    # the Neumann cap row only) row 3 holds A[m, m-2] at column m-2.
+    rhs[0] = bottom
+    # The step matrix depends on k only through dt: factor it when dt
+    # changes and reuse the factors for the run of steps that share it.
+    dt_lu = None
     for k in range(n_t - 1, -1, -1):
         dt = dts[k]
-        th = theta_weight
-        expl = v[1:-1].copy()
+        if dt != dt_lu:
+            step_solve = _factor_step(th * dt, a, b, c, cap_row)
+            dt_lu = dt
+        rhs[1:-1] = v[1:-1]
         if th < 1.0:
-            expl += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
-        rhs[1:-1] = expl
-        ab[:] = 0.0
-        ab[0, 2:] = -th * dt * c
-        ab[1, 0] = 1.0
-        ab[1, 1:-1] = 1.0 - th * dt * b
-        ab[2, 0:m - 1] = -th * dt * a
-        rhs[0] = bottom
-        if neumann:
-            ab[1, m] = alpha
-            ab[2, m - 1] = beta
-            ab[3, m - 2] = gamma
-            rhs[m] = 0.0
-        else:
-            ab[1, m] = 1.0
-            rhs[m] = top_datum(times.nodes[k])
-        v = solve_banded((lower_bw, 1), ab, rhs)
+            rhs[1:-1] += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
+        rhs[m] = top[k]
+        v, info = step_solve(rhs)
+        _lapack_ok(info, th * dt)
         out[k] = v if not isinstance(scheme, TransformedCauchyScheme) else v * y
+    _require_finite("solution value", out, y, t=times.nodes)
 
     return PdeSolution(grid=grid, times=times, values=out,
                        scheme=scheme, theta_weight=float(theta_weight))
@@ -475,11 +528,7 @@ def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
     if isinstance(scheme, FundraiserScheme):
         return abs(float(payoff(cap)) - float(scheme.theta.theta[0]))
     if isinstance(scheme, NeumannCapScheme):
-        h1 = y[-1] - y[-2]
-        h2 = y[-2] - y[-3]
-        alpha = (2 * h1 + h2) / (h1 * (h1 + h2))
-        beta = -(h1 + h2) / (h1 * h2)
-        gamma = h1 / (h2 * (h1 + h2))
+        gamma, beta, alpha = _neumann_row(y)
         h = np.asarray(payoff(y[-3:]), dtype=float)
         return abs(gamma * h[0] + beta * h[1] + alpha * h[2])
     if isinstance(scheme, TaperedTerminalScheme):

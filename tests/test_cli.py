@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bubblepde import ConfigError
 from bubblepde.cli import config_hash, main, resolve_config
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
@@ -160,6 +161,13 @@ def test_exit_codes(tmp_path):
                                "payoff": {"kind": "forward"}}))
     assert main(["price", "--config", str(bad)]) == 2
     assert main(["price", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_theta_taus_below_two_is_rejected(tmp_path):
+    cfgp = write_config(tmp_path, numerics=dict(TINY_NUMERICS, theta_taus=1))
+    with pytest.raises(ConfigError, match="numerics.theta_taus"):
+        resolve_config(json.loads(cfgp.read_text()), {})
+    assert main(["theta", "--config", str(cfgp)]) == 2
 
 
 def test_compare_schemes(tmp_path):

@@ -1,8 +1,9 @@
 """Closed-form benchmark values and the special-function layer.
 
-The normal CDF here is implemented from a rational erfc approximation, so
-its test reference must come from an independent route: a Lentz-style
-continued fraction for the upper tail plus mpmath's arbitrary-precision erfc.
+The normal CDF here is built on scipy.special.erfc (re-exported as
+closedform.erfc); its tests check it against two independent routes: a
+Lentz-style continued fraction for the upper tail and mpmath's
+arbitrary-precision erfc.
 """
 
 import mpmath

@@ -1,8 +1,10 @@
 """Finite-difference solver tests: the bubble detector, scale-map recovery,
-grids, the four boundary treatments, and the corner-defect diagnostic."""
+grids, the four boundary treatments, the stepper against a per-step
+reference, and the corner-defect diagnostic."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from bubblepde import (
     ConfigError,
@@ -21,6 +23,7 @@ from bubblepde.pdesolve import (
     SpaceGrid,
     TaperedTerminalScheme,
     TransformedCauchyScheme,
+    _taper,
     convergence_study,
     corner_defect,
     f_from_sigma,
@@ -143,6 +146,107 @@ def test_monotonicity_guard_trips_on_bad_transformed_grid():
     with pytest.raises(NumericsError):
         solve(SIG2, PayoffSpec.call(1.0), 1.0, TransformedCauchyScheme(n=10.0),
               grid=grid, times=TimeGrid.uniform(1.0, 16))
+
+
+def test_solve_fails_closed_on_non_finite_sigma():
+    with pytest.raises(NumericsError, match=r"node i=\d+, y="):
+        solve(lambda y: np.where(y > 2, np.inf, y ** 2), FWD, 1.0,
+              NeumannCapScheme(4.0))
+
+
+# ---------------------------------------------------------------------------
+# the stepper against the per-step reference
+
+
+def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
+    """The time loop as a banded matrix built and handed to solve_banded at
+    every step, with the top-row datum computed step by step."""
+    y = grid.nodes
+    m = grid.m
+    yi = y[1:-1]
+    sig2 = np.asarray(sig(yi), dtype=float) ** 2
+    hm = yi - y[:-2]
+    hp = y[2:] - yi
+    a = sig2 / (hm * (hm + hp))
+    c = sig2 / (hp * (hm + hp))
+    transformed = isinstance(scheme, TransformedCauchyScheme)
+    if transformed:
+        conv = sig2 / yi
+        a = a - conv * hp / (hm * (hm + hp))
+        c = c + conv * hm / (hp * (hm + hp))
+    b = -(a + c)
+    if isinstance(scheme, TaperedTerminalScheme):
+        v = _taper(payoff, scheme.n, y)
+    elif transformed:
+        v = np.zeros_like(y)
+        v[1:] = np.asarray(payoff(y[1:]), dtype=float) / y[1:]
+    else:
+        v = np.asarray(payoff(y), dtype=float)
+    bottom = 0.0 if transformed else float(payoff(0.0))
+    neumann = isinstance(scheme, NeumannCapScheme)
+    if isinstance(scheme, FundraiserScheme):
+        theta_of = scheme.theta.interpolator()
+    if neumann:
+        h1, h2 = y[m] - y[m - 1], y[m - 1] - y[m - 2]
+        alpha = (2 * h1 + h2) / (h1 * (h1 + h2))
+        beta = -(h1 + h2) / (h1 * h2)
+        gamma = h1 / (h2 * (h1 + h2))
+    n_t = times.n_steps
+    out = np.empty((n_t + 1, m + 1))
+    out[n_t] = v * y if transformed else v
+    lower_bw = 2 if neumann else 1
+    ab = np.zeros((lower_bw + 2, m + 1))
+    rhs = np.empty(m + 1)
+    for k in range(n_t - 1, -1, -1):
+        dt = times.dt[k]
+        expl = v[1:-1].copy()
+        if th < 1.0:
+            expl += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
+        rhs[1:-1] = expl
+        ab[:] = 0.0
+        ab[0, 2:] = -th * dt * c
+        ab[1, 0] = 1.0
+        ab[1, 1:-1] = 1.0 - th * dt * b
+        ab[2, 0:m - 1] = -th * dt * a
+        rhs[0] = bottom
+        if neumann:
+            ab[1, m] = alpha
+            ab[2, m - 1] = beta
+            ab[3, m - 2] = gamma
+            rhs[m] = 0.0
+        else:
+            ab[1, m] = 1.0
+            if isinstance(scheme, FundraiserScheme):
+                rhs[m] = theta_of(T - times.nodes[k])
+            elif isinstance(scheme, NaiveDirichletScheme):
+                rhs[m] = float(payoff(scheme.cap))
+            else:
+                rhs[m] = 0.0
+        v = solve_banded((lower_bw, 1), ab, rhs)
+        out[k] = v * y if transformed else v
+    return out
+
+
+@pytest.mark.parametrize("times", [TimeGrid.uniform(1.0, 60),
+                                   TimeGrid.clustered(1.0, 64)],
+                         ids=["uniform", "clustered"])
+@pytest.mark.parametrize("th", [1.0, 0.5])
+def test_stepper_matches_per_step_reference_bitwise(times, th):
+    # uniform(1, 60) has runs of equal dt (reused factors) broken by
+    # last-bit changes (refactoring); clustered changes dt at every step
+    sig = lambda y: y ** 2
+    tab = _theta_table(0.1)  # cap f(0.1) = 10
+    geo = SpaceGrid.geometric(1e-4, 10.0, 60)
+    geo0 = SpaceGrid.geometric_with_zero(1e-4, 10.0, 60)
+    for scheme, grid in ((FundraiserScheme(j=0.1, theta=tab), geo),
+                         (NeumannCapScheme(n=10.0), geo0),
+                         (TaperedTerminalScheme(n=10.0), geo0),
+                         (TransformedCauchyScheme(n=10.0), geo0),
+                         (NaiveDirichletScheme(cap=10.0), geo0)):
+        got = solve(sig, FWD, 1.0, scheme, grid=grid, times=times,
+                    theta_weight=th).values
+        want = _stepped_reference(sig, FWD, 1.0, scheme, grid, times, th)
+        assert np.array_equal(got, want), scheme.kind
 
 
 # ---------------------------------------------------------------------------
