@@ -173,13 +173,26 @@ class ThetaTable:
         rows = path.read_text().strip().splitlines()
         if not rows or rows[0].strip() != "tau,theta,stderr":
             raise ConfigError(f"{path}: expected header 'tau,theta,stderr'")
-        data = np.array([[float(c) for c in r.split(",")] for r in rows[1:]])
-        if data.ndim != 2 or data.shape[1] != 3:
-            raise ConfigError(f"{path}: malformed theta table body")
-        meta = json.loads(meta_path.read_text())
-        return cls(j=float(meta["j"]), taus=data[:, 0], theta=data[:, 1],
-                   stderr=data[:, 2], n_paths=int(meta["n_paths"]),
-                   seed=int(meta["seed"]), map_descriptor=meta.get("map", {}))
+        data = np.empty((len(rows) - 1, 3))
+        for i, row in enumerate(rows[1:]):
+            cells = row.split(",")
+            if len(cells) != 3:
+                raise ConfigError(f"{path} line {i + 2}: expected 3 cells "
+                                  f"tau,theta,stderr, got {len(cells)}")
+            for k, (name, cell) in enumerate(zip(("tau", "theta", "stderr"), cells)):
+                try:
+                    data[i, k] = float(cell)
+                except ValueError:
+                    raise ConfigError(f"{path} line {i + 2}: {name} cell "
+                                      f"{cell!r} is not a number") from None
+        try:
+            meta = json.loads(meta_path.read_text())
+            j, n_paths, seed = float(meta["j"]), int(meta["n_paths"]), int(meta["seed"])
+            map_descriptor = meta.get("map", {})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{meta_path}: malformed side file: {exc!r}") from None
+        return cls(j=j, taus=data[:, 0], theta=data[:, 1], stderr=data[:, 2],
+                   n_paths=n_paths, seed=seed, map_descriptor=map_descriptor)
 
 
 def _floor_grid(horizon: float, taus: np.ndarray, grid_resolution: int) -> TimeGrid:
@@ -212,7 +225,7 @@ def estimate_theta(f: SmoothMap, j: float, taus, payoff: PayoffSpec, n_paths: in
     if not (lo < j < hi):
         raise DomainError(f"floor j={j} outside the domain of the map")
     try:
-        t0 = float(f.d2(j) / f.d1(j))
+        t0 = float(f.pre(j))
     except Exception as exc:
         raise DomainError(f"map not regular at the floor j={j}: {exc}") from exc
     if not np.isfinite(t0):

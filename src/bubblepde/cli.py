@@ -129,18 +129,16 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
                          ("output", "dir")):
         if overrides.get(key) is not None:
             resolved[section][key] = overrides[key]
-    extra = raw.get("convergence")
-    if extra is not None:
-        seq = extra.get("j_sequence")
+    if raw.get("convergence") is not None:
+        seq = _section(raw, "convergence", required=False).get("j_sequence")
         if (not isinstance(seq, list) or len(seq) < 1
                 or any(not isinstance(v, (int, float)) or v <= 0 for v in seq)
                 or any(b >= a for a, b in zip(seq, seq[1:]))):
             _fail("convergence.j_sequence",
                   "must be a decreasing list of positive numbers")
         resolved["convergence"] = {"j_sequence": [float(v) for v in seq]}
-    sim = raw.get("simulate")
-    if sim is not None:
-        kind = sim.get("kind", "skorokhod")
+    if raw.get("simulate") is not None:
+        kind = _section(raw, "simulate", required=False).get("kind", "skorokhod")
         if kind not in ("wiener", "bessel3", "drifted", "skorokhod"):
             _fail("simulate.kind", f"unknown simulator {kind!r}")
         resolved["simulate"] = {"kind": kind}

@@ -318,7 +318,7 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
             zs = zbuf[:b - a]
             sampler.normals_by_step(zs)
             for n in range(a, b):
-                drift = -0.5 * (f.d2(X) / f.d1(X)) * dt[n]
+                drift = -0.5 * f.pre(X) * dt[n]
                 prop = X + drift + sqdt[n] * zs[n - a]
                 X = np.where(alive, np.clip(prop, lo_g, hi_g), X)
                 alive &= (lo_g < prop) & (prop < hi_g)
@@ -400,7 +400,7 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
             sampler.uniforms(us)
             for n in range(a, b):
                 x_abs = chi + lev
-                drift = -0.5 * (f.d2(x_abs) / f.d1(x_abs)) * dt[n]
+                drift = -0.5 * f.pre(x_abs) * dt[n]
                 prop = chi + drift + sqdt[n] * zs[n - a]
                 near = chi * prop < reach[n]
                 if edge:

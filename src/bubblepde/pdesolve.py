@@ -86,7 +86,8 @@ def f_from_sigma(sigma) -> SmoothMap:
     Power-law sigma(y) = a*y^p (p > 1) is handled analytically:
     f(x) = (a(p-1))^{1/(1-p)} * x^{1/(1-p)}.  Other descriptors go through
     adaptive quadrature for f^{-1}, root bracketing for f, and the chain of
-    sigma-derivatives (by central differences) for f'', f'''.
+    sigma-derivatives (by central differences) for f'', f''' and
+    T_f(x) = f''/f' = -sigma'(f(x)).
 
     Raises DomainError when the tail integral of 1/sigma diverges (no finite
     f^{-1} exists, e.g. sigma(y) = y).
@@ -127,7 +128,7 @@ def f_from_sigma(sigma) -> SmoothMap:
         return brentq(lambda y: f_inv(y) - x, y_lo, y_hi, xtol=1e-14, rtol=1e-13)
 
     def ds(y, k):  # central-difference sigma derivatives
-        h = 1e-5 * max(abs(y), 1.0)
+        h = 1e-5 * np.maximum(np.abs(y), 1.0)
         if k == 1:
             return (s(y + h) - s(y - h)) / (2 * h)
         return (s(y + h) - 2 * s(y) + s(y - h)) / h ** 2
@@ -145,8 +146,11 @@ def f_from_sigma(sigma) -> SmoothMap:
         y = f_eval(x)
         return -(ds(y, 2) * s(y) + ds(y, 1) ** 2) * s(y)
 
+    def pre(x):
+        return -ds(f_eval(x), 1)
+
     return SmoothMap(domain=(0.0, np.inf), eval=f_eval, d1=d1, d2=d2, d3=d3,
-                     sign=-1.0, descriptor={"kind": "from_sigma",
+                     pre=pre, sign=-1.0, descriptor={"kind": "from_sigma",
                                             "sigma": getattr(sigma, "__name__", "callable")})
 
 

@@ -1,14 +1,19 @@
 """Smooth monotone maps with analytic derivatives up to third order.
 
 Carriers for the market's scale/price transformations. Each map knows its
-open domain, its first three derivatives, and its monotonicity sign, which
-is enough to evaluate the log-derivative ratio T_f = f''/f', the Schwarzian
-S_f = f'''/f' - (3/2)(f''/f')^2, and the multiplicative path functional
-built from them.
+open domain, its first three derivatives, its pre-Schwarzian (the
+log-derivative ratio T_f = f''/f') and its monotonicity sign, which is
+enough to evaluate the Schwarzian S_f = f'''/f' - (3/2)(f''/f')^2 and the
+multiplicative path functional built from them.
 
-All evaluators are vectorized over numpy arrays. Derivatives are closed
-form for every constructor (power law, logarithm, Moebius, compositions via
-the exact chain rule); there is no automatic differentiation.
+All evaluators are vectorized over numpy arrays. Derivatives and T_f are
+closed form for every constructor (power law, logarithm, Moebius,
+compositions via the exact chain rule); there is no automatic
+differentiation. T_f is the drift of every simulated law, so a map carries
+it in closed form instead of dividing f'' by f' at each step:
+(alpha - 1)/(x - xi) for a power law, -2c/(cx + d) for a Moebius map, zero
+for an affine map, and T_{f o g} = T_f(g) g' + T_g for a composition, which
+is T_g itself when f is affine.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .errors import DomainError
 # (catches transcription errors in derivative code without flagging roundoff).
 FD_EPS = 1e-5
 FD_TOL = 1e-4
+# Closed-form T_f against d2/d1: both are exact up to roundoff.
+PRE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,7 @@ class SmoothMap:
     ------
     domain : (lo, hi) open interval in the extended reals
     eval, d1, d2, d3 : vectorized evaluators for f, f', f'', f'''
+    pre : vectorized evaluator for the pre-Schwarzian T_f = f''/f'
     sign : +1 for increasing, -1 for decreasing
     descriptor : JSON-friendly construction record (used for hashing/serialization)
     """
@@ -55,6 +63,7 @@ class SmoothMap:
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
     d3: Callable[[np.ndarray], np.ndarray]
+    pre: Callable[[np.ndarray], np.ndarray]
     sign: int
     descriptor: dict = field(default_factory=dict)
 
@@ -80,7 +89,8 @@ class SmoothMap:
 
 def _fd_cross_check(m: SmoothMap) -> None:
     # Probe a handful of interior points; compare analytic d1 against a
-    # central difference of eval (and d2 against a difference of d1).
+    # central difference of eval (and d2 against a difference of d1), and
+    # the closed-form T_f against d2/d1.
     lo, hi = m.domain
     a = lo if np.isfinite(lo) else -1.0
     b = hi if np.isfinite(hi) else max(a + 2.0, 3.0)
@@ -94,8 +104,16 @@ def _fd_cross_check(m: SmoothMap) -> None:
     d2 = m.d2(pts)
     if np.any(np.abs(d2 - fd2) > FD_TOL * (1.0 + np.abs(d2))):
         raise DomainError(f"second-derivative cross-check failed for map {m.descriptor}")
+    t = d2 / d1
+    if np.any(np.abs(m.pre(pts) - t) > PRE_TOL * (1.0 + np.abs(t))):
+        raise DomainError(f"pre-Schwarzian cross-check failed for map {m.descriptor}")
     if np.any(m.sign * d1 <= 0):
         raise DomainError(f"monotonicity sign violated for map {m.descriptor}")
+
+
+def _flat(x) -> np.ndarray:
+    """T_f of an affine map: zero everywhere."""
+    return np.zeros(np.shape(x))
 
 
 def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
@@ -112,6 +130,7 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
             d1=lambda x: 1.0 / (np.asarray(x, dtype=float) - xi),
             d2=lambda x: -1.0 / (np.asarray(x, dtype=float) - xi) ** 2,
             d3=lambda x: 2.0 / (np.asarray(x, dtype=float) - xi) ** 3,
+            pre=lambda x: -1.0 / (np.asarray(x, dtype=float) - xi),
             sign=1,
             descriptor={"kind": "log", "xi": xi},
         )
@@ -122,6 +141,7 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
             d1=lambda x: a * (np.asarray(x, dtype=float) - xi) ** (a - 1),
             d2=lambda x: a * (a - 1) * (np.asarray(x, dtype=float) - xi) ** (a - 2),
             d3=lambda x: a * (a - 1) * (a - 2) * (np.asarray(x, dtype=float) - xi) ** (a - 3),
+            pre=lambda x: (a - 1) / (np.asarray(x, dtype=float) - xi),
             sign=1 if a > 0 else -1,
             descriptor={"kind": "power_law", "alpha": a, "xi": xi},
         )
@@ -137,7 +157,8 @@ def mobius_map(coeffs: MobiusCoeffs | tuple) -> SmoothMap:
     """f(x) = (a x + b)/(c x + d), with ad - bc != 0.
 
     For c != 0 the domain is the branch to the right of the pole -d/c;
-    affine maps (c = 0) live on the whole line. S_f vanishes identically.
+    affine maps (c = 0) live on the whole line. S_f vanishes identically and
+    T_f(x) = -2c/(cx + d), which is zero for affine maps.
     """
     if not isinstance(coeffs, MobiusCoeffs):
         coeffs = MobiusCoeffs(*coeffs)
@@ -166,8 +187,13 @@ def mobius_map(coeffs: MobiusCoeffs | tuple) -> SmoothMap:
         x = np.asarray(x, dtype=float)
         return 6 * c * c * det / (c * x + d) ** 4
 
+    def pre(x):
+        x = np.asarray(x, dtype=float)
+        return -2 * c / (c * x + d)
+
     m = SmoothMap(
         domain=dom, eval=ev, d1=ev1, d2=ev2, d3=ev3,
+        pre=_flat if c == 0.0 else pre,
         sign=1 if det > 0 else -1,
         descriptor={"kind": "mobius", "a": a, "b": b, "c": c, "d": d},
     )
@@ -187,12 +213,16 @@ def affine_map(slope: float, intercept: float,
     if domain is None:
         return m
     return SmoothMap(domain=(float(domain[0]), float(domain[1])),
-                     eval=m.eval, d1=m.d1, d2=m.d2, d3=m.d3, sign=m.sign,
+                     eval=m.eval, d1=m.d1, d2=m.d2, d3=m.d3, pre=m.pre,
+                     sign=m.sign,
                      descriptor=dict(m.descriptor, domain=list(domain)))
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """outer after inner, derivatives via the exact chain rule to third order.
+
+    T_{outer o inner} = T_outer(inner) inner' + T_inner, which is inner's own
+    T_f evaluator when outer is affine.
 
     The range of inner must lie in the domain of outer; this is spot-checked
     at construction on interior probe points.
@@ -221,8 +251,12 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
         u, u1, u2, u3 = inner.eval(x), inner.d1(x), inner.d2(x), inner.d3(x)
         return (outer.d3(u) * u1 ** 3 + 3 * outer.d2(u) * u1 * u2 + outer.d1(u) * u3)
 
+    def pre(x):
+        return outer.pre(inner.eval(x)) * inner.d1(x) + inner.pre(x)
+
     m = SmoothMap(
         domain=inner.domain, eval=ev, d1=ev1, d2=ev2, d3=ev3,
+        pre=inner.pre if outer.pre is _flat else pre,
         sign=outer.sign * inner.sign,
         descriptor={"kind": "compose", "outer": outer.descriptor, "inner": inner.descriptor},
     )
@@ -256,7 +290,7 @@ def from_descriptor(desc: dict) -> SmoothMap:
 def pre_schwarzian(f: SmoothMap, x) -> np.ndarray:
     """T_f(x) = f''(x)/f'(x)."""
     x = f.require(x)
-    return f.d2(x) / f.d1(x)
+    return f.pre(x)
 
 
 def schwarzian(f: SmoothMap, x) -> np.ndarray:

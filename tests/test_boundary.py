@@ -132,6 +132,12 @@ def test_table_load_rejects_malformed(tmp_path):
         ThetaTable.load(p)
     with pytest.raises(ConfigError):
         ThetaTable.load(tmp_path / "missing.csv")
+    # a well-formed body with a side file that is not JSON or lacks a key
+    p.write_text("tau,theta,stderr\n0.0,1.0,0.0\n1.0,0.9,0.01\n")
+    for meta in ('{"j": 0.5', '{"j": 0.5, "seed": 0}', '[0.5]'):
+        (tmp_path / "bad.csv.meta.json").write_text(meta)
+        with pytest.raises(ConfigError, match="bad.csv.meta.json: malformed side file"):
+            ThetaTable.load(p)
 
 
 # ---------------------------------------------------------------------------

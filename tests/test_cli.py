@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bubblepde import ConfigError
+from bubblepde import ConfigError, ThetaTable
 from bubblepde.cli import config_hash, main, resolve_config
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
@@ -168,6 +168,31 @@ def test_theta_taus_below_two_is_rejected(tmp_path):
     with pytest.raises(ConfigError, match="numerics.theta_taus"):
         resolve_config(json.loads(cfgp.read_text()), {})
     assert main(["theta", "--config", str(cfgp)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [("convergence", [0.4]),
+                                        ("simulate", "wiener")])
+def test_non_object_optional_section_is_rejected(tmp_path, key, value):
+    cfgp = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigError, match=f"config key {key}: must be an object"):
+        resolve_config(json.loads(cfgp.read_text()), {})
+    assert main(["price", "--config", str(cfgp)]) == 2
+
+
+def test_price_rejects_non_numeric_theta_cell(tmp_path):
+    cfgp = write_config(tmp_path)
+    assert main(["theta", "--config", str(cfgp)]) == 0
+    table = tmp_path / "out" / "theta.csv"
+    rows = table.read_text().splitlines()
+    rows[2] = "abc," + rows[2].split(",", 1)[1]
+    table.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ConfigError, match=r"theta.csv line 3: tau cell 'abc'"):
+        ThetaTable.load(table)
+    cfg = json.loads(cfgp.read_text())
+    cfg["numerics"]["theta_table"] = str(table)
+    cfgp.write_text(json.dumps(cfg))
+    assert main(["price", "--config", str(cfgp), "--out",
+                 str(tmp_path / "out2")]) == 2
 
 
 def test_compare_schemes(tmp_path):

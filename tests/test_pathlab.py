@@ -1,10 +1,13 @@
 """Simulator tests: stream reproducibility, the reflection/dual couplings,
 and the path functionals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bubblepde import DomainError, affine_map, pathlab, power_law_map, reciprocal_map
+from bubblepde import (DomainError, affine_map, f_from_sigma, pathlab,
+                       power_law_map, reciprocal_map)
 from bubblepde.pathlab import (
     PathBundle,
     TimeGrid,
@@ -194,6 +197,28 @@ def test_drifted_ensemble_matches_single_path_bitwise():
         p = simulate_drifted(f, 1.0, grid, SEED, k)
         np.testing.assert_array_equal(vals[k], p.X)
         assert alive[k] == (p.truncated_at is None)
+
+
+@pytest.mark.parametrize("f", [
+    f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 2.0}),
+    reciprocal_map(),
+], ids=["sigma_y2", "reciprocal"])
+def test_closed_form_drift_matches_d2_over_d1_drift(f):
+    # the same map with T_f evaluated as d2/d1 steps with the drift of the
+    # chain-rule derivatives; the closed form differs from it by roundoff only
+    old = dataclasses.replace(f, pre=lambda x: f.d2(x) / f.d1(x))
+    grid = TimeGrid.uniform(1.0, 512)
+    new_v, new_c, new_l = reflected_ensemble(f, 0.75, 0.25, grid, 64, SEED, range(513))
+    old_v, old_c, old_l = reflected_ensemble(old, 0.75, 0.25, grid, 64, SEED, range(513))
+    np.testing.assert_allclose(new_v, old_v, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(new_l, old_l, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(new_c, old_c)
+    assert new_c.any()
+
+    new_v, new_a = drifted_ensemble(f, 0.3, grid, 64, SEED, range(513))
+    old_v, old_a = drifted_ensemble(old, 0.3, grid, 64, SEED, range(513))
+    np.testing.assert_allclose(new_v, old_v, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(new_a, old_a)
 
 
 def test_ensemble_partition_independence(monkeypatch):

@@ -1,6 +1,8 @@
 """Tests for the smooth-map layer: constructors, derivative identities, and
 the multiplicative path functional."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bubblepde import (
     DomainError,
     affine_map,
     compose,
+    f_from_sigma,
     from_descriptor,
     log_map,
     mobius_map,
@@ -19,6 +22,7 @@ from bubblepde import (
     shift_map,
 )
 from bubblepde.pathlab import PathBundle, TimeGrid, simulate_wiener
+from bubblepde.smoothmaps import _fd_cross_check
 
 RNG = np.random.default_rng(991)
 
@@ -117,6 +121,57 @@ def test_descriptor_round_trip():
         g = from_descriptor(f.descriptor)
         np.testing.assert_allclose(g(x), f(x), rtol=1e-14)
         np.testing.assert_allclose(g.d2(x), f.d2(x), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form pre-Schwarzian T_f against d2/d1
+
+
+PRE_MAPS = {
+    **{f"power_{a}": (lambda a=a: power_law_map(a)) for a in (-1.0, 0.5, 1.0, 1.7, 3.0)},
+    "log": log_map,
+    "mobius": lambda: mobius_map((2.0, 3.0, 1.0, 1.0)),
+    "reciprocal": reciprocal_map,
+    "affine": lambda: affine_map(3.0, -2.0),
+    "affine_domain": lambda: affine_map(1.0, 0.5, domain=(0.0, 4.0)),
+    "nested_compose": lambda: compose(
+        mobius_map((1.0, 0.5, 0.3, 1.2)),
+        compose(power_law_map(1.7), affine_map(2.0, 1.0, domain=(0.0, 5.0)))),
+    "shift": lambda: shift_map(power_law_map(2.0), 0.5),
+    "sigma_power": lambda: f_from_sigma(
+        {"kind": "power", "coefficient": 2.0, "exponent": 1.5}),
+    "sigma_callable": lambda: f_from_sigma(lambda y: y ** 1.5),
+}
+
+
+def _interior(f):
+    lo, _ = f.domain
+    base = lo if np.isfinite(lo) else -2.3
+    return base + np.array([0.3, 0.9, 1.7, 3.1])
+
+
+@pytest.mark.parametrize("name", sorted(PRE_MAPS))
+def test_pre_matches_d2_over_d1(name):
+    f = PRE_MAPS[name]()
+    x = _interior(f)
+    np.testing.assert_allclose(f.pre(x), f.d2(x) / f.d1(x), rtol=1e-12, atol=0)
+
+
+def test_compose_affine_outer_keeps_inner_pre_bitwise():
+    x = np.array([0.3, 0.9, 1.7, 3.1])
+    for g in (power_law_map(-1.0), power_law_map(1.7), reciprocal_map(), log_map()):
+        for outer in (affine_map(2.5, -1.0), affine_map(1.0, 0.0, domain=(-100.0, 100.0))):
+            np.testing.assert_array_equal(compose(outer, g).pre(x), g.pre(x))
+
+
+@pytest.mark.parametrize("name", ["power_1.7", "log", "reciprocal",
+                                  "nested_compose", "sigma_power"])
+def test_fd_cross_check_rejects_a_wrong_pre(name):
+    f = PRE_MAPS[name]()
+    _fd_cross_check(f)
+    bad = dataclasses.replace(f, pre=lambda x: 1.01 * f.pre(x))
+    with pytest.raises(DomainError, match="pre-Schwarzian"):
+        _fd_cross_check(bad)
 
 
 # ---------------------------------------------------------------------------
