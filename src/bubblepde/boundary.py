@@ -35,7 +35,7 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown payoff kind {self.kind!r}")
-        if self.kind == "call" and self.strike < 0:
+        if self.kind == "call" and not self.strike >= 0:
             raise ConfigError("call strike must be >= 0")
         if self.kind == "table":
             if self.table is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,8 +26,8 @@ from .errors import ConfigError, DomainError, NumericsError
 from .pathlab import TimeGrid, bessel_dual_ensemble, drifted_ensemble, \
     reflected_ensemble, wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
-    SpaceGrid, TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, \
-    f_from_sigma, solve
+    TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, f_from_sigma, \
+    solve
 from .smoothmaps import from_descriptor
 
 _NUMERIC_DEFAULTS = {
@@ -42,8 +43,18 @@ _NUMERIC_DEFAULTS = {
     "dump_paths": 10,
 }
 
-_SCHEME_NAMES = ("fundraiser", "neumann_cap", "tapered_terminal",
-                 "transformed_cauchy", "naive_dirichlet")
+# the truncation rivals by kind; each is built from the cap f(j0) alone
+_RIVALS = {cls.kind: cls for cls in (NeumannCapScheme, TaperedTerminalScheme,
+                                     TransformedCauchyScheme,
+                                     NaiveDirichletScheme)}
+_SCHEME_NAMES = (FundraiserScheme.kind, *_RIVALS)
+
+_SECTIONS = ("model", "payoff", "numerics", "output", "convergence", "simulate")
+_MODEL_KEYS = ("sigma", "f", "x0", "j0", "T")
+_PAYOFF_KEYS = {"call": ("kind", "strike"), "table": ("kind", "nodes", "values")}
+
+# what building a payoff or a map raises on a malformed descriptor value
+_MALFORMED = (KeyError, ValueError, TypeError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +75,37 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return sec
 
 
-def _number(sec: dict, path: str, key: str, default=None, positive=False,
+def _known(sec: dict, path: str, keys) -> None:
+    """Reject the first key of sec, in sorted order, that is not in keys."""
+    unknown = sorted(set(sec) - set(keys), key=str)
+    if unknown:
+        _fail(f"{path}.{unknown[0]}" if path else str(unknown[0]), "unknown key")
+
+
+def _build(path: str, build, desc):
+    """build(desc), with a malformed descriptor reported as a ConfigError
+    naming the config key path."""
+    try:
+        return build(desc)
+    except ConfigError as exc:
+        _fail(path, str(exc))
+    except _MALFORMED as exc:
+        _fail(path, f"malformed descriptor ({type(exc).__name__}: {exc})")
+
+
+def _number(sec: dict, path: str, key, default=None, positive=False,
             integer=False):
     val = sec.get(key, default)
     if val is None:
         _fail(f"{path}.{key}", "missing required value")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(f"{path}.{key}", f"expected a number, got {val!r}")
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        _fail(f"{path}.{key}", f"must be finite, got {val!r}")
     if integer and int(val) != val:
         _fail(f"{path}.{key}", f"expected an integer, got {val!r}")
     if positive and val <= 0:
@@ -84,7 +119,9 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _known(raw, "", _SECTIONS)
     model = dict(_section(raw, "model"))
+    _known(model, "model", _MODEL_KEYS)
     if ("sigma" in model) == ("f" in model):
         _fail("model", "exactly one of 'sigma' or 'f' must be given")
     if "sigma" in model and not isinstance(model["sigma"], dict):
@@ -97,15 +134,18 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     if j0 > x0:
         _fail("model.j0", f"j0={j0} violates 0 < j0 <= x0 (x0={x0})")
     model["x0"], model["j0"], model["T"] = x0, j0, T
+    _build("model.sigma" if "sigma" in model else "model.f", _model_map, model)
 
     payoff_desc = _section(raw, "payoff")
-    try:
-        PayoffSpec.from_descriptor(payoff_desc)
-    except (KeyError, ConfigError) as exc:
-        _fail("payoff", str(exc))
+    payoff = _build("payoff", PayoffSpec.from_descriptor, payoff_desc)
+    _known(payoff_desc, "payoff", _PAYOFF_KEYS.get(payoff.kind, ("kind",)))
 
     numerics = dict(_NUMERIC_DEFAULTS)
     numerics.update(_section(raw, "numerics", required=False))
+    _known(numerics, "numerics", (*_NUMERIC_DEFAULTS, "theta_table"))
+    table = numerics.get("theta_table")
+    if table is not None and not isinstance(table, str):
+        _fail("numerics.theta_table", f"expected a file path, got {table!r}")
     for key in ("paths", "time_steps", "theta_paths", "theta_time_steps",
                 "theta_taus", "space_nodes", "levels", "dump_paths"):
         numerics[key] = _number(numerics, "numerics", key, positive=True,
@@ -121,7 +161,10 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     numerics["theta_weight"] = tw
 
     output = dict(_section(raw, "output", required=False))
+    _known(output, "output", ("dir",))
     output.setdefault("dir", "out")
+    if not isinstance(output["dir"], str):
+        _fail("output.dir", f"expected a directory path, got {output['dir']!r}")
 
     resolved = {"model": model, "payoff": payoff_desc, "numerics": numerics,
                 "output": output}
@@ -130,15 +173,22 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         if overrides.get(key) is not None:
             resolved[section][key] = overrides[key]
     if raw.get("convergence") is not None:
-        seq = _section(raw, "convergence", required=False).get("j_sequence")
-        if (not isinstance(seq, list) or len(seq) < 1
-                or any(not isinstance(v, (int, float)) or v <= 0 for v in seq)
-                or any(b >= a for a, b in zip(seq, seq[1:]))):
+        sec = _section(raw, "convergence", required=False)
+        _known(sec, "convergence", ("j_sequence",))
+        seq = sec.get("j_sequence")
+        if not isinstance(seq, list) or len(seq) < 1:
             _fail("convergence.j_sequence",
                   "must be a decreasing list of positive numbers")
-        resolved["convergence"] = {"j_sequence": [float(v) for v in seq]}
+        js = [_number(dict(enumerate(seq)), "convergence.j_sequence", i,
+                      positive=True) for i in range(len(seq))]
+        if any(b >= a for a, b in zip(js, js[1:])):
+            _fail("convergence.j_sequence",
+                  "must be a decreasing list of positive numbers")
+        resolved["convergence"] = {"j_sequence": js}
     if raw.get("simulate") is not None:
-        kind = _section(raw, "simulate", required=False).get("kind", "skorokhod")
+        sec = _section(raw, "simulate", required=False)
+        _known(sec, "simulate", ("kind",))
+        kind = sec.get("kind", "skorokhod")
         if kind not in ("wiener", "bessel3", "drifted", "skorokhod"):
             _fail("simulate.kind", f"unknown simulator {kind!r}")
         resolved["simulate"] = {"kind": kind}
@@ -164,8 +214,7 @@ def _load_config(path_str: str, overrides: dict) -> dict:
     return resolve_config(raw, overrides)
 
 
-def _model_map(cfg: dict):
-    model = cfg["model"]
+def _model_map(model: dict):
     if "sigma" in model:
         return f_from_sigma(model["sigma"])
     return from_descriptor(model["f"])
@@ -187,23 +236,12 @@ def _model_kind(f) -> str:
 
 
 def _oracles(kind: str, payoff: PayoffSpec, x0, j0, T):
-    """(investor, fundraiser) closed-form references, None when no formula
-    applies to this model/payoff pair."""
-    is_forward = payoff.kind == "forward" or (payoff.kind == "call"
-                                              and payoff.strike == 0.0)
-    if payoff.kind == "bond":
-        if kind == "recip":
-            return 1.0, 1.0
-        if kind == "bm":
-            return cf.bond_bm(x0, T), 1.0
-        return None, 1.0
-    if is_forward and kind == "recip":
-        return (cf.forward_recip_bessel_investor(x0, T),
-                cf.forward_recip_bessel_fundraiser(x0, j0, T))
-    if is_forward and kind == "bm":
-        return (cf.forward_bm_investor(x0, T),
-                cf.forward_bm_fundraiser(x0, j0, T))
-    return None, None
+    """(investor, fundraiser) closed-form references from the oracle table,
+    None when no formula applies to this model/payoff pair."""
+    payoff_kind = "forward" if payoff.kind == "call" and payoff.strike == 0.0 \
+        else payoff.kind
+    return tuple(cf.oracle_value(kind, payoff_kind, side, x0, j0, T)
+                 for side in ("investor", "fundraiser"))
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -233,20 +271,19 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand bodies.
 
-def _make_theta(cfg: dict, f, out: Path):
-    """Load a theta table if the config points at one (validating that it
-    belongs to this (f, j)), otherwise estimate and save it."""
+def _make_theta(cfg: dict, f, payoff: PayoffSpec, j: float, target: Path,
+                pinned):
+    """The Theta table of (f, j): loaded from the file `pinned` when given,
+    after checking that it belongs to this (f, j) and covers T, otherwise
+    estimated and saved to `target`."""
     model, num = cfg["model"], cfg["numerics"]
-    payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    table_path = num.get("theta_table")
-    if table_path:
-        table = ThetaTable.load(table_path)
-        want = {"map": f.descriptor, "j": model["j0"]}
+    if pinned:
+        table = ThetaTable.load(pinned)
+        want = {"map": f.descriptor, "j": j}
         got = {"map": table.map_descriptor, "j": table.j}
-        if (hashlib.sha256(json.dumps(want, sort_keys=True).encode()).hexdigest()
-                != hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest()):
+        if json.dumps(want, sort_keys=True) != json.dumps(got, sort_keys=True):
             raise ConfigError(
-                f"theta table {table_path} was built for (map, j)={got}, "
+                f"theta table {pinned} was built for (map, j)={got}, "
                 f"this run needs {want}")
         if not table.covers(model["T"]):
             raise ConfigError(
@@ -254,17 +291,46 @@ def _make_theta(cfg: dict, f, out: Path):
         return table
     k = np.arange(num["theta_taus"], dtype=float)
     taus = model["T"] * (k / (num["theta_taus"] - 1)) ** 2
-    table = estimate_theta(f, model["j0"], taus, payoff, num["theta_paths"],
+    table = estimate_theta(f, j, taus, payoff, num["theta_paths"],
                            num["theta_time_steps"], num["seed"])
-    table.save(out / "theta.csv")
+    table.save(target)
     return table
+
+
+def _solve_at(cfg: dict, payoff: PayoffSpec, scheme, m: int, steps: int):
+    """Solve the model's pricing equation under `scheme` on its grid of m
+    space steps and on `steps` uniform time steps."""
+    model = cfg["model"]
+    return solve(model["sigma"], payoff, model["T"], scheme,
+                 grid=scheme.grid(m), times=TimeGrid.uniform(model["T"], steps),
+                 theta_weight=cfg["numerics"]["theta_weight"])
+
+
+def price_at_floor(cfg: dict, f, payoff: PayoffSpec, j: float,
+                   theta_path: Path, pinned):
+    """The fundraiser prices at floor j: ((mc, mc_se), (phi, psi, (phi_se,
+    psi_se)), pde_value), the last anchored on the Theta table _make_theta
+    loads from `pinned` or saves to `theta_path`, None without model.sigma."""
+    model, num = cfg["model"], cfg["numerics"]
+    x0, T = model["x0"], model["T"]
+    mc, split = price_and_decompose(f, x0, j, T, payoff, num["paths"],
+                                    num["time_steps"], num["seed"])
+    pde_value = None
+    if "sigma" in model:
+        table = _make_theta(cfg, f, payoff, j, theta_path, pinned)
+        sol = _solve_at(cfg, payoff, FundraiserScheme(j=j, theta=table),
+                        num["space_nodes"], num["time_steps"])
+        pde_value = sol.value_at(0.0, float(f(x0)))
+    return mc, split, pde_value
 
 
 def run_theta(cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_resolved(cfg, out)
-    f = _model_map(cfg)
-    table = _make_theta(cfg, f, out)
+    f = _model_map(cfg["model"])
+    table = _make_theta(cfg, f, PayoffSpec.from_descriptor(cfg["payoff"]),
+                        cfg["model"]["j0"], out / "theta.csv",
+                        cfg["numerics"].get("theta_table"))
     print(f"theta table: {len(table.taus)} tau nodes on [0, {table.taus[-1]}], "
           f"j={table.j}, {table.n_paths} paths -> {out / 'theta.csv'}")
     print(f"  anchor theta(0)={float(table.theta[0])!r}, "
@@ -276,25 +342,14 @@ def run_price(cfg: dict) -> int:
     t_start = time.perf_counter()
     out = _out_dir(cfg)
     digest = _write_resolved(cfg, out)
-    model, num = cfg["model"], cfg["numerics"]
+    model = cfg["model"]
     payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    f = _model_map(cfg)
+    f = _model_map(model)
     x0, j0, T = model["x0"], model["j0"], model["T"]
 
-    (mc, mc_se), (phi, psi, (phi_se, psi_se)) = price_and_decompose(
-        f, x0, j0, T, payoff, num["paths"], num["time_steps"], num["seed"])
-
-    pde_value = None
-    if "sigma" in model:
-        table = _make_theta(cfg, f, out)
-        scheme = FundraiserScheme(j=j0, theta=table)
-        cap = float(f(j0))
-        grid = SpaceGrid.geometric(cap * 1e-5, cap, num["space_nodes"])
-        sol = solve(model["sigma"], payoff, T, scheme, grid=grid,
-                    times=TimeGrid.uniform(T, num["time_steps"]),
-                    theta_weight=num["theta_weight"])
-        pde_value = sol.value_at(0.0, float(f(x0)))
-
+    (mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value = price_at_floor(
+        cfg, f, payoff, j0, out / "theta.csv",
+        cfg["numerics"].get("theta_table"))
     inv_oracle, fund_oracle = _oracles(_model_kind(f), payoff, x0, j0, T)
 
     rows = [
@@ -323,22 +378,16 @@ def run_price(cfg: dict) -> int:
     return 0
 
 
-def _schemes_from_names(names, cfg, f, out) -> list:
-    model, num = cfg["model"], cfg["numerics"]
-    cap = float(f(model["j0"]))
+def _schemes_from_names(names, cfg, f, payoff, out) -> list:
+    j0 = cfg["model"]["j0"]
     built = []
     for name in names:
-        if name == "fundraiser":
-            built.append(FundraiserScheme(j=model["j0"],
-                                          theta=_make_theta(cfg, f, out)))
-        elif name == "neumann_cap":
-            built.append(NeumannCapScheme(n=cap))
-        elif name == "tapered_terminal":
-            built.append(TaperedTerminalScheme(n=cap))
-        elif name == "transformed_cauchy":
-            built.append(TransformedCauchyScheme(n=cap))
-        elif name == "naive_dirichlet":
-            built.append(NaiveDirichletScheme(cap=cap))
+        if name in _RIVALS:
+            built.append(_RIVALS[name](float(f(j0))))
+        elif name == FundraiserScheme.kind:
+            table = _make_theta(cfg, f, payoff, j0, out / "theta.csv",
+                                cfg["numerics"].get("theta_table"))
+            built.append(FundraiserScheme(j=j0, theta=table))
         else:
             raise ConfigError(f"unknown scheme {name!r}; choose from "
                               f"{', '.join(_SCHEME_NAMES)}")
@@ -352,34 +401,27 @@ def run_compare_schemes(cfg: dict, scheme_names) -> int:
     if "sigma" not in model:
         raise ConfigError("compare-schemes needs model.sigma")
     payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    f = _model_map(cfg)
-    x0, T = model["x0"], model["T"]
-    y_ref = float(f(x0))
+    f = _model_map(model)
+    y_ref = float(f(model["x0"]))
     names = list(scheme_names) if scheme_names else \
         ["fundraiser", "neumann_cap", "tapered_terminal", "transformed_cauchy"]
-    schemes = _schemes_from_names(names, cfg, f, out)
-    cap = float(f(model["j0"]))
+    schemes = _schemes_from_names(names, cfg, f, payoff, out)
 
     rows, runtimes = [], {}
     levels = num["levels"]
-    for name, scheme in zip(names, schemes):
+    for scheme in schemes:
         for lev in range(levels):
             scale = 2 ** (levels - 1 - lev)
             m = max(8, num["space_nodes"] // scale)
             steps = max(8, num["time_steps"] // scale)
-            if isinstance(scheme, FundraiserScheme):
-                grid = SpaceGrid.geometric(cap * 1e-5, cap, m)
-            else:
-                grid = SpaceGrid.geometric_with_zero(cap * 1e-5, cap, m)
             t0 = time.perf_counter()
-            sol = solve(model["sigma"], payoff, T, scheme, grid=grid,
-                        times=TimeGrid.uniform(T, steps),
-                        theta_weight=num["theta_weight"])
+            sol = _solve_at(cfg, payoff, scheme, m, steps)
             elapsed = time.perf_counter() - t0
             val = sol.value_at(0.0, y_ref)
-            defect = corner_defect(model["sigma"], payoff, T, scheme, grid=grid)
-            rows.append((name, lev, m, steps, val, defect))
-            runtimes[f"{name}/level{lev}"] = elapsed
+            defect = corner_defect(model["sigma"], payoff, model["T"], scheme,
+                                   grid=sol.grid)
+            rows.append((scheme.kind, lev, m, steps, val, defect))
+            runtimes[f"{scheme.kind}/level{lev}"] = elapsed
     rows.sort(key=lambda r: (r[0], r[1]))
     body = [f"{n},{lev},{m},{steps},{_fmt(v)},{_fmt(d)}"
             for n, lev, m, steps, v, d in rows]
@@ -399,36 +441,20 @@ def run_compare_schemes(cfg: dict, scheme_names) -> int:
 def run_convergence(cfg: dict) -> int:
     out = _out_dir(cfg)
     digest = _write_resolved(cfg, out)
-    model, num = cfg["model"], cfg["numerics"]
+    model = cfg["model"]
     payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    f = _model_map(cfg)
+    f = _model_map(model)
     x0, T = model["x0"], model["T"]
     kind = _model_kind(f)
     js = cfg.get("convergence", {}).get(
         "j_sequence", [0.4, 0.2, 0.1, 0.05, 0.02])
-    have_sigma = "sigma" in model
 
     rows = []
     prev = None
     for j in js:
-        sub = json.loads(json.dumps(cfg))  # per-j working copy
-        sub["model"]["j0"] = j
-        sub["numerics"].pop("theta_table", None)  # tables are per-j here
-        mc, mc_se = price_fundraiser_mc(f, x0, j, T, payoff, num["paths"],
-                                        num["time_steps"], num["seed"])
-        pde_value = None
-        if have_sigma:
-            table = _make_theta(sub, f, out)
-            (out / "theta.csv").rename(out / f"theta_j{j!r}.csv")
-            (out / "theta.csv.meta.json").rename(
-                out / f"theta_j{j!r}.csv.meta.json")
-            cap = float(f(j))
-            grid = SpaceGrid.geometric(cap * 1e-5, cap, num["space_nodes"])
-            sol = solve(model["sigma"], payoff, T,
-                        FundraiserScheme(j=j, theta=table), grid=grid,
-                        times=TimeGrid.uniform(T, num["time_steps"]),
-                        theta_weight=num["theta_weight"])
-            pde_value = sol.value_at(0.0, float(f(x0)))
+        # tables are per-j here, so a pinned numerics.theta_table never applies
+        (mc, mc_se), _, pde_value = price_at_floor(
+            cfg, f, payoff, j, out / f"theta_j{j!r}.csv", None)
         _, fund_oracle = _oracles(kind, payoff, x0, j, T)
         ref = pde_value if pde_value is not None else mc
         diff = None if prev is None else ref - prev
@@ -454,7 +480,7 @@ def run_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     digest = _write_resolved(cfg, out)
     model, num = cfg["model"], cfg["numerics"]
-    f = _model_map(cfg)
+    f = _model_map(model)
     x0, j0, T = model["x0"], model["j0"], model["T"]
     kind = cfg.get("simulate", {}).get("kind", "skorokhod")
     grid = TimeGrid.uniform(T, num["time_steps"])
@@ -508,9 +534,8 @@ def run_oracle(cfg: dict) -> int:
     x0, j0, T = model["x0"], model["j0"], model["T"]
     rows = []
     print("case,x,j,T,value")
-    for case in cf.OracleCase.all_cases():
-        oc = cf.OracleCase(case=case, x=x0, j=j0, T=T)
-        row = f"{case},{_fmt(x0)},{_fmt(j0)},{_fmt(T)},{_fmt(oc.value())}"
+    for case, form in cf.ORACLES.values():
+        row = f"{case},{_fmt(x0)},{_fmt(j0)},{_fmt(T)},{_fmt(form(x0, j0, T))}"
         rows.append(row)
         print(row)
     _write_csv(out / "oracle.csv", digest, "case,x,j,T,value", rows)

@@ -3,7 +3,9 @@
 Normal CDF/PDF, a tolerance-reporting 1-D quadrature wrapper, the closed-form
 bond/forward prices of the two solvable benchmark markets (driftless unit map
 and reciprocal-Bessel map), and the growth-optimal-portfolio evaluators along
-simulated paths.
+simulated paths.  The closed forms are also rows of one table, ORACLES,
+keyed by (market, payoff kind, investor/fundraiser), which both the
+`oracle` subcommand and the price reports read.
 
 The normal CDF is computed from scipy's complementary error function; the
 test suite checks it against a continued-fraction reference and mpmath.
@@ -149,37 +151,61 @@ def theta_recip_bessel_forward(tau: float, j: float, tol=1e-10) -> float:
     return float(2.0 * val / j)
 
 
+# ---------------------------------------------------------------------------
+# The oracle table: (market, payoff kind, investor/fundraiser) -> (case name,
+# closed form of (x, j, T)).  Market "bm" is the price map y = x, "recip" the
+# reciprocal-Bessel map y = 1/x.  Each form looks its function up by name when
+# called, so wrapping a module function (as a profiler does) covers the table.
+
+ORACLES = {
+    ("bm", "bond", "investor"): ("bond_bm", lambda x, j, T: bond_bm(x, T)),
+    ("bm", "forward", "investor"):
+        ("forward_bm_investor", lambda x, j, T: forward_bm_investor(x, T)),
+    ("bm", "forward", "fundraiser"):
+        ("forward_bm_fundraiser", lambda x, j, T: forward_bm_fundraiser(x, j, T)),
+    ("bm", "forward_delta", "fundraiser"):
+        ("delta_bm_fundraiser", lambda x, j, T: delta_bm_fundraiser(x, j, T)),
+    ("recip", "forward", "investor"):
+        ("forward_recip_bessel_investor",
+         lambda x, j, T: forward_recip_bessel_investor(x, T)),
+    ("recip", "forward", "fundraiser"):
+        ("forward_recip_bessel_fundraiser",
+         lambda x, j, T: forward_recip_bessel_fundraiser(x, j, T)),
+}
+
+
+def oracle_value(market: str, payoff_kind: str, side: str, x: float,
+                 j: float, T: float) -> float | None:
+    """The closed form of ORACLES[market, payoff kind, side] at (x, j, T),
+    None when no formula applies."""
+    if (market, payoff_kind, side) in ORACLES:
+        return ORACLES[market, payoff_kind, side][1](x, j, T)
+    # The bond pays 1 wherever no price path is absorbed: the reflected
+    # (fundraiser) path never is, nor is the Bessel-3 path behind y = 1/x.
+    if payoff_kind == "bond" and (side == "fundraiser" or market == "recip"):
+        return 1.0
+    return None
+
+
 @dataclass(frozen=True)
 class OracleCase:
-    """A named closed-form benchmark value with its parameters."""
+    """A named row of ORACLES with its parameters."""
     case: str
     x: float
     T: float
     j: float | None = None
 
-    _DISPATCH = {
-        "bond_bm": lambda x, j, T: bond_bm(x, T),
-        "forward_bm_investor": lambda x, j, T: forward_bm_investor(x, T),
-        "forward_bm_fundraiser": forward_bm_fundraiser,
-        "delta_bm_fundraiser": delta_bm_fundraiser,
-        "forward_recip_bessel_investor": lambda x, j, T: forward_recip_bessel_investor(x, T),
-        "forward_recip_bessel_fundraiser": forward_recip_bessel_fundraiser,
-    }
-
     def value(self) -> float:
-        if self.case not in self._DISPATCH:
-            raise DomainError(f"unknown oracle case {self.case!r}")
-        needs_j = "fundraiser" in self.case
-        if needs_j and self.j is None:
-            raise DomainError(f"oracle case {self.case} requires j")
-        fn = self._DISPATCH[self.case]
-        if self.case in ("bond_bm", "forward_bm_investor", "forward_recip_bessel_investor"):
-            return fn(self.x, None, self.T)
-        return fn(self.x, self.j, self.T)
+        for (_market, _kind, side), (case, form) in ORACLES.items():
+            if case == self.case:
+                if side == "fundraiser" and self.j is None:
+                    raise DomainError(f"oracle case {self.case} requires j")
+                return form(self.x, self.j, self.T)
+        raise DomainError(f"unknown oracle case {self.case!r}")
 
     @classmethod
     def all_cases(cls):
-        return tuple(cls._DISPATCH)
+        return tuple(case for case, _form in ORACLES.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,16 +29,23 @@ from .smoothmaps import SmoothMap, affine_map, compose, from_descriptor, power_l
 # ---------------------------------------------------------------------------
 # sigma handling.
 
+def _power_sigma(sigma: dict) -> tuple:
+    """(a, p) of the descriptor {"kind": "power", "coefficient": a,
+    "exponent": p} meaning a*y**p."""
+    a = float(sigma.get("coefficient", 1.0))
+    p = float(sigma["exponent"])
+    if not a > 0:
+        raise ConfigError("sigma coefficient must be positive")
+    return a, p
+
+
 def _sigma_callable(sigma) -> Callable:
-    """Accept either a descriptor dict ({"kind": "power", "coefficient": a,
-    "exponent": p} meaning a*y**p) or a plain callable sigma(y)."""
+    """Accept either a power descriptor dict (see _power_sigma) or a plain
+    callable sigma(y)."""
     if callable(sigma):
         return sigma
     if isinstance(sigma, dict) and sigma.get("kind") == "power":
-        a = float(sigma.get("coefficient", 1.0))
-        p = float(sigma["exponent"])
-        if a <= 0:
-            raise ConfigError("sigma coefficient must be positive")
+        a, p = _power_sigma(sigma)
         return lambda y: a * np.asarray(y, dtype=float) ** p
     raise ConfigError(f"unsupported sigma descriptor: {sigma!r}")
 
@@ -93,9 +100,8 @@ def f_from_sigma(sigma) -> SmoothMap:
     f^{-1} exists, e.g. sigma(y) = y).
     """
     if isinstance(sigma, dict) and sigma.get("kind") == "power":
-        a = float(sigma.get("coefficient", 1.0))
-        p = float(sigma["exponent"])
-        if p <= 1:
+        a, p = _power_sigma(sigma)
+        if not p > 1:
             raise DomainError(
                 f"tail integral of 1/sigma diverges for exponent {p} <= 1; "
                 "no space transform exists")
@@ -199,8 +205,40 @@ class SpaceGrid:
         return len(self.nodes) - 1
 
 
+_DEFAULT_M = 800
+_DEFAULT_STEPS = 2048
+_LO_FRAC = 1e-5  # default bottom node as a fraction of the cap
+
+
+class Scheme:
+    """The boundary-scheme protocol the solver reads.  Each scheme has a
+    `kind` name, a `cap` (the top node y_M), a `param`, a `convection` flag,
+    the `grid` and `rows` hooks below, and its own `corner_defect`."""
+
+    convection = False  # True: solve the convection form for w = v / y
+
+    @property
+    def param(self) -> float:
+        """The number that sets the scheme: here its cap."""
+        return self.cap
+
+    def grid(self, m: int) -> SpaceGrid:
+        """The default grid: a y = 0 node, then geometric nodes from
+        cap * _LO_FRAC up to the cap."""
+        return SpaceGrid.geometric_with_zero(self.cap * _LO_FRAC, self.cap, m)
+
+    def rows(self, payoff: PayoffSpec, y: np.ndarray, T: float,
+             times: TimeGrid) -> tuple:
+        """Boundary data on nodes y over times: (terminal datum, bottom
+        value, top-row datum of each step k -- the step that solves for time
+        node k -- and the Neumann cap-row weights, None for a Dirichlet top).
+        Here the payoff itself, payoff(0) and a zero Dirichlet cap."""
+        return (np.asarray(payoff(y), dtype=float), float(payoff(0.0)),
+                np.zeros(times.n_steps), None)
+
+
 @dataclass(frozen=True)
-class FundraiserScheme:
+class FundraiserScheme(Scheme):
     """Floor-anchored scheme: solve on (0, f(j)] with the cap row pinned to
     the Monte Carlo boundary table Theta(T - t, j)."""
 
@@ -215,48 +253,104 @@ class FundraiserScheme:
             raise ConfigError(
                 f"theta table was computed for j={self.theta.j}, scheme has j={self.j}")
 
+    @property
+    def param(self) -> float:
+        return self.j
+
+    @property
+    def cap(self) -> float:
+        # The cap is f(j) for the map the theta table was built with; taking
+        # it from the table (rather than re-deriving f from sigma) keeps the
+        # domain consistent with the boundary data by construction.
+        return float(from_descriptor(self.theta.map_descriptor)(self.j))
+
+    def grid(self, m: int) -> SpaceGrid:
+        """Geometric nodes from cap * _LO_FRAC up to the cap, no y = 0 node."""
+        return SpaceGrid.geometric(self.cap * _LO_FRAC, self.cap, m)
+
+    def rows(self, payoff, y, T, times):
+        if y[0] <= 0:
+            raise ConfigError("the floor-anchored scheme lives on y > 0")
+        if not self.theta.covers(T):
+            raise ConfigError(
+                f"theta table covers tau up to {self.theta.taus[-1]}, need {T}")
+        v, bottom, _, _ = super().rows(payoff, y, T, times)
+        return v, bottom, self.theta.interpolator()(T - times.nodes[:-1]), None
+
+    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
+        return abs(float(payoff(self.cap)) - float(self.theta.theta[0]))
+
 
 @dataclass(frozen=True)
-class NeumannCapScheme:
-    """Truncate at y = n and impose a one-sided second-order v_y(t, n) = 0."""
+class _TruncatedScheme(Scheme):
+    """A rival that truncates the domain at y = n."""
 
     n: float
-    kind = "neumann_cap"
 
     def __post_init__(self):
         if self.n <= 0:
             raise ConfigError("cap n must be positive")
 
+    @property
+    def cap(self) -> float:
+        return float(self.n)
+
 
 @dataclass(frozen=True)
-class TaperedTerminalScheme:
+class NeumannCapScheme(_TruncatedScheme):
+    """Truncate at y = n and impose a one-sided second-order v_y(t, n) = 0."""
+
+    kind = "neumann_cap"
+
+    def rows(self, payoff, y, T, times):
+        # the zero top-row datum is the right-hand side of the Neumann row
+        v, bottom, zero, _ = super().rows(payoff, y, T, times)
+        return v, bottom, zero, _neumann_row(y)
+
+    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
+        gamma, beta, alpha = _neumann_row(y)
+        h = np.asarray(payoff(y[-3:]), dtype=float)
+        return abs(gamma * h[0] + beta * h[1] + alpha * h[2])
+
+
+@dataclass(frozen=True)
+class TaperedTerminalScheme(_TruncatedScheme):
     """Truncate at y = n, replace the terminal datum by a continuous taper:
     payoff on [0, n/2], linear to 0 at n; Dirichlet 0 at the cap."""
 
-    n: float
     kind = "tapered_terminal"
 
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ConfigError("cap n must be positive")
+    def rows(self, payoff, y, T, times):
+        _, bottom, zero, _ = super().rows(payoff, y, T, times)
+        return _taper(payoff, self.n, y), bottom, zero, None
+
+    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
+        return abs(float(_taper(payoff, self.n, np.array([self.cap]))[0]) - 0.0)
 
 
 @dataclass(frozen=True)
-class TransformedCauchyScheme:
+class TransformedCauchyScheme(_TruncatedScheme):
     """Solve the convection form w_t = -1/2 sigma^2 w_yy - (sigma^2/y) w_y
     for w = v/y with terminal payoff(y)/y and Dirichlet 0 at both ends;
     report v = y * w.  Needs payoff(0) = 0 with bounded payoff(y)/y."""
 
-    n: float
     kind = "transformed_cauchy"
+    convection = True
 
-    def __post_init__(self):
-        if self.n <= 0:
-            raise ConfigError("cap n must be positive")
+    def rows(self, payoff, y, T, times):
+        v = np.zeros_like(y)
+        v[1:] = np.asarray(payoff(y[1:]), dtype=float) / y[1:]
+        if not np.all(np.isfinite(v)) or v.max() > 1e12:
+            raise ConfigError(
+                "transformed scheme needs payoff(y)/y bounded near 0")
+        return v, 0.0, np.zeros(times.n_steps), None
+
+    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
+        return abs(float(payoff(self.cap)) / self.cap - 0.0)
 
 
 @dataclass(frozen=True)
-class NaiveDirichletScheme:
+class NaiveDirichletScheme(Scheme):
     """Diagnostic: Dirichlet v(t, cap) = payoff(cap).  For the forward payoff
     this locks onto the linear solution v = y, demonstrating that the Cauchy
     problem has more than one solution."""
@@ -268,9 +362,12 @@ class NaiveDirichletScheme:
         if self.cap <= 0:
             raise ConfigError("cap must be positive")
 
+    def rows(self, payoff, y, T, times):
+        v, bottom, _, _ = super().rows(payoff, y, T, times)
+        return v, bottom, np.full(times.n_steps, float(payoff(self.cap))), None
 
-SchemeKind = Union[FundraiserScheme, NeumannCapScheme, TaperedTerminalScheme,
-                   TransformedCauchyScheme, NaiveDirichletScheme]
+    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
+        return abs(float(payoff(self.cap)) - float(payoff(self.cap)))
 
 
 @dataclass(frozen=True)
@@ -278,7 +375,7 @@ class PdeSolution:
     grid: SpaceGrid
     times: TimeGrid
     values: np.ndarray  # (len(times.nodes), len(grid.nodes))
-    scheme: SchemeKind
+    scheme: Scheme
     theta_weight: float
 
     def value_at(self, t: float, y) -> float:
@@ -305,30 +402,6 @@ class PdeSolution:
 
 # ---------------------------------------------------------------------------
 # The solver.
-
-_DEFAULT_M = 800
-_DEFAULT_STEPS = 2048
-_LO_FRAC = 1e-5  # default bottom node as a fraction of the cap
-
-
-def _default_grid(scheme: SchemeKind, cap: float) -> SpaceGrid:
-    lo = cap * _LO_FRAC
-    if isinstance(scheme, FundraiserScheme):
-        return SpaceGrid.geometric(lo, cap, _DEFAULT_M)
-    return SpaceGrid.geometric_with_zero(lo, cap, _DEFAULT_M)
-
-
-def _scheme_cap(sigma, scheme: SchemeKind) -> float:
-    if isinstance(scheme, FundraiserScheme):
-        # The cap is f(j) for the map the theta table was built with; taking
-        # it from the table (rather than re-deriving f from sigma) keeps the
-        # domain consistent with the boundary data by construction.
-        f = from_descriptor(scheme.theta.map_descriptor)
-        return float(f(scheme.j))
-    if isinstance(scheme, NaiveDirichletScheme):
-        return float(scheme.cap)
-    return float(scheme.n)
-
 
 def _taper(payoff: PayoffSpec, n: float, y: np.ndarray) -> np.ndarray:
     """Continuous piecewise-linear cut-off: payoff below n/2, straight line
@@ -408,7 +481,7 @@ def _lapack_ok(info: int, thdt: float) -> None:
             f"theta_weight * dt = {thdt:.6g}")
 
 
-def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
+def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
           grid: Optional[SpaceGrid] = None, times: Optional[TimeGrid] = None,
           theta_weight: float = 1.0) -> PdeSolution:
     """Backward theta-weighted finite differences for the terminal-value
@@ -424,9 +497,9 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
     if T <= 0:
         raise ConfigError("T must be positive")
     s = _sigma_callable(sigma)
-    cap = _scheme_cap(sigma, scheme)
+    cap = scheme.cap
     if grid is None:
-        grid = _default_grid(scheme, cap)
+        grid = scheme.grid(_DEFAULT_M)
     if times is None:
         times = TimeGrid.uniform(T, _DEFAULT_STEPS)
     if abs(times.T - T) > 1e-12 * max(1.0, T):
@@ -435,13 +508,7 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
     if abs(y[-1] - cap) > 1e-9 * max(1.0, cap):
         raise ConfigError(
             f"grid must end at the scheme cap {cap}, got {y[-1]}")
-    if isinstance(scheme, FundraiserScheme):
-        if y[0] <= 0:
-            raise ConfigError("the floor-anchored scheme lives on y > 0")
-        if not scheme.theta.covers(T):
-            raise ConfigError(
-                f"theta table covers tau up to {scheme.theta.taus[-1]}, need {T}")
-        theta_of = scheme.theta.interpolator()
+    v, bottom, top, cap_row = scheme.rows(payoff, y, T, times)
 
     m = grid.m
     yi = y[1:-1]
@@ -450,7 +517,7 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
     hp = y[2:] - yi
     a = sig2 / (hm * (hm + hp))
     c = sig2 / (hp * (hm + hp))
-    if isinstance(scheme, TransformedCauchyScheme):
+    if scheme.convection:
         conv = sig2 / yi  # central-difference coefficient of w_y
         a = a - conv * hp / (hm * (hm + hp))
         c = c + conv * hm / (hp * (hm + hp))
@@ -464,39 +531,15 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
             f"non-monotone discretization: negative off-diagonal at node "
             f"i={i}, y={y[i]:.6g}")
 
-    # terminal datum
-    if isinstance(scheme, TaperedTerminalScheme):
-        v = _taper(payoff, scheme.n, y)
-    elif isinstance(scheme, TransformedCauchyScheme):
-        v = np.zeros_like(y)
-        v[1:] = np.asarray(payoff(y[1:]), dtype=float) / y[1:]
-        if not np.all(np.isfinite(v)) or v.max() > 1e12:
-            raise ConfigError(
-                "transformed scheme needs payoff(y)/y bounded near 0")
-    else:
-        v = np.asarray(payoff(y), dtype=float)
-
-    bottom = float(payoff(0.0))
-    if isinstance(scheme, TransformedCauchyScheme):
-        bottom = 0.0
-
     n_t = times.n_steps
-    # top-row datum of each step k, which solves for time node k
-    if isinstance(scheme, FundraiserScheme):
-        top = theta_of(T - times.nodes[:-1])
-    elif isinstance(scheme, NaiveDirichletScheme):
-        top = np.full(n_t, float(payoff(scheme.cap)))
-    else:  # Dirichlet 0, or the zero right-hand side of the Neumann cap row
-        top = np.zeros(n_t)
     _require_finite("terminal datum", v, y)
     _require_finite("top-row datum", top[:, None], y, first=m,
                     t=times.nodes)
 
-    cap_row = _neumann_row(y) if isinstance(scheme, NeumannCapScheme) else None
     dts = times.dt
     th = theta_weight
     out = np.empty((n_t + 1, m + 1))
-    out[n_t] = v if not isinstance(scheme, TransformedCauchyScheme) else v * y
+    out[n_t] = v * y if scheme.convection else v
     rhs = np.empty(m + 1)
     rhs[0] = bottom
     # The step matrix depends on k only through dt: factor it when dt
@@ -513,33 +556,21 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
         rhs[m] = top[k]
         v, info = step_solve(rhs)
         _lapack_ok(info, th * dt)
-        out[k] = v if not isinstance(scheme, TransformedCauchyScheme) else v * y
+        out[k] = v * y if scheme.convection else v
     _require_finite("solution value", out, y, t=times.nodes)
 
     return PdeSolution(grid=grid, times=times, values=out,
                        scheme=scheme, theta_weight=float(theta_weight))
 
 
-def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: SchemeKind,
+def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
                   grid: Optional[SpaceGrid] = None) -> float:
     """Mismatch between the terminal datum and the boundary condition at the
     space-time corner (t = T, y = cap): the instability driver of the
     truncation schemes, zero by construction for the floor-anchored scheme."""
-    cap = _scheme_cap(sigma, scheme)
     if grid is None:
-        grid = _default_grid(scheme, cap)
-    y = grid.nodes
-    if isinstance(scheme, FundraiserScheme):
-        return abs(float(payoff(cap)) - float(scheme.theta.theta[0]))
-    if isinstance(scheme, NeumannCapScheme):
-        gamma, beta, alpha = _neumann_row(y)
-        h = np.asarray(payoff(y[-3:]), dtype=float)
-        return abs(gamma * h[0] + beta * h[1] + alpha * h[2])
-    if isinstance(scheme, TaperedTerminalScheme):
-        return abs(float(_taper(payoff, scheme.n, np.array([cap]))[0]) - 0.0)
-    if isinstance(scheme, TransformedCauchyScheme):
-        return abs(float(payoff(cap)) / cap - 0.0)
-    return abs(float(payoff(cap)) - float(payoff(scheme.cap)))
+        grid = scheme.grid(_DEFAULT_M)
+    return scheme.corner_defect(payoff, grid.nodes)
 
 
 def convergence_study(sigma, payoff: PayoffSpec, T: float,
@@ -558,9 +589,7 @@ def convergence_study(sigma, payoff: PayoffSpec, T: float,
         sol = solve(sigma, payoff, T, sch, grid=grid, times=times,
                     theta_weight=theta_weight)
         val = sol.value_at(0.0, y_ref)
-        param = sch.j if isinstance(sch, FundraiserScheme) else (
-            sch.cap if isinstance(sch, NaiveDirichletScheme) else sch.n)
-        rows.append({"scheme": sch.kind, "param": float(param),
+        rows.append({"scheme": sch.kind, "param": float(sch.param),
                      "value": float(val),
                      "diff": None if prev is None else float(val - prev)})
         prev = val

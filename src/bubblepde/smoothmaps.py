@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 # Finite-difference cross-check constants used by the constructors' self-test
 # (catches transcription errors in derivative code without flagging roundoff).
@@ -273,6 +273,8 @@ def shift_map(f: SmoothMap, j: float) -> SmoothMap:
 
 def from_descriptor(desc: dict) -> SmoothMap:
     """Build a map from a config descriptor (kind + parameters)."""
+    if not isinstance(desc, dict):
+        raise ConfigError(f"map descriptor must be an object, got {desc!r}")
     kind = desc.get("kind")
     if kind == "power_law":
         return power_law_map(desc["alpha"], desc.get("xi", 0.0))
@@ -284,7 +286,7 @@ def from_descriptor(desc: dict) -> SmoothMap:
         return reciprocal_map()
     if kind == "compose":
         return compose(from_descriptor(desc["outer"]), from_descriptor(desc["inner"]))
-    raise DomainError(f"unknown map kind {kind!r}")
+    raise ConfigError(f"unknown map kind {kind!r}")
 
 
 def pre_schwarzian(f: SmoothMap, x) -> np.ndarray:

@@ -1,12 +1,15 @@
 """End-to-end tests of the experiment harness: config validation, every
 subcommand at toy scale, and report determinism."""
 
+import copy
 import json
-from pathlib import Path
+from functools import reduce
+from operator import getitem
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bubblepde import ConfigError, ThetaTable
+from bubblepde import ConfigError, DomainError, NumericsError, ThetaTable
 from bubblepde.cli import config_hash, main, resolve_config
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
@@ -17,6 +20,10 @@ TINY_NUMERICS = {
     "theta_time_steps": 48, "theta_taus": 5, "space_nodes": 60,
     "seed": 99, "levels": 2, "dump_paths": 3,
 }
+
+
+FIVE_SCHEMES = ("fundraiser", "neumann_cap", "tapered_terminal",
+                "transformed_cauchy", "naive_dirichlet")
 
 
 def write_config(tmp_path, **overrides):
@@ -86,6 +93,130 @@ def test_resolve_convergence_sequence():
     raw["convergence"]["j_sequence"] = [0.2, 0.4]
     with pytest.raises(Exception, match="j_sequence"):
         resolve_config(raw, {})
+
+
+def test_valid_configs_keep_their_hash():
+    # every CSV header carries the digest, so a valid config must keep it
+    readme = {
+        "model": {"sigma": SIG2, "x0": 1.0, "j0": 0.25, "T": 1.0},
+        "payoff": {"kind": "forward"},
+        "numerics": {"paths": 20000, "time_steps": 2048, "theta_paths": 20000,
+                     "theta_time_steps": 768, "theta_taus": 33,
+                     "theta_table": None, "space_nodes": 800,
+                     "theta_weight": 1.0, "seed": 12345, "levels": 2,
+                     "dump_paths": 10},
+        "output": {"dir": "out"},
+        "convergence": {"j_sequence": [0.4, 0.2, 0.1, 0.05, 0.02]},
+        "simulate": {"kind": "skorokhod"},
+    }
+    pinned_call = {"model": {"f": RECIP_F, "x0": 2, "j0": 1, "T": 0.5},
+                   "payoff": {"kind": "call", "strike": 0.5},
+                   "numerics": {"theta_weight": 0.5, "theta_table": "t.csv"}}
+    table = {"model": {"sigma": SIG2, "x0": 1.0, "j0": 0.5, "T": 1.0},
+             "payoff": {"kind": "table", "nodes": [0, 1, 10],
+                        "values": [0, 0.5, 2]}}
+    digests = [config_hash(resolve_config(raw, {}))
+               for raw in (readme, pinned_call, table)]
+    assert digests == [
+        "388bbad20707db071bc8574fff629e26429b85edcc48217454ad0a88e4f26323",
+        "e57d2724938ab86fc0d06ee44f98336cc8024c5a75d15c66a7f16931c0137ad5",
+        "a7c6015e9223458f48a06d90ae48ba62046b9eaca24ae2ce8c85117aae6ad813"]
+
+
+MODEL = {"x0": 1.0, "j0": 0.25, "T": 1.0}
+
+
+@pytest.mark.parametrize("key, section, value", [
+    ("payoff", "payoff", {"kind": "call", "strike": "abc"}),
+    ("payoff", "payoff", {"kind": "call", "strike": None}),
+    ("payoff", "payoff", {"kind": "call", "strike": [1]}),
+    ("payoff", "payoff", {"kind": "table", "nodes": [0.0, 1.0], "values": "x"}),
+    ("model.sigma", "model", dict(MODEL, sigma=dict(SIG2, exponent="x"))),
+    ("model.f", "model", dict(MODEL, f={"kind": "power_law"})),
+    ("model.f", "model", dict(MODEL, f={"kind": "no_such_map"})),
+], ids=["strike-abc", "strike-null", "strike-list", "table-values",
+        "sigma-exponent", "f-missing-alpha", "f-unknown-kind"])
+def test_malformed_descriptor_value_is_a_config_error(tmp_path, key, section,
+                                                      value):
+    cfgp = write_config(tmp_path, **{section: value})
+    with pytest.raises(ConfigError, match=f"config key {key}: "):
+        resolve_config(json.loads(cfgp.read_text()), {})
+    assert main(["price", "--config", str(cfgp)]) == 2
+
+
+@pytest.mark.parametrize("key", ["numerics.path", "model.typo", "payoff.strik",
+                                 "output.dri", "outptu"])
+def test_unknown_config_key_is_rejected(tmp_path, key):
+    raw = json.loads(write_config(tmp_path).read_text())
+    *sections, leaf = key.split(".")
+    reduce(getitem, sections, raw)[leaf] = 1
+    with pytest.raises(ConfigError, match=f"config key {key}: unknown key"):
+        resolve_config(raw, {})
+    cfgp = tmp_path / "typo.json"
+    cfgp.write_text(json.dumps(raw))
+    assert main(["price", "--config", str(cfgp)]) == 2
+
+
+# Valid starting points for the mutation property: every section present,
+# a sigma model and a composed map model.
+FUZZ_BASES = [
+    {"model": {"sigma": SIG2, "x0": 1.0, "j0": 0.25, "T": 1.0},
+     "payoff": {"kind": "call", "strike": 0.5},
+     "numerics": dict(TINY_NUMERICS, theta_weight=0.5, theta_table="t.csv"),
+     "output": {"dir": "out"},
+     "convergence": {"j_sequence": [0.4, 0.2]},
+     "simulate": {"kind": "wiener"}},
+    {"model": {"f": {"kind": "compose", "outer": RECIP_F,
+                     "inner": {"kind": "power_law", "alpha": 1.0, "xi": 0.0}},
+               "x0": 1.0, "j0": 0.5, "T": 1.0},
+     "payoff": {"kind": "table", "nodes": [0.0, 1.0, 10.0],
+                "values": [0.0, 0.5, 2.0]}},
+]
+FUZZ_VALUES = st.sampled_from([
+    None, True, 0, -1, 3, 0.5, 1e300, float("inf"), float("nan"), 10 ** 400,
+    "x", "", [], [1.0], [0.2, 0.4], {}, {"kind": "x"}, {"kind": "power"}]
+).map(copy.deepcopy)  # a later step may add keys into a drawn object
+FUZZ_KEYS = st.sampled_from(["typo", "kind", "strike", "exponent", "alpha",
+                             "x0", "dir", "j_sequence", "theta_table"])
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path into the nested objects of obj."""
+    for key, val in obj.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _key_paths(val, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three keys dropped, retyped or added."""
+    raw = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(raw))
+        op = draw(st.sampled_from(["drop", "retype", "add"]))
+        if op == "add" or not paths:
+            owner = raw if not paths else reduce(
+                getitem, draw(st.sampled_from([()] + paths)), raw)
+            if isinstance(owner, dict):
+                owner[draw(FUZZ_KEYS)] = draw(FUZZ_VALUES)
+            continue
+        *sections, leaf = draw(st.sampled_from(paths))
+        owner = reduce(getitem, sections, raw)
+        if op == "drop":
+            del owner[leaf]
+        else:
+            owner[leaf] = draw(FUZZ_VALUES)
+    return raw
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # e.g. a Mobius map with c = d = 0
+@given(mutated_configs())
+def test_mutated_config_resolves_or_fails_closed(raw):
+    try:
+        resolve_config(raw, {})
+    except (ConfigError, DomainError, NumericsError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +350,17 @@ def test_compare_schemes(tmp_path):
     assert "fundraiser/level0" in meta["runtimes_s"]
 
 
+def test_compare_schemes_accepts_exactly_the_five_kinds(tmp_path):
+    cfgp = write_config(tmp_path, numerics=dict(TINY_NUMERICS, levels=1))
+    assert main(["compare-schemes", "--config", str(cfgp),
+                 "--scheme", ",".join(FIVE_SCHEMES)]) == 0
+    lines = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+    assert sorted(l.split(",")[0] for l in lines[2:]) == sorted(FIVE_SCHEMES)
+    for bad in ("Fundraiser", "neumann", "fundraiser,cauchy", "dirichlet"):
+        assert main(["compare-schemes", "--config", str(cfgp),
+                     "--scheme", bad, "--out", str(tmp_path / "bad")]) == 2
+
+
 def test_compare_schemes_subset_flag(tmp_path):
     cfgp = write_config(tmp_path)
     assert main(["compare-schemes", "--config", str(cfgp),
@@ -237,6 +379,32 @@ def test_convergence_subcommand(tmp_path):
     # per-j theta tables are kept under distinct names
     assert (tmp_path / "out" / "theta_j0.25.csv").exists()
     assert (tmp_path / "out" / "theta_j0.125.csv").exists()
+
+
+def _body(path):
+    """The CSV rows below the hash and header lines, split into cells."""
+    return [line.split(",") for line in path.read_text().splitlines()[2:]]
+
+
+def test_price_compare_and_convergence_agree(tmp_path):
+    # one floor-anchored price reached through three subcommands
+    cfgp = write_config(tmp_path,
+                        numerics=dict(TINY_NUMERICS, space_nodes=200,
+                                      time_steps=256),
+                        convergence={"j_sequence": [0.5, 0.25]})
+    outs = {cmd: tmp_path / cmd
+            for cmd in ("price", "compare-schemes", "convergence")}
+    for cmd, out in outs.items():
+        assert main([cmd, "--config", str(cfgp), "--out", str(out)]) == 0
+    report = {row[0]: row[1:] for row in _body(outs["price"] / "report.csv")}
+    fund = [row for row in _body(outs["compare-schemes"] / "compare.csv")
+            if row[0] == "fundraiser"]
+    finest = max(fund, key=lambda row: int(row[1]))
+    assert finest[2:4] == ["200", "256"]
+    assert finest[4] == report["pde_price"][0]
+    at_j0 = {row[0]: row for row in _body(outs["convergence"] / "convergence.csv")}
+    assert at_j0["0.25"][1:4] == [*report["mc_price"], report["pde_price"][0]]
+    assert not (outs["convergence"] / "theta.csv").exists()
 
 
 @pytest.mark.parametrize("kind", ["wiener", "bessel3", "drifted", "skorokhod"])

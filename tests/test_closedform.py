@@ -29,6 +29,7 @@ from bubblepde import (
     reciprocal_map,
     theta_recip_bessel_forward,
 )
+from bubblepde.closedform import oracle_value
 from bubblepde.closedform import erfc
 from bubblepde.pathlab import TimeGrid, simulate_skorokhod, simulate_wiener
 
@@ -161,6 +162,28 @@ def test_oracle_cases_dispatch():
     assert v == pytest.approx(forward_bm_fundraiser(1.0, 1.0, 1.0))
     assert OracleCase(case="bond_bm", x=1.0, T=1.0).value() \
         == pytest.approx(bond_bm(1.0, 1.0))
+
+
+def test_oracle_table_keeps_its_order_and_closed_forms():
+    x, j, T = 1.3, 0.4, 0.7
+    direct = {
+        "bond_bm": bond_bm(x, T),
+        "forward_bm_investor": forward_bm_investor(x, T),
+        "forward_bm_fundraiser": forward_bm_fundraiser(x, j, T),
+        "delta_bm_fundraiser": delta_bm_fundraiser(x, j, T),
+        "forward_recip_bessel_investor": forward_recip_bessel_investor(x, T),
+        "forward_recip_bessel_fundraiser": forward_recip_bessel_fundraiser(x, j, T),
+    }
+    assert OracleCase.all_cases() == tuple(direct)
+    for case, want in direct.items():
+        assert OracleCase(case=case, x=x, T=T, j=j).value() == want, case
+    assert oracle_value("recip", "forward", "fundraiser", x, j, T) \
+        == direct["forward_recip_bessel_fundraiser"]
+    # the bond pays 1 where no path is absorbed; calls have no row yet
+    assert oracle_value("other", "bond", "fundraiser", x, j, T) == 1.0
+    assert oracle_value("recip", "bond", "investor", x, j, T) == 1.0
+    assert oracle_value("other", "bond", "investor", x, j, T) is None
+    assert oracle_value("bm", "call", "investor", x, j, T) is None
 
 
 def test_oracle_case_requires_j_for_fundraiser():

@@ -116,6 +116,26 @@ def _theta_table(j, payoff=FWD, taus=(0.0, 0.25, 1.0), n=2000, res=96):
     return estimate_theta(reciprocal_map(), j, list(taus), payoff, n, res, SEED)
 
 
+def _every_scheme(tab):
+    return (FundraiserScheme(j=0.1, theta=tab), NeumannCapScheme(n=10.0),
+            TaperedTerminalScheme(n=10.0), TransformedCauchyScheme(n=10.0),
+            NaiveDirichletScheme(cap=10.0))
+
+
+def test_default_grid_is_the_scheme_grid():
+    times = TimeGrid.uniform(1.0, 32)
+    for scheme in _every_scheme(_theta_table(0.1)):  # cap f(0.1) = 10
+        grid = scheme.grid(800)
+        assert grid.m == 800 and grid.nodes[-1] == pytest.approx(10.0, rel=1e-12)
+        assert grid.nodes[-1] == pytest.approx(scheme.cap, rel=1e-12)
+        assert (grid.nodes[0] == 0.0) == (scheme.kind != "fundraiser")
+        got = solve(SIG2, FWD, 1.0, scheme, times=times).values
+        want = solve(SIG2, FWD, 1.0, scheme, grid=grid, times=times).values
+        assert np.array_equal(got, want), scheme.kind
+        assert corner_defect(SIG2, FWD, 1.0, scheme) \
+            == corner_defect(SIG2, FWD, 1.0, scheme, grid=grid), scheme.kind
+
+
 def test_fundraiser_scheme_checks_theta_floor():
     tab = _theta_table(0.1)
     with pytest.raises(ConfigError):
