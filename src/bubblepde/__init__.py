@@ -53,7 +53,6 @@ from .pdesolve import (
     SpaceGrid,
     TaperedTerminalScheme,
     TransformedCauchyScheme,
-    convergence_study,
     corner_defect,
     f_from_sigma,
     is_strict_local_martingale,

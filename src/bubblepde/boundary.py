@@ -199,8 +199,7 @@ def _floor_grid(horizon: float, taus: np.ndarray, grid_resolution: int) -> TimeG
     """Quadratically clustered step grid over [0, horizon], augmented so every
     requested tau is an exact node.  Clustering near 0 keeps the small-tau
     boundary estimates honest where Theta bends fastest."""
-    k = np.arange(int(grid_resolution) + 1, dtype=float)
-    base = horizon * (k / grid_resolution) ** 2
+    base = TimeGrid.clustered(horizon, grid_resolution).nodes
     nodes = np.unique(np.concatenate([base, taus]))
     return TimeGrid(nodes)
 

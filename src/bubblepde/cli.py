@@ -142,14 +142,22 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
 
     numerics = dict(_NUMERIC_DEFAULTS)
     numerics.update(_section(raw, "numerics", required=False))
+    # the CLI's --seed and --paths are checked like the values they replace
+    numerics.update((key, overrides[key]) for key in ("seed", "paths")
+                    if overrides.get(key) is not None)
     _known(numerics, "numerics", (*_NUMERIC_DEFAULTS, "theta_table"))
     table = numerics.get("theta_table")
     if table is not None and not isinstance(table, str):
         _fail("numerics.theta_table", f"expected a file path, got {table!r}")
     for key in ("paths", "time_steps", "theta_paths", "theta_time_steps",
                 "theta_taus", "space_nodes", "levels", "dump_paths"):
-        numerics[key] = _number(numerics, "numerics", key, positive=True,
-                                integer=True)
+        size = _number(numerics, "numerics", key, positive=True, integer=True)
+        # an array with more entries than a 32-bit index reaches is never
+        # allocated: fail here rather than deep inside numpy
+        if size > 2 ** 31 - 1:
+            _fail(f"numerics.{key}",
+                  f"must be at most {2 ** 31 - 1}, got {numerics[key]!r}")
+        numerics[key] = size
     if numerics["theta_taus"] < 2:
         _fail("numerics.theta_taus",
               f"the theta table needs at least 2 tau nodes, got "
@@ -163,15 +171,13 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     output = dict(_section(raw, "output", required=False))
     _known(output, "output", ("dir",))
     output.setdefault("dir", "out")
+    if overrides.get("dir") is not None:
+        output["dir"] = overrides["dir"]
     if not isinstance(output["dir"], str):
         _fail("output.dir", f"expected a directory path, got {output['dir']!r}")
 
     resolved = {"model": model, "payoff": payoff_desc, "numerics": numerics,
                 "output": output}
-    for section, key in (("numerics", "seed"), ("numerics", "paths"),
-                         ("output", "dir")):
-        if overrides.get(key) is not None:
-            resolved[section][key] = overrides[key]
     if raw.get("convergence") is not None:
         sec = _section(raw, "convergence", required=False)
         _known(sec, "convergence", ("j_sequence",))
@@ -289,8 +295,7 @@ def _make_theta(cfg: dict, f, payoff: PayoffSpec, j: float, target: Path,
             raise ConfigError(
                 f"theta table covers tau <= {table.taus[-1]}, need {model['T']}")
         return table
-    k = np.arange(num["theta_taus"], dtype=float)
-    taus = model["T"] * (k / (num["theta_taus"] - 1)) ** 2
+    taus = TimeGrid.clustered(model["T"], num["theta_taus"] - 1).nodes
     table = estimate_theta(f, j, taus, payoff, num["theta_paths"],
                            num["theta_time_steps"], num["seed"])
     table.save(target)

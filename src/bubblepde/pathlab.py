@@ -9,12 +9,13 @@ construction.
 Reproducibility contract: every path index i owns a counter-based stream
 keyed by (master seed, i) -- numpy Philox -- so path i is bit-identical no
 matter how an ensemble is chunked or batched, and ensemble reductions run in
-fixed path-index order.  The Wiener, drifted and dual runners read one
-standard normal per step from the stream (the dual with a random floor first
-reads the floor's uniform).  The reflected runner reads its steps in
-segments of _SEGMENT steps: for each segment, first its normals and then one
-uniform per step from the same stream (the last segment may be shorter).
-The layout is fixed by the step count alone.
+fixed path-index order.  All four runners read their streams in one layout,
+through one reader: each stream is read in segments of _SEGMENT steps (the
+last segment may be shorter), and for each segment first its normals, one
+per step, and then, for the reflected law only, one uniform per step.  The
+dual with a random floor first reads the floor's uniform.  For the laws
+without uniforms this is simply one standard normal per step.  The layout
+is fixed by the step count alone.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from .smoothmaps import SmoothMap, schwarzian_process
 
 # Relative guard keeping unreflected simulations off a finite domain edge.
 EDGE_GUARD = 1e-12
-# Ensemble runners process paths in blocks and draw increments in time chunks
-# of bounded footprint; both knobs are implementation constants, invisible in
-# results thanks to the per-path streams.
+# Ensemble runners process paths in blocks and draw one stream segment of a
+# block at a time into a buffer of bounded footprint; both knobs are
+# implementation constants, invisible in results thanks to the per-path
+# streams.
 _BLOCK = 32768
-_CHUNK_BUDGET = 2 ** 22  # floats per (block x chunk) buffer set
-# Steps per segment of the reflected runner's stream layout (see above).
-# It is part of the layout: changing it changes every reflected path.
+_CHUNK_BUDGET = 2 ** 22  # floats per (block x segment) buffer of draws
+# Steps per segment of the stream layout (see above).  It is part of the
+# layout: changing it changes every reflected path.
 _SEGMENT = 512
 _TILE = 64  # paths per transposed tile of a time-major draw
 # A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so the
@@ -64,10 +66,10 @@ class TimeGrid:
         return cls(np.linspace(0.0, float(T), int(n_steps) + 1))
 
     @classmethod
-    def clustered(cls, T: float, n_steps: int, power: float = 2.0) -> "TimeGrid":
-        """Nodes T*(k/N)^power: step sizes shrink toward t=0."""
+    def clustered(cls, T: float, n_steps: int) -> "TimeGrid":
+        """Nodes T*(k/N)^2: step sizes shrink toward t=0."""
         k = np.arange(int(n_steps) + 1, dtype=float)
-        return cls(float(T) * (k / n_steps) ** power)
+        return cls(float(T) * (k / n_steps) ** 2)
 
     @property
     def T(self) -> float:
@@ -132,50 +134,6 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-class _StreamBlock:
-    """Per-path generators for a contiguous block of path indices, drawing
-    in time chunks while preserving each stream's sequence."""
-
-    def __init__(self, seed, indices):
-        self.gens = [path_stream(seed, i) for i in indices]
-
-    def normals(self, z):
-        """The next z.shape[1] normals of stream r into row r of z."""
-        for row, g in zip(z, self.gens):
-            g.standard_normal(out=row)
-
-    def normals_by_step(self, z):
-        """The next z.shape[0] normals of stream r into column r of z, drawn
-        a tile of paths at a time and transposed tile by tile to keep the
-        copy cache-local."""
-        tile = np.empty((min(_TILE, len(self.gens)), z.shape[0]))
-        for r0 in range(0, len(self.gens), _TILE):
-            gens = self.gens[r0:r0 + _TILE]
-            for row, g in zip(tile, gens):
-                g.standard_normal(out=row)
-            z[:, r0:r0 + len(gens)] = tile[:len(gens)].T
-
-    def uniforms(self, u):
-        """The next u.shape[1] uniforms on [0, 1) of stream r into row r of u."""
-        for row, g in zip(u, self.gens):
-            g.random(out=row)
-
-
-def _stream_blocks(seed, first_index, n_paths, size):
-    """(rows, sampler) for each block of at most size paths: rows slices the
-    block out of the ensemble's outputs, sampler holds the streams of paths
-    first_index + rows."""
-    for start in range(0, n_paths, size):
-        stop = min(start + size, n_paths)
-        yield slice(start, stop), _StreamBlock(
-            seed, range(first_index + start, first_index + stop))
-
-
-def _segments(n_steps):
-    for a in range(0, n_steps, _SEGMENT):
-        yield a, min(a + _SEGMENT, n_steps)
-
-
 def _record(record, grid: TimeGrid) -> np.ndarray:
     """The distinct recorded node indices in increasing order."""
     rec = np.sort(np.asarray(record, dtype=np.intp))
@@ -196,39 +154,60 @@ def _guarded(domain):
     return lo_g, hi_g
 
 
-def _walk(sampler, start, sqdt, floor=None):
-    """Driftless walks of one block of paths from start, a time chunk at a
-    time: yields (a, W, M) with W[:, k] the walk at node a + k and M[:, k]
-    its running maximum from floor (None without a floor).  W is the left
-    fold np.add.accumulate of the carry and the increments sqrt(dt) xi, M
-    that of np.maximum of the floor carry and W, both in place in one buffer
-    of at most _CHUNK_BUDGET floats that the next chunk overwrites."""
-    rows, n_steps = len(start), len(sqdt)
-    folds = 1 if floor is None else 2
-    width = max(1, min(n_steps, _CHUNK_BUDGET // (folds * rows)))
-    buf = np.empty((folds, rows * (width + 1)))
-    carry, top, M = start, floor, None
-    for a in range(0, n_steps, width):
-        b = min(a + width, n_steps)
-        W = buf[0, :rows * (b - a + 1)].reshape(rows, b - a + 1)
-        W[:, 0] = carry
-        sampler.normals(W[:, 1:])
-        W[:, 1:] *= sqdt[a:b]
-        np.add.accumulate(W, axis=1, out=W)
-        carry = W[:, -1].copy()
-        if floor is not None:
-            M = buf[1, :W.size].reshape(W.shape)
-            M[:, 0] = top
-            M[:, 1:] = W[:, 1:]
-            np.maximum.accumulate(M, axis=1, out=M)
-            top = M[:, -1].copy()
-        yield a, W, M
+def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
+                lead=False):
+    """The one reader of the path streams, in the layout of the module
+    docstring: each stream is read a segment of _SEGMENT steps at a time,
+    its normals and then, with bridge, one uniform per step; with lead, one
+    uniform comes before all of them.  Paths run in blocks of at most _BLOCK,
+    sized so that one segment of the block's normals and uniforms fits one
+    buffer of at most _CHUNK_BUDGET floats, reused by every block and
+    segment.  Every law gets the same blocks and buffer; without bridge the
+    uniform half of the buffer is never written.  (Sizing the blocks of the
+    normal-only laws by their normals alone doubled those blocks, and the
+    allocator then kept more memory resident between calls: peak RSS of the
+    oracle_suite benchmark rose from 146 to 161 MB.)
 
+    Yields (rows, u0, k0, steps) per block: rows slices the block out of the
+    ensemble's outputs, u0 holds the leading uniform of each stream (None
+    without lead), k0 is the output column of node 0 (None when node 0 is
+    not in rec), and steps yields (n, z_n, u_n, k) for n = 0 ... n_steps - 1:
+    the block's normals and uniforms (None without bridge) of step n and the
+    output column k of node n + 1 (None when it is not recorded).
+    """
+    at = {int(node): k for k, node in enumerate(rec)}
+    seg = min(n_steps, _SEGMENT)
+    size = max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * seg)))
+    rows_max = min(size, n_paths)
+    buf = np.empty(2 * seg * rows_max)  # one allocation, released as one
+    zbuf = buf[:seg * rows_max].reshape(seg, rows_max)
+    ubuf = buf[seg * rows_max:].reshape(rows_max, seg) if bridge else None
+    # normals are drawn a tile of paths at a time and transposed tile by tile
+    # into the time-major zbuf, to keep the copy cache-local
+    tile = np.empty((min(_TILE, rows_max), seg))
 
-def _recorded(rec, a, width):
-    """(positions, offsets from a) of the recorded nodes in a ... a + width - 1."""
-    i0, i1 = rec.searchsorted(a), rec.searchsorted(a + width)
-    return slice(i0, i1), rec[i0:i1] - a
+    def steps(gens):
+        for a in range(0, n_steps, seg):
+            w = min(seg, n_steps - a)
+            zs = zbuf[:w, :len(gens)]
+            us = None if ubuf is None else ubuf[:len(gens), :w]
+            for r0 in range(0, len(gens), _TILE):
+                part = gens[r0:r0 + _TILE]
+                for r, g in enumerate(part):
+                    g.standard_normal(out=tile[r, :w])
+                    if us is not None:
+                        g.random(out=us[r0 + r])
+                zs[:, r0:r0 + len(part)] = tile[:len(part), :w].T
+            for n in range(a, a + w):
+                yield (n, zs[n - a], None if us is None else us[:, n - a],
+                       at.get(n + 1))
+
+    for start in range(0, n_paths, size):
+        stop = min(start + size, n_paths)
+        gens = [path_stream(seed, i)
+                for i in range(first_index + start, first_index + stop)]
+        u0 = np.array([g.random() for g in gens]) if lead else None
+        yield slice(start, stop), u0, at.get(0), steps(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +223,15 @@ def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     rec = _record(record, grid)
     sqdt = np.sqrt(grid.dt)
     values = np.empty((n_paths, len(rec)))
-    for rows, sampler in _stream_blocks(seed, first_index, n_paths, _BLOCK):
-        start = np.full(rows.stop - rows.start, float(x0))
-        for a, W, _ in _walk(sampler, start, sqdt):
-            at, nodes = _recorded(rec, a, W.shape[1])
-            values[rows, at] = W[:, nodes]
+    for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
+                                          grid.n_steps, rec):
+        X = np.full(rows.stop - rows.start, float(x0))
+        if k0 is not None:
+            values[rows, k0] = X
+        for n, z, _, k in steps:
+            X = X + sqdt[n] * z
+            if k is not None:
+                values[rows, k] = X
     return values
 
 
@@ -273,15 +256,21 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     sqdt = np.sqrt(grid.dt)
     values = np.empty((n_paths, len(rec)))
     jstars = np.empty((n_paths, len(rec)))
-    for rows, sampler in _stream_blocks(seed, first_index, n_paths, _BLOCK):
-        u = np.ones((rows.stop - rows.start, 1))
-        if j0 is None:  # the floor's uniform is the first variate of each stream
-            sampler.uniforms(u)
-        floor = (x0 if j0 is None else j0) * u[:, 0]
-        for a, Xstar, Jstar in _walk(sampler, 2 * floor - x0, sqdt, floor):
-            at, nodes = _recorded(rec, a, Xstar.shape[1])
-            values[rows, at] = 2 * Jstar[:, nodes] - Xstar[:, nodes]
-            jstars[rows, at] = Jstar[:, nodes]
+    # with j0=None the floor's uniform is the first variate of each stream
+    for rows, u0, k0, steps in _path_steps(seed, first_index, n_paths,
+                                           grid.n_steps, rec, lead=j0 is None):
+        m = rows.stop - rows.start
+        J = x0 * u0 if j0 is None else np.full(m, float(j0))
+        Xstar = 2 * J - x0
+        if k0 is not None:
+            values[rows, k0] = 2 * J - Xstar
+            jstars[rows, k0] = J
+        for n, z, _, k in steps:
+            Xstar = Xstar + sqdt[n] * z
+            J = np.maximum(J, Xstar)
+            if k is not None:
+                values[rows, k] = 2 * J - Xstar
+                jstars[rows, k] = J
     return values, jstars
 
 
@@ -300,32 +289,24 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
     if not f.contains(x0):
         raise DomainError("x0 outside the domain of f")
     rec = _record(record, grid)
-    rec_pos = {int(k): i for i, k in enumerate(rec)}
     dt = grid.dt
     sqdt = np.sqrt(dt)
     lo_g, hi_g = _guarded(f.domain)
     values = np.empty((n_paths, len(rec)))
     alive_all = np.ones(n_paths, dtype=bool)
-    for rows, sampler in _stream_blocks(seed, first_index, n_paths, _BLOCK):
+    for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
+                                          grid.n_steps, rec):
         X = np.full(rows.stop - rows.start, float(x0))
         alive = np.ones(len(X), dtype=bool)
-        if 0 in rec_pos:
-            values[rows, rec_pos[0]] = X
-        width = max(1, min(grid.n_steps, _CHUNK_BUDGET // len(X)))
-        zbuf = np.empty((width, len(X)))
-        for a in range(0, grid.n_steps, width):
-            b = min(a + width, grid.n_steps)
-            zs = zbuf[:b - a]
-            sampler.normals_by_step(zs)
-            for n in range(a, b):
-                drift = -0.5 * f.pre(X) * dt[n]
-                prop = X + drift + sqdt[n] * zs[n - a]
-                X = np.where(alive, np.clip(prop, lo_g, hi_g), X)
-                alive &= (lo_g < prop) & (prop < hi_g)
-                if (n + 1) in rec_pos:
-                    values[rows, rec_pos[n + 1]] = X
-                if not alive.any():
-                    break
+        if k0 is not None:
+            values[rows, k0] = X
+        for n, z, _, k in steps:
+            drift = -0.5 * f.pre(X) * dt[n]
+            prop = X + drift + sqdt[n] * z
+            X = np.where(alive, np.clip(prop, lo_g, hi_g), X)
+            alive &= (lo_g < prop) & (prop < hi_g)
+            if k is not None:
+                values[rows, k] = X
             if not alive.any():
                 # every path of the block is parked: X holds from here on
                 values[rows, rec > n + 1] = X[:, None]
@@ -366,58 +347,46 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     values[p, k] = X at node record[k], floors[p, k] = the floor level l
     there, and contact[p] True when any reflection increment occurred
     (dl > 0) up to the horizon, counting dips below the floor between nodes.
-    Paths run in blocks, one stream segment at a time, in one reused buffer
-    of at most _CHUNK_BUDGET floats.
     """
     lo, hi = f.domain
     if not lo < l0:
         raise DomainError(f"floor {l0} outside the domain of f")
     edge = hi < np.inf
     rec = _record(record, grid)
-    rec_pos = {int(k): i for i, k in enumerate(rec)}
     dt = grid.dt
     sqdt = np.sqrt(dt)
     reach = _BRIDGE_REACH * dt
     values = np.empty((n_paths, len(rec)))
     floors = np.empty((n_paths, len(rec)))
     contact = np.zeros(n_paths, dtype=bool)
-    seg = min(grid.n_steps, _SEGMENT)
-    size = max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * seg)))
-    rows_max = min(size, n_paths)
-    buf = np.empty(2 * seg * rows_max)  # one allocation, released as one
-    zbuf = buf[:seg * rows_max].reshape(seg, rows_max)
-    ubuf = buf[seg * rows_max:].reshape(rows_max, seg)
-    for rows, sampler in _stream_blocks(seed, first_index, n_paths, size):
+    for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
+                                          grid.n_steps, rec, bridge=True):
         chi = np.full(rows.stop - rows.start, float(chi0))
         lev = np.full(len(chi), float(l0))
         hit = np.zeros(len(chi), dtype=bool)
-        if 0 in rec_pos:
-            values[rows, rec_pos[0]] = chi + lev
-            floors[rows, rec_pos[0]] = lev
-        for a, b in _segments(grid.n_steps):
-            zs, us = zbuf[:b - a, :len(chi)], ubuf[:len(chi), :b - a]
-            sampler.normals_by_step(zs)  # each stream: normals, then uniforms
-            sampler.uniforms(us)
-            for n in range(a, b):
-                x_abs = chi + lev
-                drift = -0.5 * f.pre(x_abs) * dt[n]
-                prop = chi + drift + sqdt[n] * zs[n - a]
-                near = chi * prop < reach[n]
-                if edge:
-                    live = x_abs < hi
-                    prop = np.where(live, prop, chi)
-                    near &= live
-                near = np.flatnonzero(near)
-                if near.size:
-                    p = prop[near]
-                    dl = _bridge_drop(chi[near], p, us[near, n - a], dt[n])
-                    prop[near] = p + dl
-                    lev[near] += dl
-                    hit[near[dl > 0]] = True
-                chi = prop
-                if (n + 1) in rec_pos:
-                    values[rows, rec_pos[n + 1]] = chi + lev
-                    floors[rows, rec_pos[n + 1]] = lev
+        if k0 is not None:
+            values[rows, k0] = chi + lev
+            floors[rows, k0] = lev
+        for n, z, u, k in steps:
+            x_abs = chi + lev
+            drift = -0.5 * f.pre(x_abs) * dt[n]
+            prop = chi + drift + sqdt[n] * z
+            near = chi * prop < reach[n]
+            if edge:
+                live = x_abs < hi
+                prop = np.where(live, prop, chi)
+                near &= live
+            near = np.flatnonzero(near)
+            if near.size:
+                p = prop[near]
+                dl = _bridge_drop(chi[near], p, u[near], dt[n])
+                prop[near] = p + dl
+                lev[near] += dl
+                hit[near[dl > 0]] = True
+            chi = prop
+            if k is not None:
+                values[rows, k] = chi + lev
+                floors[rows, k] = lev
         contact[rows] = hit
     return values, contact, floors
 
@@ -510,7 +479,8 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
         raise DomainError("x0 must start inside the band")
     vals = np.empty(n_paths)
     nodes = _every_node(grid)
-    # paths in blocks whose recorded nodes and walk buffer fit _CHUNK_BUDGET
+    # paths in blocks whose recorded nodes (size x len(nodes) floats) and
+    # segment draws (at most as many) together fit _CHUNK_BUDGET
     size = max(1, _CHUNK_BUDGET // (2 * len(nodes)))
     for start in range(0, n_paths, size):
         block = wiener_ensemble(x0, grid, min(size, n_paths - start), seed,

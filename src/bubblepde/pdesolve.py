@@ -212,15 +212,10 @@ _LO_FRAC = 1e-5  # default bottom node as a fraction of the cap
 
 class Scheme:
     """The boundary-scheme protocol the solver reads.  Each scheme has a
-    `kind` name, a `cap` (the top node y_M), a `param`, a `convection` flag,
+    `kind` name, a `cap` (the top node y_M), a `convection` flag,
     the `grid` and `rows` hooks below, and its own `corner_defect`."""
 
     convection = False  # True: solve the convection form for w = v / y
-
-    @property
-    def param(self) -> float:
-        """The number that sets the scheme: here its cap."""
-        return self.cap
 
     def grid(self, m: int) -> SpaceGrid:
         """The default grid: a y = 0 node, then geometric nodes from
@@ -252,10 +247,6 @@ class FundraiserScheme(Scheme):
         if abs(self.theta.j - self.j) > 1e-12 * max(1.0, self.j):
             raise ConfigError(
                 f"theta table was computed for j={self.theta.j}, scheme has j={self.j}")
-
-    @property
-    def param(self) -> float:
-        return self.j
 
     @property
     def cap(self) -> float:
@@ -571,26 +562,3 @@ def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     if grid is None:
         grid = scheme.grid(_DEFAULT_M)
     return scheme.corner_defect(payoff, grid.nodes)
-
-
-def convergence_study(sigma, payoff: PayoffSpec, T: float,
-                      schemes: list, y_ref: float,
-                      grid: Optional[SpaceGrid] = None,
-                      times: Optional[TimeGrid] = None,
-                      theta_weight: float = 1.0) -> list:
-    """Solve once per scheme and tabulate the value at (t=0, y_ref).
-
-    Returns a list of dicts with keys scheme, param, value, diff (successive
-    difference along the given scheme order; None for the first row).
-    """
-    rows = []
-    prev = None
-    for sch in schemes:
-        sol = solve(sigma, payoff, T, sch, grid=grid, times=times,
-                    theta_weight=theta_weight)
-        val = sol.value_at(0.0, y_ref)
-        rows.append({"scheme": sch.kind, "param": float(sch.param),
-                     "value": float(val),
-                     "diff": None if prev is None else float(val - prev)})
-        prev = val
-    return rows

@@ -301,6 +301,26 @@ def test_theta_taus_below_two_is_rejected(tmp_path):
     assert main(["theta", "--config", str(cfgp)]) == 2
 
 
+@pytest.mark.parametrize("key", ["time_steps", "space_nodes"])
+@pytest.mark.parametrize("value", [1e300, 2 ** 31])
+def test_oversized_size_fails_closed(tmp_path, capsys, key, value):
+    # resolution fails before anything of that size is allocated
+    cfgp = write_config(tmp_path, numerics=dict(TINY_NUMERICS, **{key: value}))
+    assert main(["price", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key numerics.{key}: must be at most 2147483647" in err
+    assert "Traceback" not in err
+    raw = json.loads(cfgp.read_text())
+    raw["numerics"][key] = 2 ** 31 - 1
+    assert resolve_config(raw, {})["numerics"][key] == 2 ** 31 - 1
+
+
+def test_oversized_paths_override_fails_closed(tmp_path, capsys):
+    cfgp = write_config(tmp_path)
+    assert main(["price", "--config", str(cfgp), "--paths", str(2 ** 31)]) == 2
+    assert "config key numerics.paths: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("convergence", [0.4]),
                                         ("simulate", "wiener")])
 def test_non_object_optional_section_is_rejected(tmp_path, key, value):

@@ -22,6 +22,7 @@ from bubblepde.pathlab import (
     simulate_drifted,
     simulate_skorokhod,
     simulate_wiener,
+    wiener_ensemble,
 )
 
 SEED = 424242
@@ -229,17 +230,90 @@ def test_ensemble_partition_independence(monkeypatch):
     big, _, _ = reflected_ensemble(f, 0.0, 0.3, grid, 9, SEED, [64])
     np.testing.assert_array_equal(small, big[:3])
 
-    # nor on how the runner cuts the ensemble into blocks and time chunks:
-    # a path long enough for several stream segments, run whole and then in
-    # blocks of two paths with a draw budget of one segment per block
+    # nor on how the runner cuts the ensemble into blocks and segments: a
+    # path long enough for several stream segments, run whole and then in
+    # blocks of two paths with a draw budget of one segment per block, for
+    # every runner (the random-floor dual reads its floor's uniform first)
     grid = TimeGrid.uniform(1.0, 2 * pathlab._SEGMENT + 37)
     rec = [pathlab._SEGMENT - 1, grid.n_steps]
-    whole = reflected_ensemble(f, 0.0, 0.3, grid, 3, SEED, rec)
+    runs = [
+        lambda n: reflected_ensemble(f, 0.0, 0.3, grid, n, SEED, rec),
+        lambda n: (wiener_ensemble(1.0, grid, n, SEED, rec),),
+        lambda n: bessel_dual_ensemble(1.0, grid, n, SEED, rec),
+        lambda n: drifted_ensemble(f, 1.0, grid, n, SEED, rec),
+    ]
+    whole = [run(3) for run in runs]
     monkeypatch.setattr(pathlab, "_BLOCK", 2)
     monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 2 * pathlab._SEGMENT)
-    cut = reflected_ensemble(f, 0.0, 0.3, grid, 9, SEED, rec)
-    for a, b in zip(whole, cut):
-        np.testing.assert_array_equal(a, b[:3])
+    for run, outs in zip(runs, whole):
+        for a, b in zip(outs, run(9)):
+            np.testing.assert_array_equal(a, b[:3])
+
+
+# Values of paths 7 and 8 (seed SEED, 1061 steps on [0, 1]) at nodes 0, 511,
+# 512, 513 and 1061, which straddle the first stream segment's end.  They pin
+# the stream layout and the step arithmetic of each runner.
+_PINNED = {
+    "wiener": [
+        [[1.0, 0.484966295682148, 0.47810705348976074, 0.4995437947838205,
+          0.5401851850933865],
+         [1.0, 0.6333332068943717, 0.6879569140723928, 0.6808771865540556,
+          0.8090344544715551]]],
+    "dual_fixed_floor": [
+        [[1.0, 1.7113295951536531, 1.7181888373460403, 1.6967520960519806,
+          1.656110705742414],
+         [1.0, 1.3666667931056278, 1.3120430859276064, 1.3191228134459436,
+          1.4226989986874965]],
+        [[0.9, 0.9981479454179015, 0.9981479454179015, 0.9981479454179015,
+          0.9981479454179015],
+         [0.9, 0.9, 0.9, 0.9, 1.0158667265795256]]],
+    "dual_random_floor": [
+        [[0.2, 0.8392924260671719, 0.8178556847731121, 0.8146947184916078,
+          0.81762193390706],
+         [0.2, 0.5096502786653831, 0.5167300061837203, 0.5539953792204414,
+          0.5649104548865946]],
+        [[0.057461598431257956, 0.11925153413903722, 0.11925153413903722,
+          0.11925153413903722, 0.11925153413903722],
+         [0.07945357832231646, 0.07945357832231646, 0.07945357832231646,
+          0.07945357832231646, 0.17716669048639713]]],
+    "drifted": [
+        [[1.0, 0.9454911686571881, 0.9396287703275961, 0.962068574851057,
+          1.4499921476562607],
+         [1.0, 1.1282761874549194, 1.183735246011692, 1.1774517329103698,
+          1.63212321630787]],
+        [True, True]],
+    "reflected": [
+        [[0.3, 1.0455611906358833, 1.0396033849899595, 1.035230661191916,
+          2.297478493960657],
+         [0.3, 0.940508293767912, 0.996134126153173, 1.026500423536696,
+          1.4724683901656568]],
+        [True, True],
+        [[0.3, 0.6737989287597366, 0.6737989287597366, 0.6737989287597366,
+          0.6737989287597366],
+         [0.3, 0.40846859518583056, 0.40846859518583056, 0.40846859518583056,
+          0.40846859518583056]]],
+}
+
+
+def test_runner_values_are_pinned():
+    # the single-path tests compare a runner with itself; these values catch
+    # a change to the stream layout or to the per-step arithmetic
+    grid = TimeGrid.uniform(1.0, 1061)
+    rec = [0, 511, 512, 513, 1061]
+    f = reciprocal_map()
+    got = {
+        "wiener": (wiener_ensemble(1.0, grid, 2, SEED, rec, 7),),
+        "dual_fixed_floor": bessel_dual_ensemble(1.0, grid, 2, SEED, rec,
+                                                 0.9, 7),
+        "dual_random_floor": bessel_dual_ensemble(0.2, grid, 2, SEED, rec,
+                                                  None, 7),
+        "drifted": drifted_ensemble(f, 1.0, grid, 2, SEED, rec, 7),
+        "reflected": reflected_ensemble(f, 0.0, 0.3, grid, 2, SEED, rec, 7),
+    }
+    for name, outs in got.items():
+        assert len(outs) == len(_PINNED[name])
+        for a, want in zip(outs, _PINNED[name]):
+            np.testing.assert_array_equal(a, np.array(want), err_msg=name)
 
 
 def test_bessel_dual_ensemble_fixed_floor_matches_single():

@@ -24,7 +24,6 @@ from bubblepde.pdesolve import (
     TaperedTerminalScheme,
     TransformedCauchyScheme,
     _taper,
-    convergence_study,
     corner_defect,
     f_from_sigma,
     is_strict_local_martingale,
@@ -380,13 +379,3 @@ def test_corner_defect_by_scheme():
     assert corner_defect(SIG2, FWD, 1.0, TransformedCauchyScheme(n=10.0)) \
         == pytest.approx(1.0, rel=1e-6)
     assert corner_defect(SIG2, FWD, 1.0, NaiveDirichletScheme(cap=10.0)) == 0.0
-
-
-def test_convergence_study_rows():
-    rows = convergence_study(SIG2, FWD, 1.0,
-                             [NaiveDirichletScheme(cap=10.0),
-                              TaperedTerminalScheme(n=10.0)],
-                             y_ref=1.0, times=TimeGrid.uniform(1.0, 64))
-    assert len(rows) == 2
-    assert rows[0]["diff"] is None
-    assert rows[1]["diff"] == pytest.approx(rows[1]["value"] - rows[0]["value"])
