@@ -104,7 +104,8 @@ class PayoffSpec:
 @dataclass(frozen=True)
 class ThetaTable:
     """Boundary values Theta(tau, j) on a tau grid, with their MC standard
-    errors and the provenance needed to hand the table to the PDE solver."""
+    errors and the provenance needed to hand the table to the PDE solver:
+    the descriptors of the map and of the payoff it was estimated for."""
 
     j: float
     taus: np.ndarray
@@ -113,6 +114,7 @@ class ThetaTable:
     n_paths: int
     seed: int
     map_descriptor: dict = field(default_factory=dict)
+    payoff_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -153,24 +155,32 @@ class ThetaTable:
     def save(self, path) -> None:
         """CSV body `tau,theta,stderr` (round-trip float repr) plus a
         JSON side file `<name>.meta.json` with j, n_paths, seed, and the
-        descriptor of the map the table was computed under."""
+        descriptors of the map and the payoff the table was computed under."""
         path = Path(path)
         lines = ["tau,theta,stderr"]
         for t, v, s in zip(self.taus, self.theta, self.stderr):
             lines.append(f"{float(t)!r},{float(v)!r},{float(s)!r}")
         path.write_text("\n".join(lines) + "\n")
         meta = {"j": self.j, "n_paths": self.n_paths, "seed": self.seed,
-                "map": self.map_descriptor}
-        path.with_name(path.name + ".meta.json").write_text(
+                "map": self.map_descriptor, "payoff": self.payoff_descriptor}
+        Path(f"{path}.meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "ThetaTable":
         path = Path(path)
-        meta_path = path.with_name(path.name + ".meta.json")
-        if not path.exists() or not meta_path.exists():
-            raise ConfigError(f"theta table {path} or its .meta.json side file missing")
-        rows = path.read_text().strip().splitlines()
+        meta_path = Path(f"{path}.meta.json")
+        texts = []
+        for p in (path, meta_path):
+            try:
+                texts.append(p.read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                raise ConfigError(f"theta table {path} or its .meta.json "
+                                  f"side file missing") from None
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"theta table file {p} is unreadable: "
+                                  f"{exc}") from None
+        rows = texts[0].strip().splitlines()
         if not rows or rows[0].strip() != "tau,theta,stderr":
             raise ConfigError(f"{path}: expected header 'tau,theta,stderr'")
         data = np.empty((len(rows) - 1, 3))
@@ -186,13 +196,15 @@ class ThetaTable:
                     raise ConfigError(f"{path} line {i + 2}: {name} cell "
                                       f"{cell!r} is not a number") from None
         try:
-            meta = json.loads(meta_path.read_text())
+            meta = json.loads(texts[1])
             j, n_paths, seed = float(meta["j"]), int(meta["n_paths"]), int(meta["seed"])
             map_descriptor = meta.get("map", {})
+            payoff_descriptor = meta.get("payoff", {})
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"{meta_path}: malformed side file: {exc!r}") from None
         return cls(j=j, taus=data[:, 0], theta=data[:, 1], stderr=data[:, 2],
-                   n_paths=n_paths, seed=seed, map_descriptor=map_descriptor)
+                   n_paths=n_paths, seed=seed, map_descriptor=map_descriptor,
+                   payoff_descriptor=payoff_descriptor)
 
 
 def _floor_grid(horizon: float, taus: np.ndarray, grid_resolution: int) -> TimeGrid:
@@ -249,7 +261,8 @@ def estimate_theta(f: SmoothMap, j: float, taus, payoff: PayoffSpec, n_paths: in
         stderr[k] = h.std(ddof=1) / np.sqrt(n_paths)
     return ThetaTable(j=float(j), taus=taus, theta=theta, stderr=stderr,
                       n_paths=int(n_paths), seed=int(seed),
-                      map_descriptor=f.descriptor)
+                      map_descriptor=f.descriptor,
+                      payoff_descriptor=payoff.descriptor)
 
 
 def _mean_se(h: np.ndarray) -> tuple[float, float]:

@@ -117,6 +117,12 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     """Validate the raw config dict, fill defaults, apply CLI overrides.
     Returns the resolved config; raises ConfigError naming the violated key.
     """
+    return _resolve(raw, overrides)[0]
+
+
+def _resolve(raw: dict, overrides: dict):
+    """resolve_config's work: (resolved config, the model's map, the payoff),
+    the last two as built while checking them."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _known(raw, "", _SECTIONS)
@@ -134,7 +140,10 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
     if j0 > x0:
         _fail("model.j0", f"j0={j0} violates 0 < j0 <= x0 (x0={x0})")
     model["x0"], model["j0"], model["T"] = x0, j0, T
-    _build("model.sigma" if "sigma" in model else "model.f", _model_map, model)
+    if "sigma" in model:
+        f = _build("model.sigma", f_from_sigma, model["sigma"])
+    else:
+        f = _build("model.f", from_descriptor, model["f"])
 
     payoff_desc = _section(raw, "payoff")
     payoff = _build("payoff", PayoffSpec.from_descriptor, payoff_desc)
@@ -158,10 +167,10 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             _fail(f"numerics.{key}",
                   f"must be at most {2 ** 31 - 1}, got {numerics[key]!r}")
         numerics[key] = size
-    if numerics["theta_taus"] < 2:
-        _fail("numerics.theta_taus",
-              f"the theta table needs at least 2 tau nodes, got "
-              f"{numerics['theta_taus']}")
+    # a standard error needs two paths, and the theta table two tau nodes
+    for key in ("paths", "theta_paths", "theta_taus"):
+        if numerics[key] < 2:
+            _fail(f"numerics.{key}", f"must be at least 2, got {numerics[key]}")
     numerics["seed"] = _number(numerics, "numerics", "seed", integer=True)
     tw = _number(numerics, "numerics", "theta_weight")
     if not 0.0 <= tw <= 1.0:
@@ -198,7 +207,7 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         if kind not in ("wiener", "bessel3", "drifted", "skorokhod"):
             _fail("simulate.kind", f"unknown simulator {kind!r}")
         resolved["simulate"] = {"kind": kind}
-    return resolved
+    return resolved, f, payoff
 
 
 def config_hash(resolved: dict) -> str:
@@ -209,21 +218,18 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _load_config(path_str: str, overrides: dict) -> dict:
+def _load_config(path_str: str, overrides: dict):
+    """_resolve of the JSON config file at path_str."""
     path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is unreadable: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return resolve_config(raw, overrides)
-
-
-def _model_map(model: dict):
-    if "sigma" in model:
-        return f_from_sigma(model["sigma"])
-    return from_descriptor(model["f"])
+    return _resolve(raw, overrides)
 
 
 def _model_kind(f) -> str:
@@ -250,19 +256,6 @@ def _oracles(kind: str, payoff: PayoffSpec, x0, j0, T):
                  for side in ("investor", "fundraiser"))
 
 
-def _out_dir(cfg: dict) -> Path:
-    out = Path(cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_resolved(cfg: dict, out: Path) -> str:
-    digest = config_hash(cfg)
-    (out / "resolved_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-    return digest
-
-
 def _write_csv(path: Path, digest: str, header: str, rows: list[str]) -> None:
     body = [f"# config_hash: {digest}", header] + rows
     path.write_text("\n".join(body) + "\n")
@@ -279,17 +272,20 @@ def _fmt(x) -> str:
 
 def _make_theta(cfg: dict, f, payoff: PayoffSpec, j: float, target: Path,
                 pinned):
-    """The Theta table of (f, j): loaded from the file `pinned` when given,
-    after checking that it belongs to this (f, j) and covers T, otherwise
-    estimated and saved to `target`."""
+    """The Theta table of (f, j, payoff): loaded from the file `pinned` when
+    given, after checking that it belongs to this (f, j, payoff) and covers
+    T, otherwise estimated and saved to `target`."""
     model, num = cfg["model"], cfg["numerics"]
     if pinned:
         table = ThetaTable.load(pinned)
-        want = {"map": f.descriptor, "j": j}
-        got = {"map": table.map_descriptor, "j": table.j}
+        want = {"map": f.descriptor, "j": j, "payoff": payoff.descriptor}
+        got = {"map": table.map_descriptor, "j": table.j,
+               "payoff": table.payoff_descriptor}
         if json.dumps(want, sort_keys=True) != json.dumps(got, sort_keys=True):
+            # a side file written before tables recorded their payoff has
+            # none, and such a table may belong to any payoff
             raise ConfigError(
-                f"theta table {pinned} was built for (map, j)={got}, "
+                f"theta table {pinned} was built for (map, j, payoff)={got}, "
                 f"this run needs {want}")
         if not table.covers(model["T"]):
             raise ConfigError(
@@ -329,12 +325,8 @@ def price_at_floor(cfg: dict, f, payoff: PayoffSpec, j: float,
     return mc, split, pde_value
 
 
-def run_theta(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    _write_resolved(cfg, out)
-    f = _model_map(cfg["model"])
-    table = _make_theta(cfg, f, PayoffSpec.from_descriptor(cfg["payoff"]),
-                        cfg["model"]["j0"], out / "theta.csv",
+def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
+    table = _make_theta(cfg, f, payoff, cfg["model"]["j0"], out / "theta.csv",
                         cfg["numerics"].get("theta_table"))
     print(f"theta table: {len(table.taus)} tau nodes on [0, {table.taus[-1]}], "
           f"j={table.j}, {table.n_paths} paths -> {out / 'theta.csv'}")
@@ -343,13 +335,9 @@ def run_theta(cfg: dict) -> int:
     return 0
 
 
-def run_price(cfg: dict) -> int:
+def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     t_start = time.perf_counter()
-    out = _out_dir(cfg)
-    digest = _write_resolved(cfg, out)
     model = cfg["model"]
-    payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    f = _model_map(model)
     x0, j0, T = model["x0"], model["j0"], model["T"]
 
     (mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value = price_at_floor(
@@ -383,34 +371,25 @@ def run_price(cfg: dict) -> int:
     return 0
 
 
-def _schemes_from_names(names, cfg, f, payoff, out) -> list:
-    j0 = cfg["model"]["j0"]
-    built = []
-    for name in names:
-        if name in _RIVALS:
-            built.append(_RIVALS[name](float(f(j0))))
-        elif name == FundraiserScheme.kind:
-            table = _make_theta(cfg, f, payoff, j0, out / "theta.csv",
-                                cfg["numerics"].get("theta_table"))
-            built.append(FundraiserScheme(j=j0, theta=table))
-        else:
-            raise ConfigError(f"unknown scheme {name!r}; choose from "
-                              f"{', '.join(_SCHEME_NAMES)}")
-    return built
-
-
-def run_compare_schemes(cfg: dict, scheme_names) -> int:
-    out = _out_dir(cfg)
-    digest = _write_resolved(cfg, out)
+def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
+                        digest: str, names=None) -> int:
     model, num = cfg["model"], cfg["numerics"]
     if "sigma" not in model:
         raise ConfigError("compare-schemes needs model.sigma")
-    payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    f = _model_map(model)
+    j0 = model["j0"]
     y_ref = float(f(model["x0"]))
-    names = list(scheme_names) if scheme_names else \
-        ["fundraiser", "neumann_cap", "tapered_terminal", "transformed_cauchy"]
-    schemes = _schemes_from_names(names, cfg, f, payoff, out)
+    schemes = []
+    for name in names or ["fundraiser", "neumann_cap", "tapered_terminal",
+                          "transformed_cauchy"]:
+        if name in _RIVALS:
+            schemes.append(_RIVALS[name](float(f(j0))))
+        elif name == FundraiserScheme.kind:
+            table = _make_theta(cfg, f, payoff, j0, out / "theta.csv",
+                                num.get("theta_table"))
+            schemes.append(FundraiserScheme(j=j0, theta=table))
+        else:
+            raise ConfigError(f"unknown scheme {name!r}; choose from "
+                              f"{', '.join(_SCHEME_NAMES)}")
 
     rows, runtimes = [], {}
     levels = num["levels"]
@@ -443,12 +422,9 @@ def run_compare_schemes(cfg: dict, scheme_names) -> int:
     return 0
 
 
-def run_convergence(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    digest = _write_resolved(cfg, out)
+def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
+                    digest: str) -> int:
     model = cfg["model"]
-    payoff = PayoffSpec.from_descriptor(cfg["payoff"])
-    f = _model_map(model)
     x0, T = model["x0"], model["T"]
     kind = _model_kind(f)
     js = cfg.get("convergence", {}).get(
@@ -481,11 +457,9 @@ def run_convergence(cfg: dict) -> int:
     return 0
 
 
-def run_simulate(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    digest = _write_resolved(cfg, out)
+def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
+                 digest: str) -> int:
     model, num = cfg["model"], cfg["numerics"]
-    f = _model_map(model)
     x0, j0, T = model["x0"], model["j0"], model["T"]
     kind = cfg.get("simulate", {}).get("kind", "skorokhod")
     grid = TimeGrid.uniform(T, num["time_steps"])
@@ -532,9 +506,7 @@ def run_simulate(cfg: dict) -> int:
     return 0
 
 
-def run_oracle(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    digest = _write_resolved(cfg, out)
+def run_oracle(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     model = cfg["model"]
     x0, j0, T = model["x0"], model["j0"], model["T"]
     rows = []
@@ -550,6 +522,18 @@ def run_oracle(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 # Entry point.
 
+# name -> (runner, help); main calls runner(cfg, f, payoff, out, digest)
+_COMMANDS = {
+    "price": (run_price, "fundraiser price by MC and PDE, with references"),
+    "theta": (run_theta, "estimate the boundary table Theta(tau, j)"),
+    "simulate": (run_simulate, "dump simulated paths and ensemble summaries"),
+    "compare-schemes": (run_compare_schemes,
+                        "rival boundary schemes at matched refinement"),
+    "convergence": (run_convergence, "price along a decreasing floor sequence"),
+    "oracle": (run_oracle, "closed-form reference values"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bubblepde",
@@ -557,13 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Monte Carlo boundary estimation, finite-difference "
                     "schemes, and closed-form references.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("price", "fundraiser price by MC and PDE, with references"),
-            ("theta", "estimate the boundary table Theta(tau, j)"),
-            ("simulate", "dump simulated paths and ensemble summaries"),
-            ("compare-schemes", "rival boundary schemes at matched refinement"),
-            ("convergence", "price along a decreasing floor sequence"),
-            ("oracle", "closed-form reference values")):
+    for name, (_run, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed")
@@ -580,20 +558,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {"seed": args.seed, "paths": args.paths, "dir": args.out}
+    # compare-schemes alone takes --scheme
+    names = getattr(args, "scheme", None)
     try:
-        cfg = _load_config(args.config, overrides)
-        if args.command == "price":
-            return run_price(cfg)
-        if args.command == "theta":
-            return run_theta(cfg)
-        if args.command == "simulate":
-            return run_simulate(cfg)
-        if args.command == "compare-schemes":
-            names = args.scheme.split(",") if args.scheme else None
-            return run_compare_schemes(cfg, names)
-        if args.command == "convergence":
-            return run_convergence(cfg)
-        return run_oracle(cfg)
+        cfg, f, payoff = _load_config(args.config, overrides)
+        out = Path(cfg["output"]["dir"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"config key output.dir: cannot create the "
+                              f"directory {out}: {exc}") from None
+        digest = config_hash(cfg)
+        (out / "resolved_config.json").write_text(
+            json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        run = _COMMANDS[args.command][0]
+        return run(cfg, f, payoff, out, digest,
+                   **({"names": names.split(",")} if names else {}))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

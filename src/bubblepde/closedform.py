@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.special import erfc
 
 from .errors import DomainError, NumericsError
@@ -246,9 +246,8 @@ def gop_fundraiser(path, s: SmoothMap, f: SmoothMap) -> np.ndarray:
         raise DomainError("path starts outside the map domains")
     X, J = X[:n], J[:n]
     t = path.grid.nodes[:n]
-    integrand = schwarzian(s, X) - schwarzian(f, X)
-    dt = np.diff(t)
-    integral = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[:-1] + integrand[1:]) * dt)))
+    integral = cumulative_trapezoid(schwarzian(s, X) - schwarzian(f, X), t,
+                                    initial=0)
     head = np.sqrt((inv_s.d1(X[0]) / inv_s.d1(X)) * (f.d1(X) / f.d1(X[0])))
     floor = (inv_s.d1(J) / inv_s.d1(J[0])) * (f.d1(J[0]) / f.d1(J))
     out = head * floor * np.exp(0.25 * integral)

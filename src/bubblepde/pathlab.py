@@ -136,10 +136,10 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
 
 def _record(record, grid: TimeGrid) -> np.ndarray:
     """The distinct recorded node indices in increasing order."""
-    rec = np.sort(np.asarray(record, dtype=np.intp))
+    rec = np.unique(np.asarray(record, dtype=np.intp))
     if rec.size and (rec[0] < 0 or rec[-1] > grid.n_steps):
         raise DomainError("record index outside the grid")
-    return np.concatenate((rec[:1], rec[1:][rec[1:] != rec[:-1]]))
+    return rec
 
 
 def _every_node(grid: TimeGrid) -> np.ndarray:

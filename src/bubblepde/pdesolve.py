@@ -168,7 +168,6 @@ class SpaceGrid:
     """Strictly increasing price-space nodes y_0 < ... < y_M, M >= 3."""
 
     nodes: np.ndarray
-    rule: str = "custom"
 
     def __post_init__(self):
         y = np.asarray(self.nodes, dtype=float)
@@ -180,7 +179,7 @@ class SpaceGrid:
 
     @classmethod
     def uniform(cls, lo: float, hi: float, m: int) -> "SpaceGrid":
-        return cls(np.linspace(lo, hi, int(m) + 1), rule="uniform")
+        return cls(np.linspace(lo, hi, int(m) + 1))
 
     @classmethod
     def geometric(cls, lo: float, hi: float, m: int) -> "SpaceGrid":
@@ -188,8 +187,7 @@ class SpaceGrid:
         degenerate coefficient needs it."""
         if not 0 < lo < hi:
             raise ConfigError("geometric grid needs 0 < lo < hi")
-        return cls(np.exp(np.linspace(np.log(lo), np.log(hi), int(m) + 1)),
-                   rule="geometric")
+        return cls(np.exp(np.linspace(np.log(lo), np.log(hi), int(m) + 1)))
 
     @classmethod
     def geometric_with_zero(cls, lo: float, hi: float, m: int) -> "SpaceGrid":
@@ -198,7 +196,7 @@ class SpaceGrid:
         if not 0 < lo < hi:
             raise ConfigError("geometric grid needs 0 < lo < hi")
         inner = np.exp(np.linspace(np.log(lo), np.log(hi), int(m)))
-        return cls(np.concatenate([[0.0], inner]), rule="geometric_with_zero")
+        return cls(np.concatenate([[0.0], inner]))
 
     @property
     def m(self) -> int:
@@ -366,8 +364,6 @@ class PdeSolution:
     grid: SpaceGrid
     times: TimeGrid
     values: np.ndarray  # (len(times.nodes), len(grid.nodes))
-    scheme: Scheme
-    theta_weight: float
 
     def value_at(self, t: float, y) -> float:
         """Bilinear interpolation of the stored solution."""
@@ -550,8 +546,7 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
         out[k] = v * y if scheme.convection else v
     _require_finite("solution value", out, y, t=times.nodes)
 
-    return PdeSolution(grid=grid, times=times, values=out,
-                       scheme=scheme, theta_weight=float(theta_weight))
+    return PdeSolution(grid=grid, times=times, values=out)
 
 
 def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,

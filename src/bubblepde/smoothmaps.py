@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, DomainError
 
@@ -323,9 +324,7 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
         n = int(np.argmin(inside))  # first exit node
         X = X[:n]
     t = path.grid.nodes[: len(X)]
-    s = schwarzian(f, X)
-    dt = np.diff(t)
-    integral = np.concatenate(([0.0], np.cumsum(0.5 * (s[:-1] + s[1:]) * dt)))
+    integral = cumulative_trapezoid(schwarzian(f, X), t, initial=0)
     ratio = f.d1(X[0]) / f.d1(X)
     out = np.sqrt(ratio) * np.exp(0.25 * integral)
     out[0] = 1.0

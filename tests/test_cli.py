@@ -1,13 +1,17 @@
 """End-to-end tests of the experiment harness: config validation, every
 subcommand at toy scale, and report determinism."""
 
+import contextlib
 import copy
+import io
 import json
+import os
+import tempfile
 from functools import reduce
 from operator import getitem
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bubblepde import ConfigError, DomainError, NumericsError, ThetaTable
 from bubblepde.cli import config_hash, main, resolve_config
@@ -172,9 +176,12 @@ FUZZ_BASES = [
      "payoff": {"kind": "table", "nodes": [0.0, 1.0, 10.0],
                 "values": [0.0, 0.5, 2.0]}},
 ]
+# the strings are relative paths: "." is a directory and "config.json" the
+# config file itself once the test through main has written it
 FUZZ_VALUES = st.sampled_from([
-    None, True, 0, -1, 3, 0.5, 1e300, float("inf"), float("nan"), 10 ** 400,
-    "x", "", [], [1.0], [0.2, 0.4], {}, {"kind": "x"}, {"kind": "power"}]
+    None, True, 0, -1, 1, 3, 0.5, 1e300, float("inf"), float("nan"), 10 ** 400,
+    "x", "", ".", "config.json", [], [1.0], [0.2, 0.4], {}, {"kind": "x"},
+    {"kind": "power"}]
 ).map(copy.deepcopy)  # a later step may add keys into a drawn object
 FUZZ_KEYS = st.sampled_from(["typo", "kind", "strike", "exponent", "alpha",
                              "x0", "dir", "j_sequence", "theta_table"])
@@ -189,9 +196,9 @@ def _key_paths(obj, prefix=()):
 
 
 @st.composite
-def mutated_configs(draw):
+def mutated_configs(draw, bases=FUZZ_BASES):
     """A valid config with one to three keys dropped, retyped or added."""
-    raw = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    raw = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_key_paths(raw))
         op = draw(st.sampled_from(["drop", "retype", "add"]))
@@ -217,6 +224,46 @@ def test_mutated_config_resolves_or_fails_closed(raw):
         resolve_config(raw, {})
     except (ConfigError, DomainError, NumericsError):
         pass
+
+
+# Starting points for the mutation property through main: the tiny test
+# config with a sigma model, and a composed map model (as in FUZZ_BASES).
+MAIN_FUZZ_BASES = [
+    {"model": {"sigma": SIG2, "x0": 1.0, "j0": 0.25, "T": 1.0},
+     "payoff": {"kind": "call", "strike": 0.5},
+     "numerics": dict(TINY_NUMERICS, theta_weight=0.5),
+     "output": {"dir": "out"},
+     "convergence": {"j_sequence": [0.4, 0.2]},
+     "simulate": {"kind": "skorokhod"}},
+    FUZZ_BASES[1],
+]
+SUBCOMMANDS = ("price", "theta", "simulate", "compare-schemes", "convergence",
+               "oracle")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=800)
+@given(mutated_configs(MAIN_FUZZ_BASES), st.sampled_from(SUBCOMMANDS))
+def test_mutated_config_runs_or_fails_closed_through_main(raw, command):
+    # a resolved config can still fail later, so run the subcommand; a
+    # dropped size falls back to its tiny value, not the full-scale default
+    if isinstance(raw.get("numerics", {}), dict):
+        raw["numerics"] = dict(TINY_NUMERICS, **raw.get("numerics", {}))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # every path a config can name is relative, so output stays in tmp
+        os.chdir(tmp)
+        try:
+            with open("config.json", "w") as fh:
+                json.dump(raw, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", "config.json"])
+        finally:
+            os.chdir(home)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +330,90 @@ def test_price_rejects_mismatched_theta_table(tmp_path):
     cfgp2 = tmp_path / "config2.json"
     cfgp2.write_text(json.dumps(cfg))
     assert main(["price", "--config", str(cfgp2)]) == 2
+
+
+def test_pinned_theta_table_must_match_the_payoff(tmp_path, capsys):
+    # a table built for the forward must not anchor the price of a call
+    assert main(["theta", "--config", str(write_config(tmp_path))]) == 0
+    table = tmp_path / "out" / "theta.csv"
+    meta_path = tmp_path / "out" / "theta.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["payoff"] == {"kind": "forward"}
+    pinned = dict(TINY_NUMERICS, theta_table=str(table))
+    call = write_config(tmp_path, payoff={"kind": "call", "strike": 0.9},
+                        numerics=pinned)
+    assert main(["price", "--config", str(call), "--out",
+                 str(tmp_path / "call")]) == 2
+    err = capsys.readouterr().err
+    assert "'payoff': {'kind': 'forward'}" in err
+    assert "'payoff': {'kind': 'call', 'strike': 0.9}" in err
+    # a side file from before tables recorded their payoff is refused too
+    del meta["payoff"]
+    meta_path.write_text(json.dumps(meta))
+    forward = write_config(tmp_path, numerics=pinned)
+    assert main(["price", "--config", str(forward), "--out",
+                 str(tmp_path / "forward")]) == 2
+    err = capsys.readouterr().err
+    assert "'payoff': {}" in err and "'payoff': {'kind': 'forward'}" in err
+
+
+def _output_dir_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return write_config(tmp_path, output={"dir": str(tmp_path / "taken")}), \
+        "config key output.dir: "
+
+
+def _config_is_a_directory(tmp_path):
+    return tmp_path, str(tmp_path)
+
+
+def _config_is_not_utf8(tmp_path):
+    cfgp = write_config(tmp_path)
+    cfgp.write_bytes(cfgp.read_bytes().replace(b"forward", b"forw\xe4rd"))
+    return cfgp, str(cfgp)
+
+
+def _theta_table_is_not_utf8(tmp_path):
+    assert main(["theta", "--config", str(write_config(tmp_path))]) == 0
+    table = tmp_path / "out" / "theta.csv"
+    table.write_bytes(table.read_bytes().replace(b"tau", b"t\xe4u", 1))
+    return write_config(tmp_path, numerics=dict(TINY_NUMERICS,
+                                                theta_table=str(table))), \
+        str(table)
+
+
+def _theta_table_is_the_working_directory(tmp_path):
+    # "." has an empty file name, which the side file's name is built from
+    return write_config(tmp_path, numerics=dict(TINY_NUMERICS,
+                                                theta_table=".")), \
+        "theta table file . is unreadable"
+
+
+@pytest.mark.parametrize("make", [_output_dir_is_a_file, _config_is_a_directory,
+                                  _config_is_not_utf8, _theta_table_is_not_utf8,
+                                  _theta_table_is_the_working_directory],
+                         ids=["output-dir-is-a-file", "config-is-a-directory",
+                              "config-not-utf8", "theta-table-not-utf8",
+                              "theta-table-is-dot"])
+def test_unusable_file_fails_closed(tmp_path, capsys, make):
+    cfgp, named = make(tmp_path)
+    capsys.readouterr()
+    assert main(["price", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["paths", "theta_paths"])
+def test_path_count_below_two_is_rejected(tmp_path, capsys, key):
+    # one path has no standard error
+    cfgp = write_config(tmp_path, numerics=dict(TINY_NUMERICS, **{key: 1}))
+    assert main(["price", "--config", str(cfgp)]) == 2
+    assert f"config key numerics.{key}: must be at least 2, got 1" \
+        in capsys.readouterr().err
+    if key == "paths":
+        assert main(["price", "--config", str(write_config(tmp_path)),
+                     "--paths", "1"]) == 2
 
 
 def test_exit_codes(tmp_path):
