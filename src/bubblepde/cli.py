@@ -371,11 +371,20 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     return 0
 
 
+def _check_compare_schemes(cfg: dict, names) -> None:
+    """What compare-schemes needs of the config and of --scheme; main checks
+    it before it creates the output directory."""
+    if "sigma" not in cfg["model"]:
+        raise ConfigError("compare-schemes needs model.sigma")
+    for name in names or ():
+        if name not in _SCHEME_NAMES:
+            raise ConfigError(f"unknown scheme {name!r}; choose from "
+                              f"{', '.join(_SCHEME_NAMES)}")
+
+
 def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                         digest: str, names=None) -> int:
     model, num = cfg["model"], cfg["numerics"]
-    if "sigma" not in model:
-        raise ConfigError("compare-schemes needs model.sigma")
     j0 = model["j0"]
     y_ref = float(f(model["x0"]))
     schemes = []
@@ -383,13 +392,10 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                           "transformed_cauchy"]:
         if name in _RIVALS:
             schemes.append(_RIVALS[name](float(f(j0))))
-        elif name == FundraiserScheme.kind:
+        else:
             table = _make_theta(cfg, f, payoff, j0, out / "theta.csv",
                                 num.get("theta_table"))
             schemes.append(FundraiserScheme(j=j0, theta=table))
-        else:
-            raise ConfigError(f"unknown scheme {name!r}; choose from "
-                              f"{', '.join(_SCHEME_NAMES)}")
 
     rows, runtimes = [], {}
     levels = num["levels"]
@@ -560,8 +566,11 @@ def main(argv=None) -> int:
     overrides = {"seed": args.seed, "paths": args.paths, "dir": args.out}
     # compare-schemes alone takes --scheme
     names = getattr(args, "scheme", None)
+    names = names.split(",") if names else None
     try:
         cfg, f, payoff = _load_config(args.config, overrides)
+        if args.command == "compare-schemes":
+            _check_compare_schemes(cfg, names)
         out = Path(cfg["output"]["dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -573,7 +582,7 @@ def main(argv=None) -> int:
             json.dumps(cfg, indent=2, sort_keys=True) + "\n")
         run = _COMMANDS[args.command][0]
         return run(cfg, f, payoff, out, digest,
-                   **({"names": names.split(",")} if names else {}))
+                   **({"names": names} if names else {}))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

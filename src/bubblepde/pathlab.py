@@ -15,7 +15,10 @@ last segment may be shorter), and for each segment first its normals, one
 per step, and then, for the reflected law only, one uniform per step.  The
 dual with a random floor first reads the floor's uniform.  For the laws
 without uniforms this is simply one standard normal per step.  The layout
-is fixed by the step count alone.
+is fixed by the step count alone.  A runner does not build one generator
+per path: it builds one block's worth and re-keys them for each later
+block, which sets exactly the state path_stream(seed, i) starts in, so the
+draws and the layout are those of the per-path streams.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
-from .smoothmaps import SmoothMap, schwarzian_process
+from .smoothmaps import (SmoothMap, multiplicative_functional,
+                         schwarzian_integral)
 
 # Relative guard keeping unreflected simulations off a finite domain edge.
 EDGE_GUARD = 1e-12
@@ -41,6 +45,10 @@ _CHUNK_BUDGET = 2 ** 22  # floats per (block x segment) buffer of draws
 # layout: changing it changes every reflected path.
 _SEGMENT = 512
 _TILE = 64  # paths per transposed tile of a time-major draw
+# Paths per chunk of change_of_measure_expectation's weights, which bounds
+# the chunk's temporaries (held paths, S_f, the integral) to about 1 MB each
+# at 512 steps.
+_WEIGHT_ROWS = 256
 # A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so the
 # minimum of a Brownian bridge from chi to chi^ over dt stays >= 0 whenever
 # chi * chi^ >= (53 ln 2 / 2) dt = 18.37 dt; 18.5 leaves room for rounding.
@@ -134,6 +142,26 @@ def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+def _rekey(gens, seed: int, first_index: int) -> None:
+    """Turn gens[r] into path_stream(seed, first_index + r), in place.
+
+    A Philox generator's whole state is its key, its counter, a 4-word
+    buffer and the buffer position (plus numpy's stored half of a 64-bit
+    draw), so assigning a fresh stream's state re-keys a used generator:
+    the same draws as a new path_stream, for under a tenth of its cost.
+    The words are Python ints in lists, which the setter reads faster than
+    numpy arrays.
+    """
+    key = [seed % 2 ** 64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for r, g in enumerate(gens):
+        key[1] = (first_index + r) % 2 ** 64
+        g.bit_generator.state = state  # the setter copies every word
+
+
 def _record(record, grid: TimeGrid) -> np.ndarray:
     """The distinct recorded node indices in increasing order."""
     rec = np.unique(np.asarray(record, dtype=np.intp))
@@ -162,11 +190,14 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     uniform comes before all of them.  Paths run in blocks of at most _BLOCK,
     sized so that one segment of the block's normals and uniforms fits one
     buffer of at most _CHUNK_BUDGET floats, reused by every block and
-    segment.  Every law gets the same blocks and buffer; without bridge the
-    uniform half of the buffer is never written.  (Sizing the blocks of the
-    normal-only laws by their normals alone doubled those blocks, and the
-    allocator then kept more memory resident between calls: peak RSS of the
-    oracle_suite benchmark rose from 146 to 161 MB.)
+    segment.  The generators are reused too: the first block builds its
+    streams with path_stream, and each later block re-keys them (_rekey),
+    so a call builds at most one block's worth.  Every law gets the same
+    blocks and buffer; without bridge the uniform half of the buffer is
+    never written.  (Sizing the blocks of the normal-only laws by their
+    normals alone doubled those blocks, and the allocator then kept more
+    memory resident between calls: peak RSS of the oracle_suite benchmark
+    rose from 146 to 161 MB.)
 
     Yields (rows, u0, k0, steps) per block: rows slices the block out of the
     ensemble's outputs, u0 holds the leading uniform of each stream (None
@@ -202,10 +233,12 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
                 yield (n, zs[n - a], None if us is None else us[:, n - a],
                        at.get(n + 1))
 
+    pool = [path_stream(seed, first_index + r) for r in range(rows_max)]
     for start in range(0, n_paths, size):
         stop = min(start + size, n_paths)
-        gens = [path_stream(seed, i)
-                for i in range(first_index + start, first_index + stop)]
+        gens = pool[:stop - start]
+        if start:
+            _rekey(gens, seed, first_index + start)
         u0 = np.array([g.random() for g in gens]) if lead else None
         yield slice(start, stop), u0, at.get(0), steps(gens)
 
@@ -485,15 +518,19 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     for start in range(0, n_paths, size):
         block = wiener_ensemble(x0, grid, min(size, n_paths - start), seed,
                                 nodes, start)
-        for i, X in enumerate(block, start):
-            p = PathBundle(grid=grid, X=X, seed=seed, path_index=i)
-            outside = (p.X <= lo) | (p.X >= hi)
-            if outside.any():
-                stop = int(np.argmax(outside))
-                p.X[stop] = min(max(p.X[stop], lo), hi)
-                stopped = p.stopped_at(stop)
-            else:
-                stopped = p
-            weight = schwarzian_process(s, stopped)[-1]
-            vals[i] = weight * payoff(stopped)
+        for c in range(0, len(block), _WEIGHT_ROWS):
+            X = block[c:c + _WEIGHT_ROWS]
+            rows = np.arange(len(X))
+            # stop at the first node outside the band, else at the last
+            outside = (X <= lo) | (X >= hi)
+            stop = np.where(outside.any(axis=1), outside.argmax(axis=1),
+                            grid.n_steps)
+            at_stop = np.clip(X[rows, stop], lo, hi)
+            # hold every row at its stop value from there on, inside the band
+            X = np.where(nodes < stop[:, None], X, at_stop[:, None])
+            integral = schwarzian_integral(s, X, grid.nodes)[rows, stop]
+            weight = multiplicative_functional(s, float(x0), at_stop, integral)
+            for r, i in enumerate(range(start + c, start + c + len(X))):
+                p = PathBundle(grid=grid, X=X[r], seed=seed, path_index=i)
+                vals[i] = weight[r] * payoff(p.stopped_at(int(stop[r])))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

@@ -206,6 +206,9 @@ class SpaceGrid:
 _DEFAULT_M = 800
 _DEFAULT_STEPS = 2048
 _LO_FRAC = 1e-5  # default bottom node as a fraction of the cap
+# Relative change of dt below which solve keeps its LU factors: roundoff in
+# the grid nodes, not a new step size.
+_DT_REFACTOR = 1e-12
 
 
 class Scheme:
@@ -523,18 +526,21 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     _require_finite("top-row datum", top[:, None], y, first=m,
                     t=times.nodes)
 
-    dts = times.dt
+    dts = times.dt.tolist()  # Python floats: a cheaper test per step
     th = theta_weight
     out = np.empty((n_t + 1, m + 1))
     out[n_t] = v * y if scheme.convection else v
     rhs = np.empty(m + 1)
     rhs[0] = bottom
     # The step matrix depends on k only through dt: factor it when dt
-    # changes and reuse the factors for the run of steps that share it.
+    # changes and reuse the factors for the run of steps that share it.  A
+    # uniform grid from linspace has steps that differ in their last bits
+    # unless the step count is a power of two, so only a relative move
+    # above _DT_REFACTOR counts as a change.
     dt_lu = None
     for k in range(n_t - 1, -1, -1):
         dt = dts[k]
-        if dt != dt_lu:
+        if dt_lu is None or abs(dt - dt_lu) > _DT_REFACTOR * dt_lu:
             step_solve = _factor_step(th * dt, a, b, c, cap_row)
             dt_lu = dt
         rhs[1:-1] = v[1:-1]

@@ -299,8 +299,9 @@ def pre_schwarzian(f: SmoothMap, x) -> np.ndarray:
 def schwarzian(f: SmoothMap, x) -> np.ndarray:
     """S_f(x) = f'''/f' - (3/2)(f''/f')^2."""
     x = f.require(x)
-    t = f.d2(x) / f.d1(x)
-    return f.d3(x) / f.d1(x) - 1.5 * t * t
+    d1 = f.d1(x)
+    t = f.d2(x) / d1
+    return f.d3(x) / d1 - 1.5 * t * t
 
 
 def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
@@ -323,9 +324,24 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     if not np.all(inside):
         n = int(np.argmin(inside))  # first exit node
         X = X[:n]
-    t = path.grid.nodes[: len(X)]
-    integral = cumulative_trapezoid(schwarzian(f, X), t, initial=0)
-    ratio = f.d1(X[0]) / f.d1(X)
-    out = np.sqrt(ratio) * np.exp(0.25 * integral)
+    integral = schwarzian_integral(f, X, path.grid.nodes[: len(X)])
+    out = multiplicative_functional(f, X[0], X, integral)
     out[0] = 1.0
     return out
+
+
+def schwarzian_integral(f: SmoothMap, X, t) -> np.ndarray:
+    """int_0^t S_f(X_u) du at every node, along the last axis of X (one path,
+    or a block of paths as rows) whose nodes sit at the times t.
+
+    The trapezoidal rule, accumulated in time order, so a row of a block
+    gets the same bits as the path on its own.  Every value of X must lie
+    in the domain of f.
+    """
+    return cumulative_trapezoid(schwarzian(f, X), t, initial=0)
+
+
+def multiplicative_functional(f: SmoothMap, x0, x, integral) -> np.ndarray:
+    """sqrt(f'(x0)/f'(x)) * exp(integral / 4): the functional at a node where
+    the path from x0 is at x, given the schwarzian_integral up to it."""
+    return np.sqrt(f.d1(x0) / f.d1(x)) * np.exp(0.25 * integral)

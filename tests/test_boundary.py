@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bubblepde import (
     ConfigError,
@@ -11,10 +12,12 @@ from bubblepde import (
     PayoffSpec,
     ThetaTable,
     affine_map,
+    compose,
     decompose_phi_psi,
     estimate_theta,
     forward_bm_fundraiser,
     price_and_decompose,
+    power_law_map,
     price_fundraiser_mc,
     reciprocal_map,
     theta_recip_bessel_forward,
@@ -59,6 +62,56 @@ def test_payoff_descriptor_round_trip():
         h2 = PayoffSpec.from_descriptor(h.descriptor)
         y = np.array([0.2, 0.7, 1.9])
         np.testing.assert_allclose(h2(y), h(y))
+
+
+FINITE = st.floats(-1e300, 1e300)  # room for y - strike without overflow
+# strictly increasing table nodes with nonnegative values of the same length
+TABLE_PAYOFFS = st.lists(FINITE, min_size=2, max_size=8, unique=True).flatmap(
+    lambda ys: st.tuples(st.just(sorted(ys)),
+                         st.lists(st.floats(0, 1e300), min_size=len(ys),
+                                  max_size=len(ys))))
+PAYOFFS = st.one_of(
+    st.just(PayoffSpec.bond()), st.just(PayoffSpec.forward()),
+    st.floats(0, 1e300).map(PayoffSpec.call),
+    TABLE_PAYOFFS.map(lambda t: PayoffSpec.from_table(*t)))
+
+
+@given(PAYOFFS, st.lists(FINITE, min_size=1, max_size=6))
+def test_payoff_from_descriptor_evaluates_bitwise_alike(h, ys):
+    y = np.array(ys)
+    # as built in memory and as read back from a JSON config or side file
+    for desc in (h.descriptor, json.loads(json.dumps(h.descriptor))):
+        h2 = PayoffSpec.from_descriptor(desc)
+        assert h2.kind == h.kind
+        assert h2(y).tobytes() == h(y).tobytes()
+        assert np.float64(h2(ys[0])).tobytes() == np.float64(h(ys[0])).tobytes()
+
+
+MAP_DESCRIPTORS = st.sampled_from([
+    reciprocal_map().descriptor, power_law_map(1.7, -0.5).descriptor,
+    compose(reciprocal_map(), power_law_map(2.0)).descriptor])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(1e-300, 1e6), min_size=1, max_size=6, unique=True),
+       st.data(), MAP_DESCRIPTORS, PAYOFFS, st.floats(1e-300, 1e300),
+       st.integers(2, 2 ** 31 - 1), st.integers(0, 2 ** 64 - 1))
+def test_table_save_load_round_trip_property(tmp_path, taus, data, map_desc,
+                                             payoff, j, n_paths, seed):
+    taus = [0.0] + sorted(taus)
+    theta, stderr = (data.draw(st.lists(FINITE, min_size=len(taus),
+                                        max_size=len(taus))) for _ in "ts")
+    t = ThetaTable(j=j, taus=taus, theta=theta, stderr=stderr,
+                   n_paths=n_paths, seed=seed, map_descriptor=map_desc,
+                   payoff_descriptor=payoff.descriptor)
+    p = tmp_path / "theta.csv"  # each example overwrites the last
+    t.save(p)
+    t2 = ThetaTable.load(p)
+    for name in ("taus", "theta", "stderr"):
+        assert getattr(t2, name).tobytes() == getattr(t, name).tobytes()
+    assert (t2.j, t2.n_paths, t2.seed) == (t.j, t.n_paths, t.seed)
+    assert t2.map_descriptor == map_desc
+    assert t2.payoff_descriptor == payoff.descriptor
 
 
 def test_payoff_rejects_unknown_kind():

@@ -185,6 +185,20 @@ FUZZ_VALUES = st.sampled_from([
 ).map(copy.deepcopy)  # a later step may add keys into a drawn object
 FUZZ_KEYS = st.sampled_from(["typo", "kind", "strike", "exponent", "alpha",
                              "x0", "dir", "j_sequence", "theta_table"])
+# A uniform draw seldom pairs a rare value with the one key it matters for,
+# so half the mutated configs set a size or a path key to one of its edge
+# values.  No size here resolves to more than a tiny run: 2**31 is rejected.
+FUZZ_SIZE_KEYS = ("paths", "theta_paths", "theta_taus", "time_steps",
+                  "space_nodes")
+FUZZ_EDGES = st.one_of(
+    st.tuples(st.just("numerics"), st.sampled_from(FUZZ_SIZE_KEYS),
+              st.sampled_from([-1, 0, 1, 2, 3, 2 ** 31])),
+    st.tuples(st.sampled_from([("output", "dir"),
+                               ("numerics", "theta_table")]),
+              st.sampled_from(["", ".", "config.json", "config.json/t.csv",
+                               "out", "out/theta.csv", "missing/t.csv"])
+              ).map(lambda kv: (*kv[0], kv[1])),
+)
 
 
 def _key_paths(obj, prefix=()):
@@ -197,8 +211,15 @@ def _key_paths(obj, prefix=()):
 
 @st.composite
 def mutated_configs(draw, bases=FUZZ_BASES):
-    """A valid config with one to three keys dropped, retyped or added."""
+    """A valid config with one size or path key set to an edge value, or
+    with one to three keys dropped, retyped or added."""
     raw = copy.deepcopy(draw(st.sampled_from(bases)))
+    if draw(st.booleans()):
+        # alone, so that the rest of the config is valid and a run reaches
+        # the code that reads the key
+        section, key, value = draw(FUZZ_EDGES)
+        raw.setdefault(section, {})[key] = value
+        return raw
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_key_paths(raw))
         op = draw(st.sampled_from(["drop", "retype", "add"]))
@@ -510,6 +531,21 @@ def test_compare_schemes_accepts_exactly_the_five_kinds(tmp_path):
     for bad in ("Fundraiser", "neumann", "fundraiser,cauchy", "dirichlet"):
         assert main(["compare-schemes", "--config", str(cfgp),
                      "--scheme", bad, "--out", str(tmp_path / "bad")]) == 2
+
+
+@pytest.mark.parametrize("model,scheme", [
+    ({"f": RECIP_F, "x0": 1.0, "j0": 0.25, "T": 1.0}, None),
+    ({"sigma": SIG2, "x0": 1.0, "j0": 0.25, "T": 1.0}, "fundraiser,cauchy"),
+], ids=["map_model", "unknown_scheme"])
+def test_compare_schemes_fails_before_the_set_up(tmp_path, capsys, model,
+                                                 scheme):
+    # a config compare-schemes cannot run leaves no output directory behind
+    cfgp = write_config(tmp_path, model=model)
+    argv = ["compare-schemes", "--config", str(cfgp)]
+    assert main(argv + (["--scheme", scheme] if scheme else [])) == 2
+    assert ("model.sigma" if scheme is None else "'cauchy'") in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_schemes_subset_flag(tmp_path):

@@ -24,6 +24,7 @@ from bubblepde.pathlab import (
     simulate_wiener,
     wiener_ensemble,
 )
+from bubblepde.smoothmaps import schwarzian_process
 
 SEED = 424242
 
@@ -250,6 +251,82 @@ def test_ensemble_partition_independence(monkeypatch):
             np.testing.assert_array_equal(a, b[:3])
 
 
+def _fresh_stream_draws(seed, i, n_steps, bridge, lead):
+    """Path i's leading uniform, normals and uniforms, read from a new
+    path_stream in the layout of the pathlab docstring."""
+    g = path_stream(seed, i)
+    u0 = g.random() if lead else None
+    z, u = [], []
+    for a in range(0, n_steps, pathlab._SEGMENT):
+        w = min(pathlab._SEGMENT, n_steps - a)
+        z.append(g.standard_normal(w))
+        u.append(g.random(w) if bridge else np.empty(0))
+    return u0, np.concatenate(z), np.concatenate(u)
+
+
+@pytest.mark.parametrize("seed,first",
+                         [(SEED, 0), (2 ** 63 + 12345, 2 ** 64 - 3)],
+                         ids=["small", "past_2_64"])
+@pytest.mark.parametrize("bridge,lead", [(False, False), (True, False),
+                                         (False, True)])
+def test_rekeyed_streams_equal_fresh_streams(monkeypatch, seed, first,
+                                             bridge, lead):
+    # blocks of two paths, so seven paths re-key the pool three times; the
+    # path indices of the second case wrap past 2**64
+    n_paths, n_steps = 7, pathlab._SEGMENT + 5
+    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 2 * pathlab._SEGMENT)
+    built = []
+    stream = pathlab.path_stream
+    monkeypatch.setattr(pathlab, "path_stream",
+                        lambda *a: built.append(a) or stream(*a))
+    z = np.empty((n_paths, n_steps))
+    u = np.empty((n_paths, n_steps if bridge else 0))
+    u0 = np.empty(n_paths)
+    blocks = 0
+    for rows, lead_u, _, steps in pathlab._path_steps(
+            seed, first, n_paths, n_steps, [n_steps], bridge, lead):
+        blocks += 1
+        if lead:
+            u0[rows] = lead_u
+        for n, zn, un, _ in steps:
+            z[rows, n] = zn
+            if bridge:
+                u[rows, n] = un
+    assert blocks == 4 and len(built) == 2
+    for p in range(n_paths):
+        want = _fresh_stream_draws(seed, first + p, n_steps, bridge, lead)
+        if lead:
+            assert u0[p] == want[0]
+        np.testing.assert_array_equal(z[p], want[1])
+        np.testing.assert_array_equal(u[p], want[2])
+
+    # an ensemble runner over re-keyed streams: the walk summed path by path
+    grid = TimeGrid.uniform(1.0, n_steps)
+    got = wiener_ensemble(0.5, grid, n_paths, seed, [n_steps], first)
+    sqdt = np.sqrt(grid.dt)
+    for p in range(n_paths):
+        x = 0.5
+        for dt_n, z_n in zip(sqdt, _fresh_stream_draws(seed, first + p,
+                                                       n_steps, False,
+                                                       False)[1]):
+            x = x + dt_n * z_n
+        assert got[p, 0] == x
+
+
+def test_rekey_resets_a_used_generator():
+    # a generator with a half-used buffer and a stored 32-bit half
+    g = path_stream(3, 4)
+    g.standard_normal(3)
+    g.integers(0, 2 ** 31, size=1, dtype=np.uint32)
+    assert g.bit_generator.state["has_uint32"] == 1
+    pathlab._rekey([g], 2 ** 63 + 12345, 2 ** 64 - 1)
+    fresh = path_stream(2 ** 63 + 12345, 2 ** 64 - 1)
+    assert repr(g.bit_generator.state) == repr(fresh.bit_generator.state)
+    np.testing.assert_array_equal(g.integers(0, 2 ** 31, 5, dtype=np.uint32),
+                                  fresh.integers(0, 2 ** 31, 5, dtype=np.uint32))
+    np.testing.assert_array_equal(g.standard_normal(9), fresh.standard_normal(9))
+
+
 # Values of paths 7 and 8 (seed SEED, 1061 steps on [0, 1]) at nodes 0, 511,
 # 512, 513 and 1061, which straddle the first stream segment's end.  They pin
 # the stream layout and the step arithmetic of each runner.
@@ -381,6 +458,39 @@ def test_change_of_measure_closes_to_bessel_mean():
     se2 = np.sqrt((tot2 / n - m2 ** 2) / n)
     z = (mean - m2) / np.hypot(se, se2)
     assert abs(z) < 3.0
+
+
+def _measure_reference(s, payoff, x0, grid, n, seed, band):
+    """change_of_measure_expectation path by path, on schwarzian_process;
+    also returns every path's stop node."""
+    lo, hi = band
+    X = wiener_ensemble(x0, grid, n, seed, range(grid.n_steps + 1))
+    vals, stops = np.empty(n), np.empty(n, dtype=int)
+    for i, row in enumerate(X):
+        outside = (row <= lo) | (row >= hi)
+        stop = int(np.argmax(outside)) if outside.any() else grid.n_steps
+        row[stop] = min(max(row[stop], lo), hi)
+        p = PathBundle(grid=grid, X=row, seed=seed,
+                       path_index=i).stopped_at(stop)
+        vals[i] = schwarzian_process(s, p)[-1] * payoff(p)
+        stops[i] = stop
+    return (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))), stops
+
+
+def test_change_of_measure_matches_per_path_reference(monkeypatch):
+    # chunks of 3 paths in blocks of 7: 20 paths make 3 blocks and 8 chunks
+    grid = TimeGrid.uniform(0.05, 16)
+    monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 3)
+    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 7 * 17)
+    payoff = lambda p: float(p.X[-1]) * len(p.X) + p.path_index
+    for s in (power_law_map(3.0), f_from_sigma(lambda y: y ** 2)):
+        got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,
+                                            (0.95, 1.5))
+        want, stops = _measure_reference(s, payoff, 1.0, grid, 20, SEED,
+                                         (0.95, 1.5))
+        assert got == want
+        # some paths leave the band at the first step, some never do
+        assert stops.min() == 1 and stops.max() == grid.n_steps
 
 
 def test_change_of_measure_supermartingale_bound():

@@ -13,6 +13,7 @@ from bubblepde import (
     PayoffSpec,
     estimate_theta,
     forward_recip_bessel_investor,
+    pdesolve,
     reciprocal_map,
 )
 from bubblepde.pathlab import TimeGrid
@@ -179,7 +180,10 @@ def test_solve_fails_closed_on_non_finite_sigma():
 
 def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
     """The time loop as a banded matrix built and handed to solve_banded at
-    every step, with the top-row datum computed step by step."""
+    every step, with the top-row datum computed step by step.  The implicit
+    matrix takes the dt of the last step whose dt moved by more than a
+    relative 1e-12 (solve's rule for refactoring), the explicit part each
+    step's own dt."""
     y = grid.nodes
     m = grid.m
     yi = y[1:-1]
@@ -216,17 +220,20 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
     lower_bw = 2 if neumann else 1
     ab = np.zeros((lower_bw + 2, m + 1))
     rhs = np.empty(m + 1)
+    dt_m = None
     for k in range(n_t - 1, -1, -1):
         dt = times.dt[k]
+        if dt_m is None or abs(dt - dt_m) > 1e-12 * dt_m:
+            dt_m = dt
         expl = v[1:-1].copy()
         if th < 1.0:
             expl += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
         rhs[1:-1] = expl
         ab[:] = 0.0
-        ab[0, 2:] = -th * dt * c
+        ab[0, 2:] = -th * dt_m * c
         ab[1, 0] = 1.0
-        ab[1, 1:-1] = 1.0 - th * dt * b
-        ab[2, 0:m - 1] = -th * dt * a
+        ab[1, 1:-1] = 1.0 - th * dt_m * b
+        ab[2, 0:m - 1] = -th * dt_m * a
         rhs[0] = bottom
         if neumann:
             ab[1, m] = alpha
@@ -251,8 +258,8 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
                          ids=["uniform", "clustered"])
 @pytest.mark.parametrize("th", [1.0, 0.5])
 def test_stepper_matches_per_step_reference_bitwise(times, th):
-    # uniform(1, 60) has runs of equal dt (reused factors) broken by
-    # last-bit changes (refactoring); clustered changes dt at every step
+    # uniform(1, 60) has dt that differ in their last bits (one factoring
+    # for the whole grid); clustered changes dt at every step
     sig = lambda y: y ** 2
     tab = _theta_table(0.1)  # cap f(0.1) = 10
     geo = SpaceGrid.geometric(1e-4, 10.0, 60)
@@ -266,6 +273,23 @@ def test_stepper_matches_per_step_reference_bitwise(times, th):
                     theta_weight=th).values
         want = _stepped_reference(sig, FWD, 1.0, scheme, grid, times, th)
         assert np.array_equal(got, want), scheme.kind
+
+
+def test_solve_factors_once_per_step_size(monkeypatch):
+    # linspace's 777 steps differ in their last bits; only the clustered
+    # grid's steps, which all differ, are new step sizes
+    calls = []
+    factor = pdesolve._factor_step
+    monkeypatch.setattr(pdesolve, "_factor_step",
+                        lambda *a: calls.append(a[0]) or factor(*a))
+    grid = SpaceGrid.geometric_with_zero(1e-4, 10.0, 40)
+    for times, want in ((TimeGrid.uniform(1.0, 777), 1),
+                        (TimeGrid.clustered(1.0, 777), 777)):
+        assert len(set(times.dt)) > 1
+        calls.clear()
+        solve(lambda y: y ** 2, FWD, 1.0, NeumannCapScheme(n=10.0),
+              grid=grid, times=times)
+        assert len(calls) == want
 
 
 # ---------------------------------------------------------------------------
