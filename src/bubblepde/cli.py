@@ -167,10 +167,13 @@ def _resolve(raw: dict, overrides: dict):
             _fail(f"numerics.{key}",
                   f"must be at most {2 ** 31 - 1}, got {numerics[key]!r}")
         numerics[key] = size
-    # a standard error needs two paths, and the theta table two tau nodes
-    for key in ("paths", "theta_paths", "theta_taus"):
-        if numerics[key] < 2:
-            _fail(f"numerics.{key}", f"must be at least 2, got {numerics[key]}")
+    # a standard error needs two paths, the theta table two tau nodes, and
+    # the space grid four nodes
+    for key, least in (("paths", 2), ("theta_paths", 2), ("theta_taus", 2),
+                       ("space_nodes", 4)):
+        if numerics[key] < least:
+            _fail(f"numerics.{key}",
+                  f"must be at least {least}, got {numerics[key]}")
     numerics["seed"] = _number(numerics, "numerics", "seed", integer=True)
     tw = _number(numerics, "numerics", "theta_weight")
     if not 0.0 <= tw <= 1.0:
@@ -480,7 +483,7 @@ def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
         if kind == "drifted":
             return drifted_ensemble(f, x0, grid, n, seed, record)[0], None
         vals, _contact, floors = reflected_ensemble(f, x0 - j0, j0, grid, n,
-                                                    seed, record)
+                                                    seed, record, floors=True)
         return vals, floors
 
     n_dump = min(num["dump_paths"], n_paths)

@@ -19,10 +19,23 @@ is fixed by the step count alone.  A runner does not build one generator
 per path: it builds one block's worth and re-keys them for each later
 block, which sets exactly the state path_stream(seed, i) starts in, so the
 draws and the layout are those of the per-path streams.
+
+Large ensembles run as contiguous path shares in forked workers, one per CPU
+of the process's affinity mask: the caller runs the first share and joins
+the others' arrays in path order.  Below two blocks of paths, without
+os.fork, or while other threads run, a runner works in process.  Since each
+path reads only its own stream, no output depends on the share count.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import operator
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -137,8 +150,11 @@ class _PhiloxKey:
 
 def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     """The counter-based generator owned by (seed, path_index): Philox with
-    key (seed mod 2**64, path_index mod 2**64) and counter 0."""
-    key = _PhiloxKey(seed % 2 ** 64, path_index % 2 ** 64)
+    key (seed mod 2**64, path_index mod 2**64) and counter 0.  Any integer
+    type is taken at its value (operator.index); a non-integer raises
+    TypeError."""
+    key = _PhiloxKey(operator.index(seed) % 2 ** 64,
+                     operator.index(path_index) % 2 ** 64)
     return np.random.Generator(np.random.Philox(key))
 
 
@@ -182,6 +198,12 @@ def _guarded(domain):
     return lo_g, hi_g
 
 
+def _block_rows(n_steps: int) -> int:
+    """Paths per block of _path_steps: at most _BLOCK, and few enough that
+    one segment of the block's normals and uniforms fits _CHUNK_BUDGET."""
+    return max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * min(n_steps, _SEGMENT))))
+
+
 def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
                 lead=False):
     """The one reader of the path streams, in the layout of the module
@@ -207,8 +229,9 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     output column k of node n + 1 (None when it is not recorded).
     """
     at = {int(node): k for k, node in enumerate(rec)}
+    seed, first_index = operator.index(seed), operator.index(first_index)
     seg = min(n_steps, _SEGMENT)
-    size = max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * seg)))
+    size = _block_rows(n_steps)
     rows_max = min(size, n_paths)
     buf = np.empty(2 * seg * rows_max)  # one allocation, released as one
     zbuf = buf[:seg * rows_max].reshape(seg, rows_max)
@@ -244,8 +267,141 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
 
 
 # ---------------------------------------------------------------------------
+# Path shares: one forked worker per CPU.
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask (all CPUs where the platform
+    has no affinity masks)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _share_count(n_paths: int, n_steps: int) -> int:
+    """Shares of an ensemble: one per CPU, at most one per full block of
+    paths.  One share, run in process, without os.fork or while other
+    threads run: a forked child holds only the forking thread, so a lock
+    another thread held at the fork would never be released in it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_cpu_count(), n_paths // _block_rows(n_steps)))
+
+
+def _fork_share(work) -> tuple[int, int]:
+    """Run work() in a forked child.  Returns (pid, the read end of a pipe
+    on which the child sends its pickled outcome: (True, result) or (False,
+    exception)).  The child never returns into the caller's stack: it
+    leaves by os._exit, whatever happens."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            outcome = (True, work())
+        except BaseException as exc:  # sent to the caller, which raises it
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # e.g. an exception type that does not pickle
+            data = pickle.dumps((False, RuntimeError(
+                f"a path share could not send its outcome: {exc!r}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(read: int):
+    """The outcome a child sent on the pipe read, None if it sent none."""
+    chunks = []
+    while chunk := os.read(read, 1 << 20):
+        chunks.append(chunk)
+    # the bytes come from a child this module forked, never from outside
+    return pickle.loads(b"".join(chunks)) if chunks else None
+
+
+def _join(outs):
+    """The shares' outputs joined along axis 0, array by array; an output
+    that is None in the shares stays None."""
+    if not isinstance(outs[0], tuple):
+        return np.concatenate(outs)
+    return tuple(None if parts[0] is None else np.concatenate(parts)
+                 for parts in zip(*outs))
+
+
+def _path_shares(runner):
+    """Wrap an ensemble runner so that its paths first_index ...
+    first_index + n_paths - 1 run as _share_count contiguous shares: the
+    caller runs the first share itself, and each other share runs in a
+    forked child, through runner with that share's first_index and n_paths.
+    The outputs are joined along axis 0, in path order.  An exception
+    raised in any share is raised in the caller once every child has been
+    reaped; an exception in the caller, KeyboardInterrupt included, kills
+    and reaps the children.  A child runs the unwrapped runner, so it never
+    forks again.  Children are forked, not spawned: they start from the
+    caller's memory, so the runner's arguments (maps hold closures, which
+    do not pickle) never cross a process boundary; only the outputs do."""
+    sig = inspect.signature(runner)
+
+    @functools.wraps(runner)
+    def run(*args, **kwargs):
+        call = sig.bind(*args, **kwargs)
+        call.apply_defaults()
+        # Python ints, so that no share offset overflows a numpy integer
+        first = call.arguments["first_index"] = operator.index(
+            call.arguments["first_index"])
+        n_paths = operator.index(call.arguments["n_paths"])
+        shares = _share_count(n_paths, call.arguments["grid"].n_steps)
+        if shares < 2:
+            return runner(*call.args, **call.kwargs)
+        cuts = [n_paths * k // shares for k in range(shares + 1)]
+
+        def share(k):
+            call.arguments["first_index"] = first + cuts[k]
+            call.arguments["n_paths"] = cuts[k + 1] - cuts[k]
+            return runner(*call.args, **call.kwargs)
+
+        children, status = [], {}
+        try:
+            for k in range(1, shares):
+                children.append(_fork_share(functools.partial(share, k)))
+            outcomes = [(True, share(0))]
+            outcomes += [_receive(read) for _, read in children]
+        except BaseException:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, read in children:
+                os.close(read)
+                status[pid] = os.waitpid(pid, 0)[1]
+        for k, outcome in enumerate(outcomes):
+            if outcome is None:
+                pid = children[k - 1][0]
+                raise RuntimeError(
+                    f"the worker of path share {k} (pid {pid}) ended without "
+                    f"a result, exit code "
+                    f"{os.waitstatus_to_exitcode(status[pid])}")
+            if not outcome[0]:
+                outcome[1].add_note(
+                    f"raised in the share of paths {first + cuts[k]} ... "
+                    f"{first + cuts[k + 1] - 1}, in a forked worker")
+                raise outcome[1]
+        return _join([out for _, out in outcomes])
+
+    return run
+
+
+# ---------------------------------------------------------------------------
 # Ensemble runners.
 
+@_path_shares
 def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
                     record, first_index: int = 0) -> np.ndarray:
     """Driftless unit-variance walks X_n = X_{n-1} + sqrt(dt_n) xi_n from x0.
@@ -268,6 +424,7 @@ def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     return values
 
 
+@_path_shares
 def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
                          record, j0: Optional[float] = None,
                          first_index: int = 0):
@@ -307,6 +464,7 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     return values, jstars
 
 
+@_path_shares
 def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
                      seed: int, record, first_index: int = 0):
     """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbing at the domain
@@ -356,8 +514,10 @@ def _bridge_drop(chi, prop, u, dt):
     return np.maximum(-m, 0.0)
 
 
+@_path_shares
 def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
-                       n_paths: int, seed: int, record, first_index: int = 0):
+                       n_paths: int, seed: int, record, first_index: int = 0,
+                       floors: bool = False):
     """Reflected Euler-Maruyama for the floor-constrained SDE, reflected on
     the exact minimum of each step's Brownian bridge.
 
@@ -376,10 +536,11 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     elsewhere dl = 0 for every U.  With a finite upper domain edge hi, a
     path stays where it is from its first node at or above hi.
 
-    Returns (values, contact, floors) for paths first_index + p:
-    values[p, k] = X at node record[k], floors[p, k] = the floor level l
-    there, and contact[p] True when any reflection increment occurred
-    (dl > 0) up to the horizon, counting dips below the floor between nodes.
+    Returns (values, contact, levels) for paths first_index + p:
+    values[p, k] = X at node record[k], contact[p] True when any reflection
+    increment occurred (dl > 0) up to the horizon, counting dips below the
+    floor between nodes, and, with floors, levels[p, k] = the floor level l
+    at node record[k] (None without floors).
     """
     lo, hi = f.domain
     if not lo < l0:
@@ -390,7 +551,7 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     sqdt = np.sqrt(dt)
     reach = _BRIDGE_REACH * dt
     values = np.empty((n_paths, len(rec)))
-    floors = np.empty((n_paths, len(rec)))
+    levels = np.empty((n_paths, len(rec))) if floors else None
     contact = np.zeros(n_paths, dtype=bool)
     for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
                                           grid.n_steps, rec, bridge=True):
@@ -399,7 +560,8 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
         hit = np.zeros(len(chi), dtype=bool)
         if k0 is not None:
             values[rows, k0] = chi + lev
-            floors[rows, k0] = lev
+            if floors:
+                levels[rows, k0] = lev
         for n, z, u, k in steps:
             x_abs = chi + lev
             drift = -0.5 * f.pre(x_abs) * dt[n]
@@ -419,9 +581,10 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
             chi = prop
             if k is not None:
                 values[rows, k] = chi + lev
-                floors[rows, k] = lev
+                if floors:
+                    levels[rows, k] = lev
         contact[rows] = hit
-    return values, contact, floors
+    return values, contact, levels
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +625,7 @@ def simulate_skorokhod(f: SmoothMap, x0: float, j0: float, grid: TimeGrid, seed:
     if not (0 < j0 <= x0):
         raise DomainError("simulate_skorokhod needs 0 < j0 <= x0")
     X, _, J = reflected_ensemble(f, x0 - j0, j0, grid, 1, seed,
-                                 _every_node(grid), path_index)
+                                 _every_node(grid), path_index, floors=True)
     stuck = np.flatnonzero(X[0] >= f.domain[1])
     return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
                       Jstar=J[0], truncated_at=int(stuck[0]) if stuck.size else None)
@@ -512,6 +675,7 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
         raise DomainError("x0 must start inside the band")
     vals = np.empty(n_paths)
     nodes = _every_node(grid)
+    stopped = {}  # stop node -> the grid up to it, shared by its paths
     # paths in blocks whose recorded nodes (size x len(nodes) floats) and
     # segment draws (at most as many) together fit _CHUNK_BUDGET
     size = max(1, _CHUNK_BUDGET // (2 * len(nodes)))
@@ -531,6 +695,10 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
             integral = schwarzian_integral(s, X, grid.nodes)[rows, stop]
             weight = multiplicative_functional(s, float(x0), at_stop, integral)
             for r, i in enumerate(range(start + c, start + c + len(X))):
-                p = PathBundle(grid=grid, X=X[r], seed=seed, path_index=i)
-                vals[i] = weight[r] * payoff(p.stopped_at(int(stop[r])))
+                n = int(stop[r])
+                if n not in stopped:
+                    stopped[n] = TimeGrid(grid.nodes[:n + 1])
+                p = PathBundle(grid=stopped[n], X=X[r, :n + 1], seed=seed,
+                               path_index=i)
+                vals[i] = weight[r] * payoff(p)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))

@@ -453,6 +453,20 @@ def test_theta_taus_below_two_is_rejected(tmp_path):
     assert main(["theta", "--config", str(cfgp)]) == 2
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 3])
+def test_space_nodes_below_four_is_rejected(tmp_path, capsys, nodes):
+    # price used to exit 2 without naming the key, compare-schemes exit 3
+    cfgp = write_config(tmp_path,
+                        numerics=dict(TINY_NUMERICS, space_nodes=nodes))
+    for command in ("price", "compare-schemes"):
+        assert main([command, "--config", str(cfgp)]) == 2
+        assert (f"config key numerics.space_nodes: must be at least 4, "
+                f"got {nodes}") in capsys.readouterr().err
+    raw = json.loads(cfgp.read_text())
+    raw["numerics"]["space_nodes"] = 4
+    assert resolve_config(raw, {})["numerics"]["space_nodes"] == 4
+
+
 @pytest.mark.parametrize("key", ["time_steps", "space_nodes"])
 @pytest.mark.parametrize("value", [1e300, 2 ** 31])
 def test_oversized_size_fails_closed(tmp_path, capsys, key, value):

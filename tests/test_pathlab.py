@@ -2,6 +2,9 @@
 and the path functionals."""
 
 import dataclasses
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -149,7 +152,8 @@ def test_stopped_at_keeps_truncation_only_if_before_node():
 def test_reflected_ensemble_matches_single_path_bitwise():
     f = reciprocal_map()
     grid = TimeGrid.uniform(1.0, 128)
-    vals, contact, floors = reflected_ensemble(f, 0.5, 0.5, grid, 6, SEED, [64, 128])
+    vals, contact, floors = reflected_ensemble(f, 0.5, 0.5, grid, 6, SEED, [64, 128],
+                                               floors=True)
     floor = floors[:, -1]
     for k in range(6):
         p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
@@ -160,7 +164,8 @@ def test_reflected_ensemble_matches_single_path_bitwise():
 
     # every node of 64 paths x 512 steps
     grid = TimeGrid.uniform(1.0, 512)
-    vals, _, floors = reflected_ensemble(f, 0.5, 0.5, grid, 64, SEED, range(513))
+    vals, _, floors = reflected_ensemble(f, 0.5, 0.5, grid, 64, SEED, range(513),
+                                         floors=True)
     for k in range(64):
         p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
         np.testing.assert_array_equal(vals[k], p.X)
@@ -170,7 +175,8 @@ def test_reflected_ensemble_matches_single_path_bitwise():
     # node at or above the edge
     edge = affine_map(1.0, 0.0, domain=(0.0, 1.2))
     grid = TimeGrid.uniform(1.0, 64)
-    vals, _, floors = reflected_ensemble(edge, 0.5, 0.5, grid, 8, SEED, range(65))
+    vals, _, floors = reflected_ensemble(edge, 0.5, 0.5, grid, 8, SEED, range(65),
+                                         floors=True)
     for k in range(8):
         p = simulate_skorokhod(edge, 1.0, 0.5, grid, SEED, k)
         np.testing.assert_array_equal(vals[k], p.X)
@@ -210,8 +216,10 @@ def test_closed_form_drift_matches_d2_over_d1_drift(f):
     # chain-rule derivatives; the closed form differs from it by roundoff only
     old = dataclasses.replace(f, pre=lambda x: f.d2(x) / f.d1(x))
     grid = TimeGrid.uniform(1.0, 512)
-    new_v, new_c, new_l = reflected_ensemble(f, 0.75, 0.25, grid, 64, SEED, range(513))
-    old_v, old_c, old_l = reflected_ensemble(old, 0.75, 0.25, grid, 64, SEED, range(513))
+    new_v, new_c, new_l = reflected_ensemble(f, 0.75, 0.25, grid, 64, SEED,
+                                              range(513), floors=True)
+    old_v, old_c, old_l = reflected_ensemble(old, 0.75, 0.25, grid, 64, SEED,
+                                              range(513), floors=True)
     np.testing.assert_allclose(new_v, old_v, rtol=1e-12, atol=0)
     np.testing.assert_allclose(new_l, old_l, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(new_c, old_c)
@@ -238,7 +246,8 @@ def test_ensemble_partition_independence(monkeypatch):
     grid = TimeGrid.uniform(1.0, 2 * pathlab._SEGMENT + 37)
     rec = [pathlab._SEGMENT - 1, grid.n_steps]
     runs = [
-        lambda n: reflected_ensemble(f, 0.0, 0.3, grid, n, SEED, rec),
+        lambda n: reflected_ensemble(f, 0.0, 0.3, grid, n, SEED, rec,
+                                     floors=True),
         lambda n: (wiener_ensemble(1.0, grid, n, SEED, rec),),
         lambda n: bessel_dual_ensemble(1.0, grid, n, SEED, rec),
         lambda n: drifted_ensemble(f, 1.0, grid, n, SEED, rec),
@@ -327,6 +336,122 @@ def test_rekey_resets_a_used_generator():
     np.testing.assert_array_equal(g.standard_normal(9), fresh.standard_normal(9))
 
 
+def test_numpy_integer_seeds_and_indices_give_the_same_streams():
+    # an integer of any type is taken at its value; numpy integers used to
+    # overflow in the reduction mod 2**64
+    want = path_stream(7, 2 ** 64 - 1).standard_normal(4)
+    for seed, i in ((np.int64(7), np.uint64(2 ** 64 - 1)),
+                    (np.uint64(7), 2 ** 64 - 1), (7, np.int64(-1))):
+        np.testing.assert_array_equal(path_stream(seed, i).standard_normal(4),
+                                      want)
+    grid = TimeGrid.uniform(1.0, 8)
+    want = reflected_ensemble(reciprocal_map(), 0.0, 0.3, grid, 3, 7, [8], 5)
+    for seed, first in ((np.int64(7), np.int64(5)),
+                        (np.uint64(7), np.uint64(5))):
+        got = reflected_ensemble(reciprocal_map(), 0.0, 0.3, grid, 3, seed,
+                                 [8], first)
+        np.testing.assert_array_equal(got[0], want[0])
+    with pytest.raises(TypeError):
+        path_stream(7.0, 0)
+    with pytest.raises(TypeError):
+        wiener_ensemble(1.0, grid, 3, 7, [8], 5.0)
+
+
+# ---------------------------------------------------------------------------
+# path shares in forked workers
+
+
+def _share_setup(monkeypatch, workers):
+    """A 40-step grid with blocks of two paths, so that seven paths make up
+    to three shares (2, 2 and 3 paths), and the worker count forced."""
+    grid = TimeGrid.uniform(1.0, 40)
+    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 2 * grid.n_steps)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
+    return grid
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_path_shares_equal_the_serial_run(monkeypatch, workers):
+    grid = _share_setup(monkeypatch, 1)
+    f = reciprocal_map()
+    # numpy integers, and a first index whose shares wrap past 2**64
+    n, first = np.int64(7), np.uint64(2 ** 64 - 3)
+    runners = {
+        "wiener": lambda rec: (wiener_ensemble(1.0, grid, n, SEED, rec,
+                                               first),),
+        "dual_fixed_floor": lambda rec: bessel_dual_ensemble(
+            1.0, grid, n, SEED, rec, 0.9, first),
+        "dual_random_floor": lambda rec: bessel_dual_ensemble(
+            0.2, grid, n, SEED, rec, None, first),
+        "drifted": lambda rec: drifted_ensemble(f, 1.0, grid, n, SEED, rec,
+                                                first),
+        "reflected": lambda rec: reflected_ensemble(f, 0.0, 0.3, grid, n,
+                                                    SEED, rec, first),
+        "reflected_floors": lambda rec: reflected_ensemble(
+            f, 0.0, 0.3, grid, n, SEED, rec, first, floors=True),
+    }
+    # every node, the end only, and duplicated, unsorted nodes
+    records = [range(grid.n_steps + 1), [grid.n_steps],
+               [grid.n_steps, 0, grid.n_steps, 17]]
+    serial = {name: [run(rec) for rec in records]
+              for name, run in runners.items()}
+    assert serial["reflected"][0][2] is None  # floor levels only when asked
+    forks = []
+    fork_share = pathlab._fork_share
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: forks.append(work) or fork_share(work))
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
+    for name, run in runners.items():
+        for rec, want in zip(records, serial[name]):
+            got = run(rec)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a is None and b is None) or np.array_equal(a, b), name
+    assert len(forks) == (workers - 1) * len(runners) * len(records)
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_share_exception_reaches_the_caller_and_no_child_remains(
+        monkeypatch, where):
+    grid = _share_setup(monkeypatch, 3)
+    f = reciprocal_map()
+    caller, armed = os.getpid(), []
+
+    def pre(x):
+        if armed and (os.getpid() == caller) == (where == "caller"):
+            raise DomainError(f"drift refused in the {where}")
+        if armed and where == "caller":
+            time.sleep(60)  # a slow share, killed when the caller fails
+            armed.clear()
+        return f.pre(x)
+
+    refusing = dataclasses.replace(f, pre=pre)
+    armed.append(True)
+    start = time.monotonic()
+    with pytest.raises(DomainError, match=f"drift refused in the {where}"):
+        drifted_ensemble(refusing, 1.0, grid, 7, SEED, [grid.n_steps])
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_live_thread_keeps_the_ensemble_in_process(monkeypatch):
+    grid = _share_setup(monkeypatch, 3)
+    want = wiener_ensemble(1.0, grid, 7, SEED, [grid.n_steps])
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: pytest.fail("forked while a thread ran"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got = wiener_ensemble(1.0, grid, 7, SEED, [grid.n_steps])
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    np.testing.assert_array_equal(got, want)
+
+
 # Values of paths 7 and 8 (seed SEED, 1061 steps on [0, 1]) at nodes 0, 511,
 # 512, 513 and 1061, which straddle the first stream segment's end.  They pin
 # the stream layout and the step arithmetic of each runner.
@@ -385,7 +510,8 @@ def test_runner_values_are_pinned():
         "dual_random_floor": bessel_dual_ensemble(0.2, grid, 2, SEED, rec,
                                                   None, 7),
         "drifted": drifted_ensemble(f, 1.0, grid, 2, SEED, rec, 7),
-        "reflected": reflected_ensemble(f, 0.0, 0.3, grid, 2, SEED, rec, 7),
+        "reflected": reflected_ensemble(f, 0.0, 0.3, grid, 2, SEED, rec, 7,
+                                        floors=True),
     }
     for name, outs in got.items():
         assert len(outs) == len(_PINNED[name])
@@ -482,7 +608,7 @@ def test_change_of_measure_matches_per_path_reference(monkeypatch):
     grid = TimeGrid.uniform(0.05, 16)
     monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 3)
     monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 7 * 17)
-    payoff = lambda p: float(p.X[-1]) * len(p.X) + p.path_index
+    payoff = lambda p: float(p.X[-1]) * len(p.X) + p.path_index + p.grid.T
     for s in (power_law_map(3.0), f_from_sigma(lambda y: y ** 2)):
         got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,
                                             (0.95, 1.5))

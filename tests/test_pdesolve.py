@@ -4,6 +4,7 @@ reference, and the corner-defect diagnostic."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from bubblepde import (
@@ -11,6 +12,7 @@ from bubblepde import (
     DomainError,
     NumericsError,
     PayoffSpec,
+    ThetaTable,
     estimate_theta,
     forward_recip_bessel_investor,
     pdesolve,
@@ -312,6 +314,56 @@ def test_bond_is_stationary_for_anchored_and_neumann_and_naive():
                    NaiveDirichletScheme(cap=10.0)):
         sol = solve(SIG2, bond, 1.0, scheme, times=TimeGrid.uniform(1.0, 64))
         assert np.max(np.abs(sol.values - 1.0)) < 1e-9
+
+
+def _flat_theta(cap, T, values):
+    """A Theta table for the reciprocal map at the floor j = 1/cap, so that
+    the anchored scheme's cap is f(j) = cap, over taus 0, T/2, T."""
+    return ThetaTable(j=1.0 / cap, taus=[0.0, T / 2, T], theta=values,
+                      stderr=[0.0] * 3, n_paths=2, seed=0,
+                      map_descriptor=reciprocal_map().descriptor)
+
+
+@settings(max_examples=100)
+@given(coefficient=st.floats(0.3, 2.0), exponent=st.floats(0.5, 2.0),
+       cap=st.floats(2.0, 20.0), m=st.integers(8, 60),
+       steps=st.integers(4, 64), T=st.floats(0.1, 2.0),
+       h=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6),
+       bump=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+       theta=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+       kind=st.sampled_from(["fundraiser", "naive_dirichlet",
+                             "tapered_terminal"]))
+def test_implicit_solve_invariants(coefficient, exponent, cap, m, steps, T,
+                                   h, bump, theta, kind):
+    """Implicit Euler on a Dirichlet-capped scheme: a bond stays at par, the
+    solution is monotone in its data (payoff and Theta), and every value
+    lies between the least and the greatest boundary datum (the discrete
+    maximum principle).  The Neumann cap row is left out of the last two:
+    its second-order one-sided extrapolation is not monotone."""
+    sigma = {"kind": "power", "coefficient": coefficient,
+             "exponent": exponent}
+    nodes = np.linspace(0.0, cap, 6)
+    low = PayoffSpec.from_table(nodes, h)
+    high = PayoffSpec.from_table(nodes, np.add(h, bump))
+    make = {"fundraiser": lambda th: FundraiserScheme(
+                j=1.0 / cap, theta=_flat_theta(cap, T, th)),
+            "naive_dirichlet": lambda th: NaiveDirichletScheme(cap=cap),
+            "tapered_terminal": lambda th: TaperedTerminalScheme(n=cap)}[kind]
+    scheme = make(theta)
+    grid, times = scheme.grid(m), TimeGrid.uniform(T, steps)
+
+    def run(payoff, scheme):
+        return solve(sigma, payoff, T, scheme, grid=grid, times=times).values
+
+    tol = 1e-12
+    if kind != "tapered_terminal":  # the taper bends a bond's datum
+        bond = run(PayoffSpec.bond(), make([1.0] * 3))
+        assert np.max(np.abs(bond - 1.0)) < tol
+    v = run(low, scheme)
+    assert np.all(v <= run(high, make(np.add(theta, 0.5))) + tol)
+    # the boundary data: the terminal row, the bottom column and the cap
+    data = np.concatenate([v[-1], v[:, 0], v[:, -1]])
+    assert data.min() - tol <= v.min() and v.max() <= data.max() + tol
 
 
 def test_transformed_scheme_bond_truncation_deficit():
