@@ -21,13 +21,13 @@ import numpy as np
 
 from . import closedform as cf
 from .boundary import PayoffSpec, ThetaTable, estimate_theta, \
-    price_and_decompose, price_fundraiser_mc
-from .errors import ConfigError, DomainError, NumericsError
+    price_and_decompose
+from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
 from .pathlab import TimeGrid, bessel_dual_ensemble, drifted_ensemble, \
     reflected_ensemble, wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
     TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, f_from_sigma, \
-    solve
+    solve, stencil
 from .smoothmaps import from_descriptor
 
 _NUMERIC_DEFAULTS = {
@@ -48,6 +48,11 @@ _RIVALS = {cls.kind: cls for cls in (NeumannCapScheme, TaperedTerminalScheme,
                                      TransformedCauchyScheme,
                                      NaiveDirichletScheme)}
 _SCHEME_NAMES = (FundraiserScheme.kind, *_RIVALS)
+
+# most steps of the direct Monte Carlo pass of price and convergence: the
+# bridge-reflected walk keeps only the O(dt) drift-freezing bias, and at 512
+# steps that is at most a tenth of the 20 000-path standard error (README)
+_MC_TIME_STEPS = 512
 
 _SECTIONS = ("model", "payoff", "numerics", "output", "convergence", "simulate")
 _MODEL_KEYS = ("sigma", "f", "x0", "j0", "T")
@@ -314,11 +319,14 @@ def price_at_floor(cfg: dict, f, payoff: PayoffSpec, j: float,
                    theta_path: Path, pinned):
     """The fundraiser prices at floor j: ((mc, mc_se), (phi, psi, (phi_se,
     psi_se)), pde_value), the last anchored on the Theta table _make_theta
-    loads from `pinned` or saves to `theta_path`, None without model.sigma."""
+    loads from `pinned` or saves to `theta_path`, None without model.sigma.
+    The PDE runs on numerics.time_steps steps, the Monte Carlo pass on at
+    most _MC_TIME_STEPS of them."""
     model, num = cfg["model"], cfg["numerics"]
     x0, T = model["x0"], model["T"]
     mc, split = price_and_decompose(f, x0, j, T, payoff, num["paths"],
-                                    num["time_steps"], num["seed"])
+                                    min(num["time_steps"], _MC_TIME_STEPS),
+                                    num["seed"])
     pde_value = None
     if "sigma" in model:
         table = _make_theta(cfg, f, payoff, j, theta_path, pinned)
@@ -374,15 +382,43 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     return 0
 
 
-def _check_compare_schemes(cfg: dict, names) -> None:
+def _level_sizes(num: dict):
+    """(space nodes, time steps) of each compare-schemes level, coarsest
+    first: level l of L halves the finest grid L - 1 - l times."""
+    levels = num["levels"]
+    return [(max(8, num["space_nodes"] // 2 ** (levels - 1 - lev)),
+             max(8, num["time_steps"] // 2 ** (levels - 1 - lev)))
+            for lev in range(levels)]
+
+
+def _check_compare_schemes(cfg: dict, f, names) -> None:
     """What compare-schemes needs of the config and of --scheme; main checks
-    it before it creates the output directory."""
-    if "sigma" not in cfg["model"]:
+    it before it creates the output directory.  That includes the stencil of
+    every rival at every level, which the config alone decides."""
+    model, num = cfg["model"], cfg["numerics"]
+    if "sigma" not in model:
         raise ConfigError("compare-schemes needs model.sigma")
     for name in names or ():
         if name not in _SCHEME_NAMES:
             raise ConfigError(f"unknown scheme {name!r}; choose from "
                               f"{', '.join(_SCHEME_NAMES)}")
+    sizes = _level_sizes(num)
+    for name in names or _RIVALS:
+        if name not in _RIVALS:
+            continue
+        scheme = _RIVALS[name](float(f(model["j0"])))
+        # finest first: when the finest grid fails, fewer levels cannot help
+        for lev in reversed(range(len(sizes))):
+            m = sizes[lev][0]
+            try:
+                stencil(model["sigma"], scheme, scheme.grid(m))
+            except NonMonotoneError as exc:
+                hint = ("raise space_nodes" if lev == len(sizes) - 1
+                        else "raise space_nodes or lower levels")
+                raise ConfigError(
+                    f"config keys numerics.space_nodes and numerics.levels: "
+                    f"level {lev} has {m} space nodes, too few for the "
+                    f"{name} scheme ({exc}); {hint}") from None
 
 
 def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
@@ -401,12 +437,8 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
             schemes.append(FundraiserScheme(j=j0, theta=table))
 
     rows, runtimes = [], {}
-    levels = num["levels"]
     for scheme in schemes:
-        for lev in range(levels):
-            scale = 2 ** (levels - 1 - lev)
-            m = max(8, num["space_nodes"] // scale)
-            steps = max(8, num["time_steps"] // scale)
+        for lev, (m, steps) in enumerate(_level_sizes(num)):
             t0 = time.perf_counter()
             sol = _solve_at(cfg, payoff, scheme, m, steps)
             elapsed = time.perf_counter() - t0
@@ -518,12 +550,15 @@ def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
 def run_oracle(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     model = cfg["model"]
     x0, j0, T = model["x0"], model["j0"], model["T"]
-    rows = []
-    print("case,x,j,T,value")
-    for case, form in cf.ORACLES.values():
-        row = f"{case},{_fmt(x0)},{_fmt(j0)},{_fmt(T)},{_fmt(form(x0, j0, T))}"
-        rows.append(row)
-        print(row)
+    market = _model_kind(f)
+    rows = [f"{case},{_fmt(x0)},{_fmt(j0)},{_fmt(T)},{_fmt(form(x0, j0, T))}"
+            for (kind, _payoff, _side), (case, form) in cf.ORACLES.items()
+            if kind == market]
+    if rows:
+        print("\n".join(["case,x,j,T,value", *rows]))
+    else:
+        print("no closed form applies to this market: the map is neither "
+              "y = x nor y = 1/x")
     _write_csv(out / "oracle.csv", digest, "case,x,j,T,value", rows)
     return 0
 
@@ -573,7 +608,7 @@ def main(argv=None) -> int:
     try:
         cfg, f, payoff = _load_config(args.config, overrides)
         if args.command == "compare-schemes":
-            _check_compare_schemes(cfg, names)
+            _check_compare_schemes(cfg, f, names)
         out = Path(cfg["output"]["dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -9,5 +9,9 @@ class NumericsError(RuntimeError):
     """A numerical procedure failed: divergent integral, non-monotone stencil, bad table."""
 
 
+class NonMonotoneError(NumericsError):
+    """A space grid too coarse for a scheme: its stencil has a negative off-diagonal."""
+
+
 class ConfigError(ValueError):
     """Invalid run configuration (schema violation, inconsistent inputs)."""

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .boundary import PayoffSpec, ThetaTable
-from .errors import ConfigError, DomainError, NumericsError
+from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
 from .pathlab import TimeGrid
 from .smoothmaps import SmoothMap, affine_map, compose, from_descriptor, power_law_map
 
@@ -471,6 +471,35 @@ def _lapack_ok(info: int, thdt: float) -> None:
             f"theta_weight * dt = {thdt:.6g}")
 
 
+def stencil(sigma, scheme: Scheme, grid: SpaceGrid):
+    """The rows (a, b, c) of the spatial operator at the interior nodes of
+    `grid`: sub-diagonal, diagonal and super-diagonal.  A non-finite entry
+    raises NumericsError and a negative off-diagonal (a non-monotone
+    discretization) NonMonotoneError, each naming the node."""
+    s = _sigma_callable(sigma)
+    y = grid.nodes
+    yi = y[1:-1]
+    sig2 = np.asarray(s(yi), dtype=float) ** 2
+    hm = yi - y[:-2]
+    hp = y[2:] - yi
+    a = sig2 / (hm * (hm + hp))
+    c = sig2 / (hp * (hm + hp))
+    if scheme.convection:
+        conv = sig2 / yi  # central-difference coefficient of w_y
+        a = a - conv * hp / (hm * (hm + hp))
+        c = c + conv * hm / (hp * (hm + hp))
+    b = -(a + c)  # the operator annihilates constants
+    # b is finite exactly when a and c both are
+    _require_finite("diffusion coefficient", b, y, first=1)
+    bad = np.where((a < 0) | (c < 0))[0]
+    if len(bad):
+        i = int(bad[0]) + 1
+        raise NonMonotoneError(
+            f"non-monotone discretization: negative off-diagonal at node "
+            f"i={i}, y={y[i]:.6g}")
+    return a, b, c
+
+
 def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
           grid: Optional[SpaceGrid] = None, times: Optional[TimeGrid] = None,
           theta_weight: float = 1.0) -> PdeSolution:
@@ -501,25 +530,7 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     v, bottom, top, cap_row = scheme.rows(payoff, y, T, times)
 
     m = grid.m
-    yi = y[1:-1]
-    sig2 = np.asarray(s(yi), dtype=float) ** 2
-    hm = yi - y[:-2]
-    hp = y[2:] - yi
-    a = sig2 / (hm * (hm + hp))
-    c = sig2 / (hp * (hm + hp))
-    if scheme.convection:
-        conv = sig2 / yi  # central-difference coefficient of w_y
-        a = a - conv * hp / (hm * (hm + hp))
-        c = c + conv * hm / (hp * (hm + hp))
-    b = -(a + c)  # the operator annihilates constants
-    # b is finite exactly when a and c both are
-    _require_finite("diffusion coefficient", b, y, first=1)
-    bad = np.where((a < 0) | (c < 0))[0]
-    if len(bad):
-        i = int(bad[0]) + 1
-        raise NumericsError(
-            f"non-monotone discretization: negative off-diagonal at node "
-            f"i={i}, y={y[i]:.6g}")
+    a, b, c = stencil(s, scheme, grid)
 
     n_t = times.n_steps
     _require_finite("terminal datum", v, y)

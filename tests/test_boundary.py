@@ -16,6 +16,7 @@ from bubblepde import (
     decompose_phi_psi,
     estimate_theta,
     forward_bm_fundraiser,
+    forward_recip_bessel_fundraiser,
     price_and_decompose,
     power_law_map,
     price_fundraiser_mc,
@@ -254,6 +255,20 @@ def test_price_fundraiser_mc_brownian_model():
     assert se > 0
     # without drift the bridge-reflected scheme is exact in law at any step
     assert abs(mc - ref) < 4 * se
+
+
+def test_reflected_forward_at_512_steps_pooled_over_ten_seeds():
+    # the price command's Monte Carlo pass runs at 512 steps; what is left of
+    # the drift-freezing bias there must not show at ten times its paths.
+    # Seeds 1..10 were fixed before any run.
+    runs = [price_fundraiser_mc(reciprocal_map(), 1.0, 0.25, 1.0,
+                                PayoffSpec.forward(), 20000, 512, seed)
+            for seed in range(1, 11)]
+    means, ses = np.array(runs).T
+    pooled = means.mean()
+    pooled_se = np.sqrt(np.sum(ses ** 2)) / len(runs)
+    ref = forward_recip_bessel_fundraiser(1.0, 0.25, 1.0)
+    assert abs(pooled - ref) < 3 * pooled_se
 
 
 def test_price_fundraiser_bond_exact():

@@ -13,10 +13,12 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubblepde import ConfigError, DomainError, NumericsError, ThetaTable
+from bubblepde import (ConfigError, DomainError, NumericsError, PayoffSpec,
+                       ThetaTable, f_from_sigma, price_and_decompose)
 from bubblepde.cli import config_hash, main, resolve_config
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
+BM_F = {"kind": "power_law", "alpha": 1.0, "xi": 0.0}
 SIG2 = {"kind": "power", "coefficient": 1.0, "exponent": 2.0}
 
 TINY_NUMERICS = {
@@ -319,6 +321,23 @@ def test_price_deterministic_across_out_dirs(tmp_path):
         == (tmp_path / "b" / "report.csv").read_bytes()
 
 
+@pytest.mark.parametrize("time_steps, mc_steps", [(96, 96), (640, 512)])
+def test_mc_rows_are_price_and_decompose_at_most_512_steps(
+        tmp_path, time_steps, mc_steps):
+    # the PDE takes time_steps; the direct Monte Carlo pass stops at 512
+    cfgp = write_config(tmp_path,
+                        numerics=dict(TINY_NUMERICS, time_steps=time_steps))
+    assert main(["price", "--config", str(cfgp)]) == 0
+    rows = {row[0]: row[1:] for row in _body(tmp_path / "out" / "report.csv")}
+    f = f_from_sigma(SIG2)
+    (mc, mc_se), (phi, psi, (phi_se, psi_se)) = price_and_decompose(
+        f, 1.0, 0.25, 1.0, PayoffSpec.forward(), TINY_NUMERICS["paths"],
+        mc_steps, TINY_NUMERICS["seed"])
+    assert rows["mc_price"] == [repr(mc), repr(mc_se)]
+    assert rows["phi"] == [repr(phi), repr(phi_se)]
+    assert rows["psi"] == [repr(psi), repr(psi_se)]
+
+
 def test_theta_subcommand_writes_table(tmp_path):
     cfgp = write_config(tmp_path)
     assert main(["theta", "--config", str(cfgp)]) == 0
@@ -571,6 +590,28 @@ def test_compare_schemes_subset_flag(tmp_path):
     assert names == {"naive_dirichlet"}
 
 
+@pytest.mark.parametrize("nodes, failing, hint", [
+    (16, "level 1 has 16 space nodes", "; raise space_nodes\n"),
+    (32, "level 0 has 16 space nodes", "; raise space_nodes or lower levels"),
+    (48, None, None)])
+def test_compare_schemes_too_coarse_level_names_its_keys(tmp_path, capsys,
+                                                         nodes, failing, hint):
+    # at levels 2 the coarse level has nodes // 2 space nodes: 16 make the
+    # transformed scheme's convection row non-monotone, 24 do not.  The
+    # check runs before the output directory or the Theta table is made.
+    cfgp = write_config(tmp_path,
+                        numerics=dict(TINY_NUMERICS, space_nodes=nodes))
+    code = main(["compare-schemes", "--config", str(cfgp)])
+    err = capsys.readouterr().err
+    if failing is None:
+        assert code == 0 and err == ""
+        return
+    assert code == 2
+    assert "numerics.space_nodes" in err and "numerics.levels" in err
+    assert failing in err and hint in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_convergence_subcommand(tmp_path):
     cfgp = write_config(tmp_path, convergence={"j_sequence": [0.25, 0.125]})
     assert main(["convergence", "--config", str(cfgp)]) == 0
@@ -632,3 +673,23 @@ def test_oracle_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "forward_recip_bessel_fundraiser" in out
     assert (tmp_path / "out" / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize("model, cases", [
+    ({"sigma": SIG2}, ["forward_recip_bessel_investor",
+                       "forward_recip_bessel_fundraiser"]),
+    ({"f": BM_F}, ["bond_bm", "forward_bm_investor", "forward_bm_fundraiser",
+                   "delta_bm_fundraiser"]),
+    ({"sigma": dict(SIG2, exponent=1.5)}, []),
+], ids=["sigma-y2", "brownian", "sigma-y1.5"])
+def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, cases):
+    cfgp = write_config(tmp_path, model=dict(MODEL, **model))
+    assert main(["oracle", "--config", str(cfgp)]) == 0
+    lines = (tmp_path / "out" / "oracle.csv").read_text().splitlines()
+    assert lines[1] == "case,x,j,T,value"
+    assert [line.split(",")[0] for line in lines[2:]] == cases
+    out = capsys.readouterr().out
+    if cases:
+        assert out.splitlines() == lines[1:]
+    else:
+        assert "no closed form applies" in out
