@@ -2,11 +2,11 @@
 markets whose price process is a strict local martingale (a bubble).
 
 The pieces: an algebra of smooth space transforms with their Schwarzian
-calculus (`smoothmaps`), seeded path simulators including the reflected
-floor-constrained SDE (`pathlab`), Monte Carlo boundary/price estimators
-(`boundary`), a finite-difference solver with interchangeable boundary
-schemes (`pdesolve`), closed-form references (`closedform`), and a CLI
-(`cli`).
+calculus (`smoothmaps`), seeded ensemble path runners including the
+reflected floor-constrained SDE (`pathlab`), Monte Carlo boundary/price
+estimators (`boundary`), a finite-difference solver with interchangeable
+boundary schemes (`pdesolve`), closed-form references (`closedform`), and a
+CLI (`cli`).
 """
 
 from .errors import ConfigError, DomainError, NumericsError
@@ -29,13 +29,8 @@ from .pathlab import (
     PathBundle,
     TimeGrid,
     change_of_measure_expectation,
-    first_hitting,
     future_infimum,
     path_stream,
-    simulate_bessel3_dual,
-    simulate_drifted,
-    simulate_skorokhod,
-    simulate_wiener,
 )
 from .boundary import (
     PayoffSpec,
@@ -59,15 +54,12 @@ from .pdesolve import (
     solve,
 )
 from .closedform import (
-    OracleCase,
     bond_bm,
     delta_bm_fundraiser,
     forward_bm_fundraiser,
     forward_bm_investor,
     forward_recip_bessel_fundraiser,
     forward_recip_bessel_investor,
-    gop_fundraiser,
-    gop_investor,
     integrate,
     norm_cdf,
     norm_pdf,

@@ -255,11 +255,20 @@ def _model_kind(f) -> str:
     return "other"
 
 
+def _oracle_kinds(payoff: PayoffSpec) -> tuple[str, ...]:
+    """The ORACLES payoff kinds that belong to a payoff, its price's kind
+    first: a call struck at 0 is the forward, and the forward's delta goes
+    with the forward."""
+    if payoff.kind == "forward" or (payoff.kind == "call"
+                                    and payoff.strike == 0.0):
+        return ("forward", "forward_delta")
+    return (payoff.kind,)
+
+
 def _oracles(kind: str, payoff: PayoffSpec, x0, j0, T):
     """(investor, fundraiser) closed-form references from the oracle table,
     None when no formula applies to this model/payoff pair."""
-    payoff_kind = "forward" if payoff.kind == "call" and payoff.strike == 0.0 \
-        else payoff.kind
+    payoff_kind = _oracle_kinds(payoff)[0]
     return tuple(cf.oracle_value(kind, payoff_kind, side, x0, j0, T)
                  for side in ("investor", "fundraiser"))
 
@@ -550,15 +559,14 @@ def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
 def run_oracle(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     model = cfg["model"]
     x0, j0, T = model["x0"], model["j0"], model["T"]
-    market = _model_kind(f)
+    market, kinds = _model_kind(f), _oracle_kinds(payoff)
     rows = [f"{case},{_fmt(x0)},{_fmt(j0)},{_fmt(T)},{_fmt(form(x0, j0, T))}"
-            for (kind, _payoff, _side), (case, form) in cf.ORACLES.items()
-            if kind == market]
+            for (row_market, kind, _side), (case, form) in cf.ORACLES.items()
+            if row_market == market and kind in kinds]
     if rows:
         print("\n".join(["case,x,j,T,value", *rows]))
     else:
-        print("no closed form applies to this market: the map is neither "
-              "y = x nor y = 1/x")
+        print("no closed form applies to this market and payoff")
     _write_csv(out / "oracle.csv", digest, "case,x,j,T,value", rows)
     return 0
 

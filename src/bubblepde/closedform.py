@@ -1,11 +1,11 @@
 """High-precision analytic oracles.
 
-Normal CDF/PDF, a tolerance-reporting 1-D quadrature wrapper, the closed-form
-bond/forward prices of the two solvable benchmark markets (driftless unit map
-and reciprocal-Bessel map), and the growth-optimal-portfolio evaluators along
-simulated paths.  The closed forms are also rows of one table, ORACLES,
-keyed by (market, payoff kind, investor/fundraiser), which both the
-`oracle` subcommand and the price reports read.
+Normal CDF/PDF, a tolerance-reporting 1-D quadrature wrapper, and the
+closed-form bond/forward prices of the two solvable benchmark markets
+(driftless unit map and reciprocal-Bessel map).  The closed forms are also
+rows of one table, ORACLES, keyed by (market, payoff kind,
+investor/fundraiser), which both the `oracle` subcommand and the price
+reports read.
 
 The normal CDF is computed from scipy's complementary error function; the
 test suite checks it against a continued-fraction reference and mpmath.
@@ -13,14 +13,11 @@ test suite checks it against a continued-fraction reference and mpmath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from .errors import DomainError, NumericsError
-from .smoothmaps import SmoothMap, compose, reciprocal_map, schwarzian, schwarzian_process
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -185,71 +182,3 @@ def oracle_value(market: str, payoff_kind: str, side: str, x: float,
     if payoff_kind == "bond" and (side == "fundraiser" or market == "recip"):
         return 1.0
     return None
-
-
-@dataclass(frozen=True)
-class OracleCase:
-    """A named row of ORACLES with its parameters."""
-    case: str
-    x: float
-    T: float
-    j: float | None = None
-
-    def value(self) -> float:
-        for (_market, _kind, side), (case, form) in ORACLES.items():
-            if case == self.case:
-                if side == "fundraiser" and self.j is None:
-                    raise DomainError(f"oracle case {self.case} requires j")
-                return form(self.x, self.j, self.T)
-        raise DomainError(f"unknown oracle case {self.case!r}")
-
-    @classmethod
-    def all_cases(cls):
-        return tuple(case for case, _form in ORACLES.values())
-
-
-# ---------------------------------------------------------------------------
-# Growth-optimal portfolios along simulated paths.
-
-def gop_investor(path, s: SmoothMap, f: SmoothMap) -> np.ndarray:
-    """Investor GOP: ratio of the two multiplicative functionals, G_0 = 1.
-
-    For s = f this is identically 1 (zero market price of risk); for the
-    driftless benchmark (s = 1/x, f = x) it is X_t/X_0.
-    """
-    num = schwarzian_process(s, path)
-    den = schwarzian_process(f, path)
-    n = min(len(num), len(den))
-    out = num[:n] / den[:n]
-    out[0] = 1.0
-    return out
-
-
-def gop_fundraiser(path, s: SmoothMap, f: SmoothMap) -> np.ndarray:
-    """Fundraiser GOP along a reflected path (requires the floor series J*).
-
-    G~_t = sqrt( (1/s)'(X_0)/(1/s)'(X_t) * f'(X_t)/f'(X_0) )
-           * (1/s)'(J*_t)/(1/s)'(J*_0) * f'(J*_0)/f'(J*_t)
-           * exp( 1/4 int_0^t (S_s - S_f)(X_u) du ).
-
-    Reduces to (X_0/J*_0^2) * J*_t^2 / X_t in the reciprocal-Bessel market and
-    to 1 in the driftless one.
-    """
-    if path.Jstar is None:
-        raise DomainError("gop_fundraiser needs a reflected path with Jstar recorded")
-    inv_s = compose(reciprocal_map(), s)
-    X = np.asarray(path.X, dtype=float)
-    J = np.asarray(path.Jstar, dtype=float)
-    ok = np.atleast_1d(f.contains(X) & inv_s.contains(X) & f.contains(J) & inv_s.contains(J))
-    n = len(X) if np.all(ok) else int(np.argmin(ok))
-    if n == 0:
-        raise DomainError("path starts outside the map domains")
-    X, J = X[:n], J[:n]
-    t = path.grid.nodes[:n]
-    integral = cumulative_trapezoid(schwarzian(s, X) - schwarzian(f, X), t,
-                                    initial=0)
-    head = np.sqrt((inv_s.d1(X[0]) / inv_s.d1(X)) * (f.d1(X) / f.d1(X[0])))
-    floor = (inv_s.d1(J) / inv_s.d1(J[0])) * (f.d1(J[0]) / f.d1(J))
-    out = head * floor * np.exp(0.25 * integral)
-    out[0] = 1.0
-    return out

@@ -2,9 +2,8 @@
 drifted unit-diffusion SDEs, and the reflected (floor-constrained) SDE with
 its Euler-Maruyama scheme reflected on the exact Brownian-bridge minimum of
 each step; plus path functionals.  Each law has one vectorized ensemble
-runner, and each single-path simulator is a one-path call of it that records
-every node, so a single path equals the same path of any ensemble by
-construction.
+runner: it runs paths first_index ... first_index + n_paths - 1 and keeps
+the nodes it is asked to record, so a single path is a one-path call.
 
 Reproducibility contract: every path index i owns a counter-based stream
 keyed by (master seed, i) -- numpy Philox -- so path i is bit-identical no
@@ -36,7 +35,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,27 +106,13 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """One discretized path: values per node, optional floor series, and the
-    stream identity that produced it."""
+    """One discretized path: values per node and the stream identity that
+    produced it."""
 
     grid: TimeGrid
     X: np.ndarray
     seed: int
     path_index: int = 0
-    Jstar: Optional[np.ndarray] = None
-    truncated_at: Optional[int] = None
-
-    def stopped_at(self, node: int) -> "PathBundle":
-        """The path restricted to nodes [0, node]."""
-        return replace(
-            self,
-            grid=TimeGrid(self.grid.nodes[: node + 1]),
-            X=self.X[: node + 1],
-            Jstar=None if self.Jstar is None else self.Jstar[: node + 1],
-            truncated_at=self.truncated_at
-            if self.truncated_at is not None and self.truncated_at <= node
-            else None,
-        )
 
 
 @ISeedSequence.register
@@ -184,10 +169,6 @@ def _record(record, grid: TimeGrid) -> np.ndarray:
     if rec.size and (rec[0] < 0 or rec[-1] > grid.n_steps):
         raise DomainError("record index outside the grid")
     return rec
-
-
-def _every_node(grid: TimeGrid) -> np.ndarray:
-    return np.arange(grid.n_steps + 1)
 
 
 def _guarded(domain):
@@ -521,8 +502,8 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     """Reflected Euler-Maruyama for the floor-constrained SDE, reflected on
     the exact minimum of each step's Brownian bridge.
 
-    Per step, from chi_0 = chi0 and l_0 = l0, with the drift frozen at the
-    start of the step:
+    Per step, from chi_0 = chi0 >= 0 (the start's height above the floor)
+    and l_0 = l0, with the drift frozen at the start of the step:
         proposal  chi^ = chi + dgamma - 1/2 T_f(chi + l) dt
         bridge minimum  m = (chi + chi^ - sqrt((chi^ - chi)^2 - 2 dt log(1 - U))) / 2
         dl = max(-m, 0);  chi <- chi^ + dl;  l <- l + dl
@@ -545,6 +526,8 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     lo, hi = f.domain
     if not lo < l0:
         raise DomainError(f"floor {l0} outside the domain of f")
+    if not chi0 >= 0:
+        raise DomainError(f"start {chi0} below the floor: need chi0 >= 0")
     edge = hi < np.inf
     rec = _record(record, grid)
     dt = grid.dt
@@ -588,68 +571,7 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
 
 
 # ---------------------------------------------------------------------------
-# Single paths: one-path calls of the ensemble runners, every node recorded.
-
-def simulate_wiener(x0: float, grid: TimeGrid, seed: int, path_index: int = 0) -> PathBundle:
-    """Path path_index of wiener_ensemble."""
-    X = wiener_ensemble(x0, grid, 1, seed, _every_node(grid), path_index)
-    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index)
-
-
-def simulate_bessel3_dual(x0: float, j0: float, grid: TimeGrid, seed: int,
-                          path_index: int = 0) -> PathBundle:
-    """Path path_index of bessel_dual_ensemble with floor 0 < j0 <= x0."""
-    X, J = bessel_dual_ensemble(x0, grid, 1, seed, _every_node(grid), j0,
-                                path_index)
-    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
-                      Jstar=J[0])
-
-
-def simulate_drifted(f: SmoothMap, x0: float, grid: TimeGrid, seed: int,
-                     path_index: int = 0) -> PathBundle:
-    """Path path_index of drifted_ensemble; truncated_at is the node from
-    which an absorbed path is parked at the guarded domain edge."""
-    X, alive = drifted_ensemble(f, x0, grid, 1, seed, _every_node(grid),
-                                path_index)
-    lo_g, hi_g = _guarded(f.domain)
-    parked = np.flatnonzero((X[0, 1:] <= lo_g) | (X[0, 1:] >= hi_g))
-    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
-                      truncated_at=None if alive[0] else 1 + int(parked[0]))
-
-
-def simulate_skorokhod(f: SmoothMap, x0: float, j0: float, grid: TimeGrid, seed: int,
-                       path_index: int = 0) -> PathBundle:
-    """Path path_index of reflected_ensemble from (x0 - j0, j0), with the
-    floor level recorded as J*; truncated_at is the first node at or above
-    a finite upper domain edge, from which the path stays where it is."""
-    if not (0 < j0 <= x0):
-        raise DomainError("simulate_skorokhod needs 0 < j0 <= x0")
-    X, _, J = reflected_ensemble(f, x0 - j0, j0, grid, 1, seed,
-                                 _every_node(grid), path_index, floors=True)
-    stuck = np.flatnonzero(X[0] >= f.domain[1])
-    return PathBundle(grid=grid, X=X[0], seed=seed, path_index=path_index,
-                      Jstar=J[0], truncated_at=int(stuck[0]) if stuck.size else None)
-
-
-# ---------------------------------------------------------------------------
 # Path functionals.
-
-def first_hitting(path: PathBundle, level: float) -> Optional[float]:
-    """First grid time with X <= level, linearly interpolated between the
-    bracketing nodes; None if the level is never reached."""
-    X = np.asarray(path.X, dtype=float)
-    if level > X[0]:
-        raise DomainError("first_hitting expects level <= X_0")
-    below = X <= level
-    if not below.any():
-        return None
-    k = int(np.argmax(below))
-    if k == 0:
-        return 0.0
-    t = path.grid.nodes
-    frac = (X[k - 1] - level) / (X[k - 1] - X[k])
-    return float(t[k - 1] + frac * (t[k] - t[k - 1]))
-
 
 def future_infimum(path: PathBundle) -> np.ndarray:
     """Backward running minimum: inf over grid nodes u >= t of X_u."""
@@ -674,7 +596,7 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     if not (lo < x0 < hi):
         raise DomainError("x0 must start inside the band")
     vals = np.empty(n_paths)
-    nodes = _every_node(grid)
+    nodes = np.arange(grid.n_steps + 1)
     stopped = {}  # stop node -> the grid up to it, shared by its paths
     # paths in blocks whose recorded nodes (size x len(nodes) floats) and
     # segment draws (at most as many) together fit _CHUNK_BUDGET

@@ -311,8 +311,7 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     with quadratic variation taken as d<X,X> = dt (every law simulated in
     this package has unit diffusion coefficient). The value at t=0 is
     exactly 1. If the path exits the domain of f the series is truncated at
-    the last in-domain node (callers can consult path.truncated_at, which the
-    simulators set for their own domain exits).
+    the last in-domain node.
 
     Returns an array aligned to the path's grid nodes, possibly shorter when
     truncated.

@@ -37,11 +37,10 @@ from bubblepde import (
     reciprocal_map,
     schwarzian,
     schwarzian_process,
-    simulate_bessel3_dual,
-    simulate_wiener,
     solve,
 )
-from bubblepde.pathlab import PathBundle, bessel_dual_ensemble, drifted_ensemble
+from bubblepde.pathlab import (PathBundle, bessel_dual_ensemble,
+                               drifted_ensemble, wiener_ensemble)
 
 SEED = 20260814  # build date; fixed before any run
 FORWARD = PayoffSpec.forward()
@@ -235,17 +234,21 @@ def test_derivative_identities_and_process_composition():
     assert np.min(np.abs(schwarzian(f13, x))) > 0.0
 
     grid = TimeGrid.uniform(1.0, 1024)
+    nodes = range(grid.n_steps + 1)
+    # paths 0 ... 99 of the Wiener ensembles from 1 and from 2
+    paths = {x0: [PathBundle(grid=grid, X=X, seed=SEED, path_index=k)
+                  for k, X in enumerate(wiener_ensemble(x0, grid, 100, SEED,
+                                                        nodes))]
+             for x0 in (1.0, 2.0)}
     phi2 = mobius_map((2.0, 3.0, 1.0, 4.0))
-    for k in range(100):
-        p = simulate_wiener(1.0, grid, SEED, k)
+    for p in paths[1.0]:
         s = schwarzian_process(phi2, p)
         ref = (p.X[: len(s)] + 4.0) / (p.X[0] + 4.0)
         np.testing.assert_allclose(s, ref, atol=1e-12)
 
     g2 = power_law_map(2.0)
     checked = 0
-    for k in range(100):
-        p = simulate_wiener(2.0, grid, SEED, k)
+    for p in paths[2.0]:
         if np.any(p.X <= 0.05):
             continue
         comp = schwarzian_process(compose(phi2, g2), p)
@@ -264,8 +267,7 @@ def test_derivative_identities_and_process_composition():
     ]
     for fo, gi, floor, tol in pairs:
         checked = 0
-        for k in range(100):
-            p = simulate_wiener(2.0, grid, SEED, k)
+        for p in paths[2.0]:
             if np.any(p.X <= floor):
                 continue
             comp = schwarzian_process(compose(fo, gi), p)
@@ -291,11 +293,12 @@ def test_reflection_duality_invariants_and_cross_simulator_moments():
     below the noise floor."""
     grid = TimeGrid.uniform(1.0, 1024)
     slack = 2.0 * np.sqrt(1.0 / 1024)
-    for k in range(1000):
-        p = simulate_bessel3_dual(1.0, 0.5, grid, SEED, k)
-        assert np.all(np.diff(p.Jstar) >= 0.0)
-        assert np.all(p.X >= p.Jstar)
-        assert np.all(future_infimum(p) >= p.Jstar - slack)
+    X, J = bessel_dual_ensemble(1.0, grid, 1000, SEED, range(1025), j0=0.5)
+    assert np.all(np.diff(J, axis=1) >= 0.0)
+    assert np.all(X >= J)
+    for k, (x, j) in enumerate(zip(X, J)):
+        p = PathBundle(grid=grid, X=x, seed=SEED, path_index=k)
+        assert np.all(future_infimum(p) >= j - slack)
 
     n = 16384
     dual, _ = bessel_dual_ensemble(1.0, TimeGrid.uniform(1.0, 32768), n,

@@ -675,15 +675,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "oracle.csv").exists()
 
 
-@pytest.mark.parametrize("model, cases", [
-    ({"sigma": SIG2}, ["forward_recip_bessel_investor",
-                       "forward_recip_bessel_fundraiser"]),
-    ({"f": BM_F}, ["bond_bm", "forward_bm_investor", "forward_bm_fundraiser",
-                   "delta_bm_fundraiser"]),
-    ({"sigma": dict(SIG2, exponent=1.5)}, []),
-], ids=["sigma-y2", "brownian", "sigma-y1.5"])
-def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, cases):
-    cfgp = write_config(tmp_path, model=dict(MODEL, **model))
+@pytest.mark.parametrize("model, payoff, cases", [
+    ({"sigma": SIG2}, {"kind": "forward"},
+     ["forward_recip_bessel_investor", "forward_recip_bessel_fundraiser"]),
+    ({"f": BM_F}, {"kind": "forward"},
+     ["forward_bm_investor", "forward_bm_fundraiser", "delta_bm_fundraiser"]),
+    ({"f": BM_F}, {"kind": "bond"}, ["bond_bm"]),
+    ({"sigma": SIG2}, {"kind": "call", "strike": 0.5}, []),
+    ({"sigma": dict(SIG2, exponent=1.5)}, {"kind": "forward"}, []),
+], ids=["sigma-y2", "brownian", "brownian-bond", "sigma-y2-call",
+        "sigma-y1.5"])
+def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, payoff,
+                                            cases):
+    # rows of the configured market and payoff; a call struck at 0.5 has none
+    cfgp = write_config(tmp_path, model=dict(MODEL, **model), payoff=payoff)
     assert main(["oracle", "--config", str(cfgp)]) == 0
     lines = (tmp_path / "out" / "oracle.csv").read_text().splitlines()
     assert lines[1] == "case,x,j,T,value"

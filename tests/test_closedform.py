@@ -13,25 +13,18 @@ import pytest
 from bubblepde import (
     DomainError,
     NumericsError,
-    OracleCase,
-    affine_map,
     bond_bm,
     delta_bm_fundraiser,
     forward_bm_fundraiser,
     forward_bm_investor,
     forward_recip_bessel_fundraiser,
     forward_recip_bessel_investor,
-    gop_fundraiser,
-    gop_investor,
     integrate,
     norm_cdf,
     norm_pdf,
-    reciprocal_map,
     theta_recip_bessel_forward,
 )
-from bubblepde.closedform import oracle_value
-from bubblepde.closedform import erfc
-from bubblepde.pathlab import TimeGrid, simulate_skorokhod, simulate_wiener
+from bubblepde.closedform import ORACLES, erfc, oracle_value
 
 
 def erfc_continued_fraction(x, terms=120):
@@ -155,15 +148,6 @@ def test_theta_small_floor_approaches_investor_start():
 # oracle case table
 
 
-def test_oracle_cases_dispatch():
-    names = OracleCase.all_cases()
-    assert "forward_recip_bessel_fundraiser" in names
-    v = OracleCase(case="forward_bm_fundraiser", x=1.0, T=1.0, j=1.0).value()
-    assert v == pytest.approx(forward_bm_fundraiser(1.0, 1.0, 1.0))
-    assert OracleCase(case="bond_bm", x=1.0, T=1.0).value() \
-        == pytest.approx(bond_bm(1.0, 1.0))
-
-
 def test_oracle_table_keeps_its_order_and_closed_forms():
     x, j, T = 1.3, 0.4, 0.7
     direct = {
@@ -174,9 +158,9 @@ def test_oracle_table_keeps_its_order_and_closed_forms():
         "forward_recip_bessel_investor": forward_recip_bessel_investor(x, T),
         "forward_recip_bessel_fundraiser": forward_recip_bessel_fundraiser(x, j, T),
     }
-    assert OracleCase.all_cases() == tuple(direct)
-    for case, want in direct.items():
-        assert OracleCase(case=case, x=x, T=T, j=j).value() == want, case
+    assert tuple(case for case, _form in ORACLES.values()) == tuple(direct)
+    for case, form in ORACLES.values():
+        assert form(x, j, T) == direct[case], case
     assert oracle_value("recip", "forward", "fundraiser", x, j, T) \
         == direct["forward_recip_bessel_fundraiser"]
     # the bond pays 1 where no path is absorbed; calls have no row yet
@@ -184,42 +168,3 @@ def test_oracle_table_keeps_its_order_and_closed_forms():
     assert oracle_value("recip", "bond", "investor", x, j, T) == 1.0
     assert oracle_value("other", "bond", "investor", x, j, T) is None
     assert oracle_value("bm", "call", "investor", x, j, T) is None
-
-
-def test_oracle_case_requires_j_for_fundraiser():
-    with pytest.raises(DomainError):
-        OracleCase(case="forward_bm_fundraiser", x=1.0, T=1.0).value()
-    with pytest.raises(DomainError):
-        OracleCase(case="no_such_case", x=1.0, T=1.0).value()
-
-
-# ---------------------------------------------------------------------------
-# growth-optimal portfolios along paths
-
-
-def test_gop_investor_driftless_benchmark():
-    # s = 1/x, f = x: the investor GOP is X_t / X_0
-    grid = TimeGrid.uniform(1.0, 200)
-    p = simulate_wiener(3.0, grid, 2024, 1)
-    g = gop_investor(p, reciprocal_map(), affine_map(1.0, 0.0))
-    n = len(g)
-    np.testing.assert_allclose(g, p.X[:n] / p.X[0], rtol=1e-10)
-
-
-def test_gop_investor_trivial_when_s_equals_f():
-    grid = TimeGrid.uniform(1.0, 100)
-    p = simulate_wiener(2.0, grid, 2024, 3)
-    g = gop_investor(p, reciprocal_map(), reciprocal_map())
-    np.testing.assert_allclose(g, 1.0, atol=1e-12)
-
-
-def test_gop_fundraiser_by_market():
-    grid = TimeGrid.uniform(1.0, 256)
-    p = simulate_skorokhod(reciprocal_map(), 1.0, 0.5, grid, 2024, 5)
-    # reciprocal-Bessel market (s = f = 1/x): G~ = (X_0/J*_0^2) J*_t^2 / X_t
-    g = gop_fundraiser(p, reciprocal_map(), reciprocal_map())
-    ref = (p.X[0] / p.Jstar[0] ** 2) * p.Jstar ** 2 / p.X
-    np.testing.assert_allclose(g, ref[: len(g)], rtol=1e-9)
-    # driftless market (s = 1/x, f = x): G~ is identically 1
-    g1 = gop_fundraiser(p, reciprocal_map(), affine_map(1.0, 0.0))
-    np.testing.assert_allclose(g1, 1.0, atol=1e-12)

@@ -1,5 +1,5 @@
-"""Simulator tests: stream reproducibility, the reflection/dual couplings,
-and the path functionals."""
+"""Path-engine tests: stream reproducibility, the ensemble runners' laws and
+invariants, the reflection/dual couplings, and the path functionals."""
 
 import dataclasses
 import os
@@ -17,14 +17,9 @@ from bubblepde.pathlab import (
     bessel_dual_ensemble,
     change_of_measure_expectation,
     drifted_ensemble,
-    first_hitting,
     future_infimum,
     path_stream,
     reflected_ensemble,
-    simulate_bessel3_dual,
-    simulate_drifted,
-    simulate_skorokhod,
-    simulate_wiener,
     wiener_ensemble,
 )
 from bubblepde.smoothmaps import schwarzian_process
@@ -77,134 +72,95 @@ def test_stream_survives_huge_indices():
 
 
 # ---------------------------------------------------------------------------
-# single-path simulators
+# the runners' laws and invariants, every node recorded
 
 
 def test_wiener_uses_grid_and_stream():
     grid = TimeGrid.uniform(1.0, 16)
-    p = simulate_wiener(2.0, grid, SEED, 0)
-    assert p.X[0] == 2.0
+    X = wiener_ensemble(2.0, grid, 1, SEED, range(17))[0]
+    assert X[0] == 2.0
     incr = path_stream(SEED, 0).standard_normal(16) * np.sqrt(grid.dt)
-    np.testing.assert_array_equal(p.X, np.add.accumulate(np.concatenate(([2.0], incr))))
+    np.testing.assert_array_equal(X, np.add.accumulate(np.concatenate(([2.0], incr))))
 
 
 def test_drifted_affine_reduces_to_wiener_bitwise():
     grid = TimeGrid.uniform(1.0, 64)
-    w = simulate_wiener(1.5, grid, SEED, 7)
-    d = simulate_drifted(affine_map(1.0, 0.0), 1.5, grid, SEED, 7)
-    np.testing.assert_array_equal(w.X, d.X)
+    w = wiener_ensemble(1.5, grid, 1, SEED, range(65), 7)
+    d, _ = drifted_ensemble(affine_map(1.0, 0.0), 1.5, grid, 1, SEED,
+                            range(65), 7)
+    np.testing.assert_array_equal(w, d)
 
 
 def test_drifted_absorption_flag():
-    # a map on (0, inf) with zero drift: plain BM, eventually exits for a low start
+    # a map on (0, inf) with zero drift: plain BM, eventually exits for a low
+    # start; an absorbed path is parked at the guarded edge 0 + EDGE_GUARD,
+    # which a live path never reaches
     f = power_law_map(1.0)
     grid = TimeGrid.uniform(4.0, 4096)
-    absorbed = 0
+    X, alive = drifted_ensemble(f, 0.05, grid, 20, SEED, range(4097))
     for k in range(20):
-        p = simulate_drifted(f, 0.05, grid, SEED, k)
-        if p.truncated_at is not None:
-            absorbed += 1
-            n = p.truncated_at
-            assert np.all(p.X[n:] == p.X[n])  # parked at the guarded edge
-    assert absorbed > 10
+        parked = np.flatnonzero(X[k] <= pathlab.EDGE_GUARD)
+        assert alive[k] == (parked.size == 0)
+        if parked.size:
+            assert np.all(X[k, parked[0]:] == X[k, parked[0]])
+    assert (~alive).sum() > 10
+    # a block whose paths are all parked stops stepping and holds them
+    k = int(np.argmin(alive))
+    one, one_alive = drifted_ensemble(f, 0.05, grid, 1, SEED, range(4097), k)
+    np.testing.assert_array_equal(one[0], X[k])
+    assert not one_alive[0]
 
 
 def test_bessel_dual_invariants():
     grid = TimeGrid.uniform(1.0, 512)
-    p = simulate_bessel3_dual(1.0, 0.4, grid, SEED, 2)
-    assert p.X[0] == pytest.approx(1.0)
-    assert p.Jstar[0] == pytest.approx(0.4)
-    assert np.all(np.diff(p.Jstar) >= 0)
-    assert np.all(p.X >= p.Jstar - 1e-12)
+    X, J = bessel_dual_ensemble(1.0, grid, 1, SEED, range(513), 0.4, 2)
+    X, J = X[0], J[0]
+    assert X[0] == pytest.approx(1.0)
+    assert J[0] == pytest.approx(0.4)
+    assert np.all(np.diff(J) >= 0)
+    assert np.all(X >= J - 1e-12)
 
 
 def test_bessel_dual_rejects_bad_floor():
     grid = TimeGrid.uniform(1.0, 4)
     with pytest.raises(DomainError):
-        simulate_bessel3_dual(1.0, 1.5, grid, SEED, 0)
+        bessel_dual_ensemble(1.0, grid, 1, SEED, [4], 1.5)
     with pytest.raises(DomainError):
-        simulate_bessel3_dual(1.0, 0.0, grid, SEED, 0)
+        bessel_dual_ensemble(1.0, grid, 1, SEED, [4], 0.0)
 
 
 def test_skorokhod_stays_above_floor():
     f = reciprocal_map()
     grid = TimeGrid.uniform(1.0, 512)
-    for k in range(10):
-        p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
-        assert np.all(p.X >= p.Jstar - 1e-12)
-        assert np.all(np.diff(p.Jstar) >= 0)
-
-
-def test_stopped_at_keeps_truncation_only_if_before_node():
-    grid = TimeGrid.uniform(1.0, 10)
-    X = np.linspace(1.0, 2.0, 11)
-    p = PathBundle(grid=grid, X=X, seed=0, path_index=0,
-                   truncated_at=7)
-    assert p.stopped_at(5).truncated_at is None
-    assert p.stopped_at(8).truncated_at == 7
-    assert len(p.stopped_at(5).X) == 6
-
-
-# ---------------------------------------------------------------------------
-# ensembles: bit-identity with the single-path simulators
-
-
-def test_reflected_ensemble_matches_single_path_bitwise():
-    f = reciprocal_map()
-    grid = TimeGrid.uniform(1.0, 128)
-    vals, contact, floors = reflected_ensemble(f, 0.5, 0.5, grid, 6, SEED, [64, 128],
-                                               floors=True)
-    floor = floors[:, -1]
-    for k in range(6):
-        p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
-        assert vals[k, 0] == p.X[64]
-        assert vals[k, 1] == p.X[128]
-        assert floor[k] == p.Jstar[-1]
-        assert contact[k] == (p.Jstar[-1] > 0.5)
-
-    # every node of 64 paths x 512 steps
-    grid = TimeGrid.uniform(1.0, 512)
-    vals, _, floors = reflected_ensemble(f, 0.5, 0.5, grid, 64, SEED, range(513),
-                                         floors=True)
-    for k in range(64):
-        p = simulate_skorokhod(f, 1.0, 0.5, grid, SEED, k)
-        np.testing.assert_array_equal(vals[k], p.X)
-        np.testing.assert_array_equal(floors[k], p.Jstar)
+    X, contact, J = reflected_ensemble(f, 0.5, 0.5, grid, 10, SEED,
+                                       range(513), floors=True)
+    assert np.all(X >= J - 1e-12)
+    assert np.all(np.diff(J, axis=1) >= 0)
+    # contact exactly when the floor rose
+    np.testing.assert_array_equal(contact, J[:, -1] > 0.5)
+    assert contact.any()
 
     # a finite upper domain edge: a path stays where it is from its first
     # node at or above the edge
     edge = affine_map(1.0, 0.0, domain=(0.0, 1.2))
     grid = TimeGrid.uniform(1.0, 64)
-    vals, _, floors = reflected_ensemble(edge, 0.5, 0.5, grid, 8, SEED, range(65),
-                                         floors=True)
-    for k in range(8):
-        p = simulate_skorokhod(edge, 1.0, 0.5, grid, SEED, k)
-        np.testing.assert_array_equal(vals[k], p.X)
-        np.testing.assert_array_equal(floors[k], p.Jstar)
-        n = len(p.X) if p.truncated_at is None else p.truncated_at
-        assert np.all(p.X[:n] < 1.2)
-        assert np.all(p.X[n:] == p.X[-1])
+    X, _, J = reflected_ensemble(edge, 0.5, 0.5, grid, 8, SEED, range(65),
+                                 floors=True)
+    held = 0
+    for x, j in zip(X, J):
+        over = np.flatnonzero(x >= 1.2)
+        if over.size:
+            held += 1
+            assert np.all(x[over[0]:] == x[-1])
+            assert np.all(j[over[0]:] == j[-1])
+    assert held
 
 
-def test_drifted_ensemble_matches_single_path_bitwise():
-    f = reciprocal_map()
-    grid = TimeGrid.uniform(1.0, 128)
-    vals, alive = drifted_ensemble(f, 1.0, grid, 5, SEED, [128])
-    for k in range(5):
-        p = simulate_drifted(f, 1.0, grid, SEED, k)
-        if p.truncated_at is None:
-            assert alive[k]
-            assert vals[k, -1] == p.X[-1]
-        else:
-            assert not alive[k]
-
-    # every node of 64 paths x 512 steps
-    grid = TimeGrid.uniform(1.0, 512)
-    vals, alive = drifted_ensemble(f, 1.0, grid, 64, SEED, range(513))
-    for k in range(64):
-        p = simulate_drifted(f, 1.0, grid, SEED, k)
-        np.testing.assert_array_equal(vals[k], p.X)
-        assert alive[k] == (p.truncated_at is None)
+def test_reflected_ensemble_rejects_a_start_below_the_floor():
+    grid = TimeGrid.uniform(1.0, 4)
+    for chi0 in (-1e-9, np.nan):
+        with pytest.raises(DomainError, match="below the floor"):
+            reflected_ensemble(reciprocal_map(), chi0, 0.5, grid, 2, SEED, [4])
 
 
 @pytest.mark.parametrize("f", [
@@ -498,8 +454,8 @@ _PINNED = {
 
 
 def test_runner_values_are_pinned():
-    # the single-path tests compare a runner with itself; these values catch
-    # a change to the stream layout or to the per-step arithmetic
+    # these values catch a change to the stream layout or to the per-step
+    # arithmetic
     grid = TimeGrid.uniform(1.0, 1061)
     rec = [0, 511, 512, 513, 1061]
     f = reciprocal_map()
@@ -519,15 +475,6 @@ def test_runner_values_are_pinned():
             np.testing.assert_array_equal(a, np.array(want), err_msg=name)
 
 
-def test_bessel_dual_ensemble_fixed_floor_matches_single():
-    grid = TimeGrid.uniform(1.0, 64)
-    vals, jst = bessel_dual_ensemble(1.0, grid, 4, SEED, [64], j0=0.25)
-    for k in range(4):
-        p = simulate_bessel3_dual(1.0, 0.25, grid, SEED, k)
-        assert vals[k, 0] == p.X[-1]
-        assert jst[k, 0] == p.Jstar[-1]
-
-
 def test_bessel_dual_ensemble_random_floor_law():
     # with j0 drawn uniform(0, x0) the terminal mean matches the
     # unconditioned Bessel-3 mean (quadrature value 1.8493204 at x=T=1)
@@ -540,18 +487,6 @@ def test_bessel_dual_ensemble_random_floor_law():
 
 # ---------------------------------------------------------------------------
 # functionals
-
-
-def test_first_hitting_interpolates():
-    grid = TimeGrid.uniform(1.0, 4)
-    X = np.array([1.0, 0.8, 0.4, 0.9, 1.2])
-    p = PathBundle(grid=grid, X=X, seed=0, path_index=0)
-    t = first_hitting(p, 0.6)
-    # crossing between nodes 1 (t=0.25, X=0.8) and 2 (t=0.5, X=0.4)
-    assert t == pytest.approx(0.25 + 0.25 * (0.8 - 0.6) / (0.8 - 0.4))
-    assert first_hitting(p, 0.1) is None
-    with pytest.raises(DomainError):
-        first_hitting(p, 2.0)
 
 
 def test_future_infimum_backward_min():
@@ -596,8 +531,8 @@ def _measure_reference(s, payoff, x0, grid, n, seed, band):
         outside = (row <= lo) | (row >= hi)
         stop = int(np.argmax(outside)) if outside.any() else grid.n_steps
         row[stop] = min(max(row[stop], lo), hi)
-        p = PathBundle(grid=grid, X=row, seed=seed,
-                       path_index=i).stopped_at(stop)
+        p = PathBundle(grid=TimeGrid(grid.nodes[:stop + 1]), X=row[:stop + 1],
+                       seed=seed, path_index=i)
         vals[i] = schwarzian_process(s, p)[-1] * payoff(p)
         stops[i] = stop
     return (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))), stops

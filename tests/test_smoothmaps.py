@@ -21,7 +21,7 @@ from bubblepde import (
     schwarzian_process,
     shift_map,
 )
-from bubblepde.pathlab import PathBundle, TimeGrid, simulate_wiener
+from bubblepde.pathlab import PathBundle, TimeGrid, wiener_ensemble
 from bubblepde.smoothmaps import _fd_cross_check
 
 RNG = np.random.default_rng(991)
@@ -237,7 +237,8 @@ def test_affine_precomposition_scales_schwarzian():
 def test_process_mobius_closed_form():
     phi = mobius_map((2.0, 3.0, 1.0, 1.0))
     grid = TimeGrid.uniform(1.0, 200)
-    p = simulate_wiener(5.0, grid, 12, 0)
+    X = wiener_ensemble(5.0, grid, 1, 12, range(201))[0]
+    p = PathBundle(grid=grid, X=X, seed=12, path_index=0)
     s = schwarzian_process(phi, p)
     ref = (p.X + 1.0) / (p.X[0] + 1.0)
     np.testing.assert_allclose(s, ref[: len(s)], atol=1e-13)
@@ -249,7 +250,8 @@ def test_process_power_law_closed_form():
     alpha = 1.7
     f = power_law_map(alpha)
     grid = TimeGrid.uniform(0.5, 300)
-    p = simulate_wiener(3.0, grid, 77, 4)
+    X = wiener_ensemble(3.0, grid, 1, 77, range(301), 4)[0]
+    p = PathBundle(grid=grid, X=X, seed=77, path_index=4)
     s = schwarzian_process(f, p)
     X = p.X[: len(s)]
     t = grid.nodes[: len(s)]
@@ -293,9 +295,9 @@ def test_process_composition_multiplicativity_mobius_outer():
     g = power_law_map(2.0)
     grid = TimeGrid.uniform(1.0, 256)
     checked = 0
-    for k in range(60):
-        p = simulate_wiener(2.0, grid, 314, k)
-        if p.truncated_at is not None or np.any(p.X <= 0.05):
+    for k, X in enumerate(wiener_ensemble(2.0, grid, 60, 314, range(257))):
+        p = PathBundle(grid=grid, X=X, seed=314, path_index=k)
+        if np.any(p.X <= 0.05):
             continue
         comp = schwarzian_process(compose(phi, g), p)
         inner = schwarzian_process(g, p)
