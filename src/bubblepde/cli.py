@@ -10,6 +10,7 @@ identical resolved configs produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -23,8 +24,9 @@ from . import closedform as cf
 from .boundary import PayoffSpec, ThetaTable, estimate_theta, \
     price_and_decompose
 from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
-from .pathlab import TimeGrid, bessel_dual_ensemble, drifted_ensemble, \
-    reflected_ensemble, wiener_ensemble
+from .pathlab import TimeGrid, _run_shares, _worker_count, \
+    bessel_dual_ensemble, drifted_ensemble, reflected_ensemble, \
+    wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
     TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, f_from_sigma, \
     solve, stencil
@@ -430,6 +432,19 @@ def _check_compare_schemes(cfg: dict, f, names) -> None:
                     f"{name} scheme ({exc}); {hint}") from None
 
 
+def _balance(costs, workers: int) -> list[list[int]]:
+    """Task indices per worker: the tasks, costliest first (ties in task
+    order), each to the worker with the least cost so far (ties to the
+    first)."""
+    loads = [[] for _ in range(workers)]
+    totals = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = totals.index(min(totals))
+        loads[w].append(i)
+        totals[w] += costs[i]
+    return loads
+
+
 def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                         digest: str, names=None) -> int:
     model, num = cfg["model"], cfg["numerics"]
@@ -445,25 +460,45 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                                 num.get("theta_table"))
             schemes.append(FundraiserScheme(j=j0, theta=table))
 
-    rows, runtimes = [], {}
-    for scheme in schemes:
-        for lev, (m, steps) in enumerate(_level_sizes(num)):
+    tasks = [(scheme, lev, m, steps) for scheme in schemes
+             for lev, (m, steps) in enumerate(_level_sizes(num))]
+    loads = _balance([m * steps for _, _, m, steps in tasks],
+                     _worker_count(len(tasks)))
+
+    def solve_load(load):
+        """(CSV row, wall time of the solve) of each task of a load."""
+        done = []
+        for i in load:
+            scheme, lev, m, steps = tasks[i]
             t0 = time.perf_counter()
             sol = _solve_at(cfg, payoff, scheme, m, steps)
             elapsed = time.perf_counter() - t0
             val = sol.value_at(0.0, y_ref)
             defect = corner_defect(model["sigma"], payoff, model["T"], scheme,
                                    grid=sol.grid)
-            rows.append((scheme.kind, lev, m, steps, val, defect))
-            runtimes[f"{scheme.kind}/level{lev}"] = elapsed
+            done.append(((scheme.kind, lev, m, steps, val, defect), elapsed))
+            # a load runs its largest solves back to back: hold one at most
+            del sol
+        return done
+
+    # each load's worker returns rows and times only, never a solution
+    results = _run_shares(
+        [functools.partial(solve_load, load) for load in loads],
+        ["the solves of " + ", ".join(f"{tasks[i][0].kind} level {tasks[i][1]}"
+                                      for i in load) for load in loads])
+    rows, runtimes = [], {}
+    for done in results:
+        for row, elapsed in done:
+            rows.append(row)
+            runtimes[f"{row[0]}/level{row[1]}"] = elapsed
     rows.sort(key=lambda r: (r[0], r[1]))
     body = [f"{n},{lev},{m},{steps},{_fmt(v)},{_fmt(d)}"
             for n, lev, m, steps, v, d in rows]
     _write_csv(out / "compare.csv", digest,
                "scheme,level,space_nodes,time_steps,value,corner_defect", body)
     (out / "compare.meta.json").write_text(json.dumps(
-        {"config_hash": digest, "runtimes_s": runtimes}, indent=2,
-        sort_keys=True) + "\n")
+        {"config_hash": digest, "runtimes_s": runtimes,
+         "workers": len(loads)}, indent=2, sort_keys=True) + "\n")
     width = max(len(n) for n, *_ in rows)
     for n, lev, m, steps, v, d in rows:
         print(f"{n:<{width}}  level {lev}  M={m:<5d} N={steps:<6d} "

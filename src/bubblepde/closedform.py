@@ -151,23 +151,34 @@ def theta_recip_bessel_forward(tau: float, j: float, tol=1e-10) -> float:
 # ---------------------------------------------------------------------------
 # The oracle table: (market, payoff kind, investor/fundraiser) -> (case name,
 # closed form of (x, j, T)).  Market "bm" is the price map y = x, "recip" the
-# reciprocal-Bessel map y = 1/x.  Each form looks its function up by name when
-# called, so wrapping a module function (as a profiler does) covers the table.
+# reciprocal-Bessel map y = 1/x, and "other" any other map.  Each closed form
+# looks its function up by name when called, so wrapping a module function (as
+# a profiler does) covers the table.  The bond pays 1 wherever no price path
+# is absorbed: the reflected (fundraiser) path never is, in any market, nor
+# is the Bessel-3 path behind y = 1/x.
+
+def _par(x, j, T) -> float:
+    return 1.0
+
 
 ORACLES = {
     ("bm", "bond", "investor"): ("bond_bm", lambda x, j, T: bond_bm(x, T)),
+    ("bm", "bond", "fundraiser"): ("bond_bm_fundraiser", _par),
     ("bm", "forward", "investor"):
         ("forward_bm_investor", lambda x, j, T: forward_bm_investor(x, T)),
     ("bm", "forward", "fundraiser"):
         ("forward_bm_fundraiser", lambda x, j, T: forward_bm_fundraiser(x, j, T)),
     ("bm", "forward_delta", "fundraiser"):
         ("delta_bm_fundraiser", lambda x, j, T: delta_bm_fundraiser(x, j, T)),
+    ("recip", "bond", "investor"): ("bond_recip_bessel_investor", _par),
+    ("recip", "bond", "fundraiser"): ("bond_recip_bessel_fundraiser", _par),
     ("recip", "forward", "investor"):
         ("forward_recip_bessel_investor",
          lambda x, j, T: forward_recip_bessel_investor(x, T)),
     ("recip", "forward", "fundraiser"):
         ("forward_recip_bessel_fundraiser",
          lambda x, j, T: forward_recip_bessel_fundraiser(x, j, T)),
+    ("other", "bond", "fundraiser"): ("bond_fundraiser", _par),
 }
 
 
@@ -175,10 +186,5 @@ def oracle_value(market: str, payoff_kind: str, side: str, x: float,
                  j: float, T: float) -> float | None:
     """The closed form of ORACLES[market, payoff kind, side] at (x, j, T),
     None when no formula applies."""
-    if (market, payoff_kind, side) in ORACLES:
-        return ORACLES[market, payoff_kind, side][1](x, j, T)
-    # The bond pays 1 wherever no price path is absorbed: the reflected
-    # (fundraiser) path never is, nor is the Bessel-3 path behind y = 1/x.
-    if payoff_kind == "bond" and (side == "fundraiser" or market == "recip"):
-        return 1.0
-    return None
+    row = ORACLES.get((market, payoff_kind, side))
+    return None if row is None else row[1](x, j, T)

@@ -23,7 +23,10 @@ Large ensembles run as contiguous path shares in forked workers, one per CPU
 of the process's affinity mask: the caller runs the first share and joins
 the others' arrays in path order.  Below two blocks of paths, without
 os.fork, or while other threads run, a runner works in process.  Since each
-path reads only its own stream, no output depends on the share count.
+path reads only its own stream, no output depends on the share count.  One
+helper, _run_shares, forks, collects and reaps the workers, and raises a
+worker's exception in the caller; the compare-schemes solves run through
+it too.
 """
 
 from __future__ import annotations
@@ -248,7 +251,7 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
 
 
 # ---------------------------------------------------------------------------
-# Path shares: one forked worker per CPU.
+# Shares: one forked worker per CPU.
 
 def _cpu_count() -> int:
     """CPUs in this process's affinity mask (all CPUs where the platform
@@ -259,14 +262,14 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _share_count(n_paths: int, n_steps: int) -> int:
-    """Shares of an ensemble: one per CPU, at most one per full block of
-    paths.  One share, run in process, without os.fork or while other
-    threads run: a forked child holds only the forking thread, so a lock
-    another thread held at the fork would never be released in it."""
+def _worker_count(tasks: int) -> int:
+    """Workers for tasks independent tasks: one per CPU, at most one per
+    task.  One, run in process, without os.fork or while other threads run:
+    a forked child holds only the forking thread, so a lock another thread
+    held at the fork would never be released in it."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(_cpu_count(), n_paths // _block_rows(n_steps)))
+    return max(1, min(_cpu_count(), tasks))
 
 
 def _fork_share(work) -> tuple[int, int]:
@@ -290,7 +293,7 @@ def _fork_share(work) -> tuple[int, int]:
             data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # e.g. an exception type that does not pickle
             data = pickle.dumps((False, RuntimeError(
-                f"a path share could not send its outcome: {exc!r}")))
+                f"a forked share could not send its outcome: {exc!r}")))
         with open(write, "wb") as fh:
             fh.write(data)
         code = 0
@@ -307,6 +310,41 @@ def _receive(read: int):
     return pickle.loads(b"".join(chunks)) if chunks else None
 
 
+def _run_shares(works, labels):
+    """Run works[0]() in the caller and each other work in a forked child
+    (_fork_share); return their results in order.  An exception raised in a
+    child is raised in the caller, with a note naming its share by
+    labels[k], once every child has been reaped; an exception in the caller,
+    KeyboardInterrupt included, kills and reaps the children.  Children are
+    forked, not spawned: they start from the caller's memory, so a work's
+    inputs (maps hold closures, which do not pickle) never cross a process
+    boundary; only its result does."""
+    children, status = [], {}
+    try:
+        for work in works[1:]:
+            children.append(_fork_share(work))
+        outcomes = [(True, works[0]())]
+        outcomes += [_receive(read) for _, read in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            status[pid] = os.waitpid(pid, 0)[1]
+    for k, outcome in enumerate(outcomes):
+        if outcome is None:
+            pid = children[k - 1][0]
+            raise RuntimeError(
+                f"the worker of {labels[k]} (pid {pid}) ended without a "
+                f"result, exit code {os.waitstatus_to_exitcode(status[pid])}")
+        if not outcome[0]:
+            outcome[1].add_note(f"raised in {labels[k]}, in a forked worker")
+            raise outcome[1]
+    return [out for _, out in outcomes]
+
+
 def _join(outs):
     """The shares' outputs joined along axis 0, array by array; an output
     that is None in the shares stays None."""
@@ -318,16 +356,12 @@ def _join(outs):
 
 def _path_shares(runner):
     """Wrap an ensemble runner so that its paths first_index ...
-    first_index + n_paths - 1 run as _share_count contiguous shares: the
-    caller runs the first share itself, and each other share runs in a
-    forked child, through runner with that share's first_index and n_paths.
-    The outputs are joined along axis 0, in path order.  An exception
-    raised in any share is raised in the caller once every child has been
-    reaped; an exception in the caller, KeyboardInterrupt included, kills
-    and reaps the children.  A child runs the unwrapped runner, so it never
-    forks again.  Children are forked, not spawned: they start from the
-    caller's memory, so the runner's arguments (maps hold closures, which
-    do not pickle) never cross a process boundary; only the outputs do."""
+    first_index + n_paths - 1 run as contiguous shares, one per worker and
+    at most one per full block of paths, through _run_shares: the caller
+    runs the first share itself, and each other share runs in a forked
+    child, through runner with that share's first_index and n_paths.  The
+    outputs are joined along axis 0, in path order.  A child runs the
+    unwrapped runner, so it never forks again."""
     sig = inspect.signature(runner)
 
     @functools.wraps(runner)
@@ -338,7 +372,8 @@ def _path_shares(runner):
         first = call.arguments["first_index"] = operator.index(
             call.arguments["first_index"])
         n_paths = operator.index(call.arguments["n_paths"])
-        shares = _share_count(n_paths, call.arguments["grid"].n_steps)
+        shares = _worker_count(
+            n_paths // _block_rows(call.arguments["grid"].n_steps))
         if shares < 2:
             return runner(*call.args, **call.kwargs)
         cuts = [n_paths * k // shares for k in range(shares + 1)]
@@ -348,33 +383,10 @@ def _path_shares(runner):
             call.arguments["n_paths"] = cuts[k + 1] - cuts[k]
             return runner(*call.args, **call.kwargs)
 
-        children, status = [], {}
-        try:
-            for k in range(1, shares):
-                children.append(_fork_share(functools.partial(share, k)))
-            outcomes = [(True, share(0))]
-            outcomes += [_receive(read) for _, read in children]
-        except BaseException:
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for pid, read in children:
-                os.close(read)
-                status[pid] = os.waitpid(pid, 0)[1]
-        for k, outcome in enumerate(outcomes):
-            if outcome is None:
-                pid = children[k - 1][0]
-                raise RuntimeError(
-                    f"the worker of path share {k} (pid {pid}) ended without "
-                    f"a result, exit code "
-                    f"{os.waitstatus_to_exitcode(status[pid])}")
-            if not outcome[0]:
-                outcome[1].add_note(
-                    f"raised in the share of paths {first + cuts[k]} ... "
-                    f"{first + cuts[k + 1] - 1}, in a forked worker")
-                raise outcome[1]
-        return _join([out for _, out in outcomes])
+        return _join(_run_shares(
+            [functools.partial(share, k) for k in range(shares)],
+            [f"the share of paths {first + cuts[k]} ... "
+             f"{first + cuts[k + 1] - 1}" for k in range(shares)]))
 
     return run
 
@@ -612,9 +624,11 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
             stop = np.where(outside.any(axis=1), outside.argmax(axis=1),
                             grid.n_steps)
             at_stop = np.clip(X[rows, stop], lo, hi)
-            # hold every row at its stop value from there on, inside the band
-            X = np.where(nodes < stop[:, None], X, at_stop[:, None])
-            integral = schwarzian_integral(s, X, grid.nodes)[rows, stop]
+            X[rows, stop] = at_stop
+            # the integral at the stop reads S_f at the nodes up to it only;
+            # the later nodes, maybe outside the domain of s, are never read
+            live = nodes <= stop[:, None]
+            integral = schwarzian_integral(s, X, grid.nodes, live)[rows, stop]
             weight = multiplicative_functional(s, float(x0), at_stop, integral)
             for r, i in enumerate(range(start + c, start + c + len(X))):
                 n = int(stop[r])

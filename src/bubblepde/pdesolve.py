@@ -11,7 +11,7 @@ local martingales from true ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -249,11 +249,12 @@ class FundraiserScheme(Scheme):
             raise ConfigError(
                 f"theta table was computed for j={self.theta.j}, scheme has j={self.j}")
 
-    @property
+    @cached_property
     def cap(self) -> float:
         # The cap is f(j) for the map the theta table was built with; taking
         # it from the table (rather than re-deriving f from sigma) keeps the
-        # domain consistent with the boundary data by construction.
+        # domain consistent with the boundary data by construction.  Built
+        # once per scheme: building the map checks each of its parts.
         return float(from_descriptor(self.theta.map_descriptor)(self.j))
 
     def grid(self, m: int) -> SpaceGrid:

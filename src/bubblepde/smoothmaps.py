@@ -329,15 +329,23 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     return out
 
 
-def schwarzian_integral(f: SmoothMap, X, t) -> np.ndarray:
+def schwarzian_integral(f: SmoothMap, X, t, live=None) -> np.ndarray:
     """int_0^t S_f(X_u) du at every node, along the last axis of X (one path,
     or a block of paths as rows) whose nodes sit at the times t.
 
     The trapezoidal rule, accumulated in time order, so a row of a block
-    gets the same bits as the path on its own.  Every value of X must lie
-    in the domain of f.
+    gets the same bits as the path on its own, and the integral at a node
+    depends on the nodes up to it only.  Every value of X must lie in the
+    domain of f; with live, a boolean mask of X's shape, only the live
+    values, and S_f is taken as 0 elsewhere, so the integral keeps its bits
+    at every node up to which all nodes are live.
     """
-    return cumulative_trapezoid(schwarzian(f, X), t, initial=0)
+    if live is None:
+        S = schwarzian(f, X)
+    else:
+        S = np.zeros(np.shape(X))
+        S[live] = schwarzian(f, np.asarray(X)[live])
+    return cumulative_trapezoid(S, t, initial=0)
 
 
 def multiplicative_functional(f: SmoothMap, x0, x, integral) -> np.ndarray:

@@ -70,6 +70,7 @@ def test_pde_forward_price_approaches_small_floor_limit():
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("x,j,T", [(1.0, 0.5, 1.0),
                                    (1.0, 0.25, 1.0),
                                    (2.0, 1.0, 0.5)])
@@ -93,6 +94,7 @@ def test_mc_forward_price_matches_reciprocal_bessel_closed_form(x, j, T):
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_mc_forward_price_and_delta_match_brownian_closed_form():
     """Driftless reflected walk (identity transform): price against the
     closed form, and the finite-difference delta at the floor, where the
@@ -119,6 +121,7 @@ def test_mc_forward_price_and_delta_match_brownian_closed_form():
     assert abs(delta - (-1.0)) < 0.1
 
 
+@pytest.mark.slow
 def test_absorbed_walk_survival_prices_bond_below_par():
     """Survival frequency of the driftless absorbed walk matches the closed
     form -- and prices the unit payout strictly below par."""
@@ -284,6 +287,7 @@ def test_derivative_identities_and_process_composition():
         assert checked >= 50
 
 
+@pytest.mark.slow
 def test_reflection_duality_invariants_and_cross_simulator_moments():
     """The max-minus-walk dual construction satisfies its pathwise order
     relations exactly; its terminal law agrees with the drifted simulator

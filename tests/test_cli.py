@@ -7,6 +7,8 @@ import io
 import json
 import os
 import tempfile
+import threading
+import time
 from functools import reduce
 from operator import getitem
 
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bubblepde import (ConfigError, DomainError, NumericsError, PayoffSpec,
-                       ThetaTable, f_from_sigma, price_and_decompose)
+                       ThetaTable, cli, f_from_sigma, pathlab,
+                       price_and_decompose)
 from bubblepde.cli import config_hash, main, resolve_config
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
@@ -264,6 +267,7 @@ SUBCOMMANDS = ("price", "theta", "simulate", "compare-schemes", "convergence",
                "oracle")
 
 
+@pytest.mark.slow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=800)
 @given(mutated_configs(MAIN_FUZZ_BASES), st.sampled_from(SUBCOMMANDS))
@@ -612,6 +616,95 @@ def test_compare_schemes_too_coarse_level_names_its_keys(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+# ---------------------------------------------------------------------------
+# compare-schemes solves in forked workers
+
+# the tiny config's two levels, and three (at 60 space nodes the coarsest of
+# three levels is too coarse for the transformed scheme)
+COMPARE_NUMERICS = {"2_levels": TINY_NUMERICS,
+                    "3_levels": dict(TINY_NUMERICS, space_nodes=120, levels=3)}
+
+
+def _compare_schemes(cfgp, out, schemes):
+    """Run compare-schemes into out: (compare.csv bytes, its meta)."""
+    assert main(["compare-schemes", "--config", str(cfgp), "--out", str(out),
+                 "--scheme", schemes]) == 0
+    return ((out / "compare.csv").read_bytes(),
+            json.loads((out / "compare.meta.json").read_text()))
+
+
+@pytest.mark.parametrize("schemes", [",".join(FIVE_SCHEMES), "naive_dirichlet",
+                                     "transformed_cauchy,fundraiser"])
+@pytest.mark.parametrize("levels", sorted(COMPARE_NUMERICS))
+def test_compare_schemes_bytes_do_not_depend_on_the_worker_count(
+        tmp_path, monkeypatch, capsys, levels, schemes):
+    numerics = COMPARE_NUMERICS[levels]
+    cfgp = write_config(tmp_path, numerics=numerics)
+    solves = len(schemes.split(",")) * numerics["levels"]
+    forks = []
+    fork_share = pathlab._fork_share
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: forks.append(work) or fork_share(work))
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
+        forks.clear()
+        body, meta = _compare_schemes(cfgp, tmp_path / f"w{workers}", schemes)
+        assert meta["workers"] == min(workers, solves)
+        assert len(forks) == meta["workers"] - 1
+        assert sorted(meta["runtimes_s"]) == sorted(
+            f"{name}/level{lev}" for name in schemes.split(",")
+            for lev in range(numerics["levels"]))
+        # the printed value rows, without the line naming the output file
+        runs.append((body, capsys.readouterr().out.splitlines()[:-1]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert len(runs[0][1]) == solves
+
+
+@pytest.mark.parametrize("where", ["child", "caller"])
+def test_compare_schemes_solve_failure_exits_3_and_no_child_remains(
+        tmp_path, monkeypatch, capsys, where):
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 2)
+    caller, solve_at = os.getpid(), cli._solve_at
+
+    def refusing(*args):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise NumericsError(f"solve refused in the {where}")
+        if where == "caller":
+            time.sleep(60)  # a slow child, killed when the caller fails
+        return solve_at(*args)
+
+    monkeypatch.setattr(cli, "_solve_at", refusing)
+    cfgp = write_config(tmp_path)
+    start = time.monotonic()
+    assert main(["compare-schemes", "--config", str(cfgp)]) == 3
+    assert time.monotonic() - start < 30
+    assert f"numeric failure: solve refused in the {where}" \
+        in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_live_thread_keeps_compare_schemes_in_process(tmp_path, monkeypatch):
+    cfgp = write_config(tmp_path)
+    schemes = ",".join(FIVE_SCHEMES)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 1)
+    want, _ = _compare_schemes(cfgp, tmp_path / "serial", schemes)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: pytest.fail("forked while a thread ran"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        got, meta = _compare_schemes(cfgp, tmp_path / "threaded", schemes)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert got == want and meta["workers"] == 1
+
+
 def test_convergence_subcommand(tmp_path):
     cfgp = write_config(tmp_path, convergence={"j_sequence": [0.25, 0.125]})
     assert main(["convergence", "--config", str(cfgp)]) == 0
@@ -680,11 +773,15 @@ def test_oracle_subcommand(tmp_path, capsys):
      ["forward_recip_bessel_investor", "forward_recip_bessel_fundraiser"]),
     ({"f": BM_F}, {"kind": "forward"},
      ["forward_bm_investor", "forward_bm_fundraiser", "delta_bm_fundraiser"]),
-    ({"f": BM_F}, {"kind": "bond"}, ["bond_bm"]),
+    ({"f": BM_F}, {"kind": "bond"}, ["bond_bm", "bond_bm_fundraiser"]),
     ({"sigma": SIG2}, {"kind": "call", "strike": 0.5}, []),
     ({"sigma": dict(SIG2, exponent=1.5)}, {"kind": "forward"}, []),
+    ({"sigma": SIG2}, {"kind": "bond"},
+     ["bond_recip_bessel_investor", "bond_recip_bessel_fundraiser"]),
+    ({"sigma": dict(SIG2, exponent=1.5)}, {"kind": "bond"},
+     ["bond_fundraiser"]),
 ], ids=["sigma-y2", "brownian", "brownian-bond", "sigma-y2-call",
-        "sigma-y1.5"])
+        "sigma-y1.5", "sigma-y2-bond", "sigma-y1.5-bond"])
 def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, payoff,
                                             cases):
     # rows of the configured market and payoff; a call struck at 0.5 has none
@@ -698,3 +795,20 @@ def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, payoff,
         assert out.splitlines() == lines[1:]
     else:
         assert "no closed form applies" in out
+
+
+@pytest.mark.parametrize("model", [{"sigma": SIG2}, {"f": BM_F},
+                                   {"sigma": dict(SIG2, exponent=1.5)}],
+                         ids=["sigma-y2", "brownian", "sigma-y1.5"])
+def test_price_and_oracle_agree_on_the_bond(tmp_path, model):
+    # both commands read the one oracle table
+    cfgp = write_config(tmp_path, model=dict(MODEL, **model),
+                        payoff={"kind": "bond"})
+    for cmd in ("price", "oracle"):
+        assert main([cmd, "--config", str(cfgp), "--out",
+                     str(tmp_path / cmd)]) == 0
+    report = {row[0]: row[1] for row in _body(tmp_path / "price" / "report.csv")}
+    listed = [row[4] for row in _body(tmp_path / "oracle" / "oracle.csv")]
+    priced = [report[key] for key in ("oracle_investor", "oracle_fundraiser")
+              if report[key]]
+    assert listed == priced and "1.0" in listed

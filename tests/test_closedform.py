@@ -152,11 +152,15 @@ def test_oracle_table_keeps_its_order_and_closed_forms():
     x, j, T = 1.3, 0.4, 0.7
     direct = {
         "bond_bm": bond_bm(x, T),
+        "bond_bm_fundraiser": 1.0,
         "forward_bm_investor": forward_bm_investor(x, T),
         "forward_bm_fundraiser": forward_bm_fundraiser(x, j, T),
         "delta_bm_fundraiser": delta_bm_fundraiser(x, j, T),
+        "bond_recip_bessel_investor": 1.0,
+        "bond_recip_bessel_fundraiser": 1.0,
         "forward_recip_bessel_investor": forward_recip_bessel_investor(x, T),
         "forward_recip_bessel_fundraiser": forward_recip_bessel_fundraiser(x, j, T),
+        "bond_fundraiser": 1.0,
     }
     assert tuple(case for case, _form in ORACLES.values()) == tuple(direct)
     for case, form in ORACLES.values():

@@ -294,6 +294,20 @@ def test_solve_factors_once_per_step_size(monkeypatch):
         assert len(calls) == want
 
 
+def test_fundraiser_scheme_builds_its_cap_map_once(monkeypatch):
+    tab = _theta_table(0.1, n=200)
+    want = solve(SIG2, FWD, 1.0, FundraiserScheme(j=0.1, theta=tab),
+                 times=TimeGrid.uniform(1.0, 32)).values
+    calls = []
+    build = pdesolve.from_descriptor
+    monkeypatch.setattr(pdesolve, "from_descriptor",
+                        lambda desc: calls.append(desc) or build(desc))
+    scheme = FundraiserScheme(j=0.1, theta=tab)
+    got = solve(SIG2, FWD, 1.0, scheme, times=TimeGrid.uniform(1.0, 32)).values
+    assert calls == [tab.map_descriptor]
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # solutions
 
