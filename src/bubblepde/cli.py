@@ -462,7 +462,8 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
 
     tasks = [(scheme, lev, m, steps) for scheme in schemes
              for lev, (m, steps) in enumerate(_level_sizes(num))]
-    loads = _balance([m * steps for _, _, m, steps in tasks],
+    loads = _balance([scheme.step_cost * m * steps
+                      for scheme, _, m, steps in tasks],
                      _worker_count(len(tasks)))
 
     def solve_load(load):
@@ -498,6 +499,7 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                "scheme,level,space_nodes,time_steps,value,corner_defect", body)
     (out / "compare.meta.json").write_text(json.dumps(
         {"config_hash": digest, "runtimes_s": runtimes,
+         "load_s": [sum(elapsed for _, elapsed in done) for done in results],
          "workers": len(loads)}, indent=2, sort_keys=True) + "\n")
     width = max(len(n) for n, *_ in rows)
     for n, lev, m, steps, v, d in rows:

@@ -15,9 +15,14 @@ per step, and then, for the reflected law only, one uniform per step.  The
 dual with a random floor first reads the floor's uniform.  For the laws
 without uniforms this is simply one standard normal per step.  The layout
 is fixed by the step count alone.  A runner does not build one generator
-per path: it builds one block's worth and re-keys them for each later
-block, which sets exactly the state path_stream(seed, i) starts in, so the
-draws and the layout are those of the per-path streams.
+per path: each thread keeps one pool of generators for the life of the
+process, and the reader re-keys them for each block of paths, which sets
+exactly the state path_stream(seed, i) starts in, so the draws and the
+layout are those of the per-path streams.  In a stream's last segment
+nothing follows the uniforms, so a path's uniforms there are drawn only
+when the reflected kernel first reads one of them: a path that never comes
+near its floor in that segment draws none, and the bits it does draw are
+the same.
 
 Large ensembles run as contiguous path shares in forked workers, one per CPU
 of the process's affinity mask: the caller runs the first share and joins
@@ -25,8 +30,8 @@ the others' arrays in path order.  Below two blocks of paths, without
 os.fork, or while other threads run, a runner works in process.  Since each
 path reads only its own stream, no output depends on the share count.  One
 helper, _run_shares, forks, collects and reaps the workers, and raises a
-worker's exception in the caller; the compare-schemes solves run through
-it too.
+worker's exception in the caller; the measure change's per-path values
+and the compare-schemes solves run through it too.
 """
 
 from __future__ import annotations
@@ -53,17 +58,21 @@ EDGE_GUARD = 1e-12
 # Ensemble runners process paths in blocks and draw one stream segment of a
 # block at a time into a buffer of bounded footprint; both knobs are
 # implementation constants, invisible in results thanks to the per-path
-# streams.
-_BLOCK = 32768
+# streams.  _BLOCK also caps each thread's pool of generators (one per path
+# of a block): at 32768 a short-grid run grew the pool to 10 000 generators
+# and the price benchmark's peak RSS by 12 MB.
+_BLOCK = 4096
 _CHUNK_BUDGET = 2 ** 22  # floats per (block x segment) buffer of draws
 # Steps per segment of the stream layout (see above).  It is part of the
 # layout: changing it changes every reflected path.
 _SEGMENT = 512
-_TILE = 64  # paths per transposed tile of a time-major draw
+_TILE = 256  # paths per transposed tile of a time-major draw
 # Paths per chunk of change_of_measure_expectation's weights, which bounds
 # the chunk's temporaries (held paths, S_f, the integral) to about 1 MB each
-# at 512 steps.
+# at 512 steps; a share of the measure change has at least this many paths.
 _WEIGHT_ROWS = 256
+# Paths per recorded block of the measure change: about 4 MB at 512 steps.
+_RECORD_ROWS = 1024
 # A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so the
 # minimum of a Brownian bridge from chi to chi^ over dt stays >= 0 whenever
 # chi * chi^ >= (53 ln 2 / 2) dt = 18.37 dt; 18.5 leaves room for rounding.
@@ -188,6 +197,26 @@ def _block_rows(n_steps: int) -> int:
     return max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * min(n_steps, _SEGMENT))))
 
 
+# Each thread's generators for _path_steps, kept for the life of the process;
+# a forked share inherits its caller's.
+_POOL = threading.local()
+
+
+def _uniforms(us, idx, c):
+    """Column c of the drawn uniforms us, at the rows idx."""
+    return us[idx, c]
+
+
+def _uniforms_on_first_use(gens, us, drawn, idx, c):
+    """Column c of the uniforms us at the rows idx, first drawing row r from
+    gens[r] for each row of idx not yet drawn (drawn marks them)."""
+    new = idx[~drawn[idx]]
+    for r in new:
+        gens[r].random(out=us[r])
+    drawn[new] = True
+    return us[idx, c]
+
+
 def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
                 lead=False):
     """The one reader of the path streams, in the layout of the module
@@ -196,21 +225,28 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     uniform comes before all of them.  Paths run in blocks of at most _BLOCK,
     sized so that one segment of the block's normals and uniforms fits one
     buffer of at most _CHUNK_BUDGET floats, reused by every block and
-    segment.  The generators are reused too: the first block builds its
-    streams with path_stream, and each later block re-keys them (_rekey),
-    so a call builds at most one block's worth.  Every law gets the same
-    blocks and buffer; without bridge the uniform half of the buffer is
-    never written.  (Sizing the blocks of the normal-only laws by their
-    normals alone doubled those blocks, and the allocator then kept more
-    memory resident between calls: peak RSS of the oracle_suite benchmark
-    rose from 146 to 161 MB.)
+    segment.  Every law gets the same blocks and buffer; without bridge the
+    uniform half of the buffer is never written.  (Sizing the blocks of the
+    normal-only laws by their normals alone doubled those blocks, and the
+    allocator then kept more memory resident between calls: peak RSS of the
+    oracle_suite benchmark rose from 146 to 161 MB.)
+
+    The generators come from the calling thread's pool (_POOL), which is
+    grown with path_stream only when it holds fewer than a block, and are
+    re-keyed (_rekey) for every block, the first included.  While a reader
+    runs, the pool is out of the thread's slot, so a reader started inside
+    another in the same thread builds its own.
 
     Yields (rows, u0, k0, steps) per block: rows slices the block out of the
     ensemble's outputs, u0 holds the leading uniform of each stream (None
     without lead), k0 is the output column of node 0 (None when node 0 is
     not in rec), and steps yields (n, z_n, u_n, k) for n = 0 ... n_steps - 1:
-    the block's normals and uniforms (None without bridge) of step n and the
-    output column k of node n + 1 (None when it is not recorded).
+    the block's normals of step n, the accessor u_n(idx) of its uniforms at
+    the block rows idx (an integer index array; None without bridge) and
+    the output column k of node n + 1 (None when it is not recorded).  In
+    the last segment a row's uniforms are drawn when u_n first reads that
+    row; earlier segments draw them with their normals, since the next
+    segment's normals follow them in the stream.
     """
     at = {int(node): k for k, node in enumerate(rec)}
     seed, first_index = operator.index(seed), operator.index(first_index)
@@ -227,27 +263,40 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     def steps(gens):
         for a in range(0, n_steps, seg):
             w = min(seg, n_steps - a)
+            last = a + w == n_steps  # nothing follows this segment's uniforms
             zs = zbuf[:w, :len(gens)]
             us = None if ubuf is None else ubuf[:len(gens), :w]
             for r0 in range(0, len(gens), _TILE):
                 part = gens[r0:r0 + _TILE]
                 for r, g in enumerate(part):
                     g.standard_normal(out=tile[r, :w])
-                    if us is not None:
+                    if us is not None and not last:
                         g.random(out=us[r0 + r])
                 zs[:, r0:r0 + len(part)] = tile[:len(part), :w].T
+            if us is None:
+                read = None
+            elif last:
+                read = functools.partial(_uniforms_on_first_use, gens, us,
+                                         np.zeros(len(gens), dtype=bool))
+            else:
+                read = functools.partial(_uniforms, us)
             for n in range(a, a + w):
-                yield (n, zs[n - a], None if us is None else us[:, n - a],
+                yield (n, zs[n - a],
+                       None if read is None else functools.partial(read,
+                                                                   c=n - a),
                        at.get(n + 1))
 
-    pool = [path_stream(seed, first_index + r) for r in range(rows_max)]
-    for start in range(0, n_paths, size):
-        stop = min(start + size, n_paths)
-        gens = pool[:stop - start]
-        if start:
+    pool = vars(_POOL).pop("gens", [])
+    pool.extend(path_stream(0, 0) for _ in range(rows_max - len(pool)))
+    try:
+        for start in range(0, n_paths, size):
+            stop = min(start + size, n_paths)
+            gens = pool[:stop - start]
             _rekey(gens, seed, first_index + start)
-        u0 = np.array([g.random() for g in gens]) if lead else None
-        yield slice(start, stop), u0, at.get(0), steps(gens)
+            u0 = np.array([g.random() for g in gens]) if lead else None
+            yield slice(start, stop), u0, at.get(0), steps(gens)
+    finally:
+        _POOL.gens = pool
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +403,25 @@ def _join(outs):
                  for parts in zip(*outs))
 
 
+def _run_path_shares(work, first: int, n_paths: int, shares: int):
+    """work(first_index, n) for each of shares contiguous shares of the paths
+    first ... first + n_paths - 1, through _run_shares; the results in path
+    order."""
+    cuts = [n_paths * k // shares for k in range(shares + 1)]
+    return _run_shares(
+        [functools.partial(work, first + cuts[k], cuts[k + 1] - cuts[k])
+         for k in range(shares)],
+        [f"the share of paths {first + cuts[k]} ... "
+         f"{first + cuts[k + 1] - 1}" for k in range(shares)])
+
+
 def _path_shares(runner):
     """Wrap an ensemble runner so that its paths first_index ...
     first_index + n_paths - 1 run as contiguous shares, one per worker and
-    at most one per full block of paths, through _run_shares: the caller
-    runs the first share itself, and each other share runs in a forked
-    child, through runner with that share's first_index and n_paths.  The
-    outputs are joined along axis 0, in path order.  A child runs the
+    at most one per full block of paths, through _run_path_shares: the
+    caller runs the first share itself, and each other share runs in a
+    forked child, through runner with that share's first_index and n_paths.
+    The outputs are joined along axis 0, in path order.  A child runs the
     unwrapped runner, so it never forks again."""
     sig = inspect.signature(runner)
 
@@ -376,17 +437,13 @@ def _path_shares(runner):
             n_paths // _block_rows(call.arguments["grid"].n_steps))
         if shares < 2:
             return runner(*call.args, **call.kwargs)
-        cuts = [n_paths * k // shares for k in range(shares + 1)]
 
-        def share(k):
-            call.arguments["first_index"] = first + cuts[k]
-            call.arguments["n_paths"] = cuts[k + 1] - cuts[k]
+        def share(first_index, n):
+            call.arguments["first_index"] = first_index
+            call.arguments["n_paths"] = n
             return runner(*call.args, **call.kwargs)
 
-        return _join(_run_shares(
-            [functools.partial(share, k) for k in range(shares)],
-            [f"the share of paths {first + cuts[k]} ... "
-             f"{first + cuts[k + 1] - 1}" for k in range(shares)]))
+        return _join(_run_path_shares(share, first, n_paths, shares))
 
     return run
 
@@ -569,7 +626,7 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
             near = np.flatnonzero(near)
             if near.size:
                 p = prop[near]
-                dl = _bridge_drop(chi[near], p, u[near], dt[n])
+                dl = _bridge_drop(chi[near], p, u(near), dt[n])
                 prop[near] = p + dl
                 lev[near] += dl
                 hit[near[dl > 0]] = True
@@ -599,7 +656,9 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     at the stopping time.  A path that overshoots the band on its exit step
     is projected onto the band edge at the exit node, so weight and payoff
     both see a value inside [lo, hi] (and hence inside the domain of s when
-    the band is).
+    the band is).  The paths' weighted payoffs run as contiguous shares of
+    at least _WEIGHT_ROWS paths, one per CPU (_run_path_shares), joined in
+    path order before the mean.
 
     Returns (estimate, stderr) over the n_paths ensemble.
     """
@@ -607,15 +666,25 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     s.require(np.array([lo, hi]))
     if not (lo < x0 < hi):
         raise DomainError("x0 must start inside the band")
+    work = functools.partial(_weighted_payoffs, s, payoff, x0, grid, seed,
+                             band)
+    vals = np.concatenate(_run_path_shares(
+        work, 0, n_paths, _worker_count(n_paths // _WEIGHT_ROWS)))
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))
+
+
+def _weighted_payoffs(s, payoff, x0, grid, seed, band, first_index, n_paths):
+    """The weighted payoffs of change_of_measure_expectation for paths
+    first_index ... first_index + n_paths - 1, recorded _RECORD_ROWS paths
+    at a time by the unwrapped (in-process) wiener_ensemble."""
+    lo, hi = band
     vals = np.empty(n_paths)
     nodes = np.arange(grid.n_steps + 1)
     stopped = {}  # stop node -> the grid up to it, shared by its paths
-    # paths in blocks whose recorded nodes (size x len(nodes) floats) and
-    # segment draws (at most as many) together fit _CHUNK_BUDGET
-    size = max(1, _CHUNK_BUDGET // (2 * len(nodes)))
-    for start in range(0, n_paths, size):
-        block = wiener_ensemble(x0, grid, min(size, n_paths - start), seed,
-                                nodes, start)
+    for start in range(0, n_paths, _RECORD_ROWS):
+        block = wiener_ensemble.__wrapped__(
+            x0, grid, min(_RECORD_ROWS, n_paths - start), seed, nodes,
+            first_index + start)
         for c in range(0, len(block), _WEIGHT_ROWS):
             X = block[c:c + _WEIGHT_ROWS]
             rows = np.arange(len(X))
@@ -635,6 +704,6 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
                 if n not in stopped:
                     stopped[n] = TimeGrid(grid.nodes[:n + 1])
                 p = PathBundle(grid=stopped[n], X=X[r, :n + 1], seed=seed,
-                               path_index=i)
+                               path_index=first_index + i)
                 vals[i] = weight[r] * payoff(p)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))
+    return vals

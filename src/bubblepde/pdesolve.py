@@ -213,10 +213,15 @@ _DT_REFACTOR = 1e-12
 
 class Scheme:
     """The boundary-scheme protocol the solver reads.  Each scheme has a
-    `kind` name, a `cap` (the top node y_M), a `convection` flag,
-    the `grid` and `rows` hooks below, and its own `corner_defect`."""
+    `kind` name, a `cap` (the top node y_M), a `convection` flag, a
+    `step_cost`, the `grid` and `rows` hooks below, and its own
+    `corner_defect`."""
 
     convection = False  # True: solve the convection form for w = v / y
+    # Wall time of one time step per space node, relative to a step with a
+    # Dirichlet cap (one tridiagonal solve); compare-schemes balances its
+    # workers by it.
+    step_cost = 1.0
 
     def grid(self, m: int) -> SpaceGrid:
         """The default grid: a y = 0 node, then geometric nodes from
@@ -294,6 +299,9 @@ class NeumannCapScheme(_TruncatedScheme):
     """Truncate at y = n and impose a one-sided second-order v_y(t, n) = 0."""
 
     kind = "neumann_cap"
+    # the Neumann row makes each step a banded solve (dgbtrs): 1.6 to 1.8
+    # times a tridiagonal step at 200 to 800 nodes, implicit
+    step_cost = 1.8
 
     def rows(self, payoff, y, T, times):
         # the zero top-row datum is the right-hand side of the Neumann row

@@ -655,10 +655,30 @@ def test_compare_schemes_bytes_do_not_depend_on_the_worker_count(
         assert sorted(meta["runtimes_s"]) == sorted(
             f"{name}/level{lev}" for name in schemes.split(",")
             for lev in range(numerics["levels"]))
+        # each worker's summed solve time
+        assert len(meta["load_s"]) == meta["workers"]
+        assert sum(meta["load_s"]) == pytest.approx(
+            sum(meta["runtimes_s"].values()))
         # the printed value rows, without the line naming the output file
         runs.append((body, capsys.readouterr().out.splitlines()[:-1]))
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert len(runs[0][1]) == solves
+
+
+def test_compare_schemes_balances_by_the_scheme_step_cost(tmp_path,
+                                                         monkeypatch):
+    # a Neumann step (a banded solve) costs 1.8 tridiagonal steps
+    costs = []
+    balance = cli._balance
+    monkeypatch.setattr(cli, "_balance",
+                        lambda c, workers: costs.extend(c) or balance(c, workers))
+    numerics = COMPARE_NUMERICS["3_levels"]
+    _compare_schemes(write_config(tmp_path, numerics=numerics),
+                     tmp_path / "out", ",".join(FIVE_SCHEMES))
+    sizes = cli._level_sizes(dict(cli._NUMERIC_DEFAULTS, **numerics))
+    want = [(1.8 if name == "neumann_cap" else 1.0) * m * steps
+            for name in FIVE_SCHEMES for m, steps in sizes]
+    assert costs == want
 
 
 @pytest.mark.parametrize("where", ["child", "caller"])

@@ -3,6 +3,7 @@ invariants, the reflection/dual couplings, and the path functionals."""
 
 import dataclasses
 import os
+import sys
 import threading
 import time
 
@@ -22,7 +23,8 @@ from bubblepde.pathlab import (
     reflected_ensemble,
     wiener_ensemble,
 )
-from bubblepde.smoothmaps import schwarzian_process
+from bubblepde.smoothmaps import (compose, log_map, schwarzian_process,
+                                   shift_map)
 
 SEED = 424242
 
@@ -229,23 +231,13 @@ def _fresh_stream_draws(seed, i, n_steps, bridge, lead):
     return u0, np.concatenate(z), np.concatenate(u)
 
 
-@pytest.mark.parametrize("seed,first",
-                         [(SEED, 0), (2 ** 63 + 12345, 2 ** 64 - 3)],
-                         ids=["small", "past_2_64"])
-@pytest.mark.parametrize("bridge,lead", [(False, False), (True, False),
-                                         (False, True)])
-def test_rekeyed_streams_equal_fresh_streams(monkeypatch, seed, first,
-                                             bridge, lead):
-    # blocks of two paths, so seven paths re-key the pool three times; the
-    # path indices of the second case wrap past 2**64
-    n_paths, n_steps = 7, pathlab._SEGMENT + 5
-    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 2 * pathlab._SEGMENT)
-    built = []
-    stream = pathlab.path_stream
-    monkeypatch.setattr(pathlab, "path_stream",
-                        lambda *a: built.append(a) or stream(*a))
+def _read_streams(seed, first, n_paths, n_steps, bridge, lead, staggered):
+    """Every path's leading uniform, normals and uniforms read through
+    _path_steps; staggered reads the uniforms of row r at step n only when
+    (n + r) % 3 != 1, so rows are first read at different steps, alone or
+    beside rows read before (the others stay NaN)."""
     z = np.empty((n_paths, n_steps))
-    u = np.empty((n_paths, n_steps if bridge else 0))
+    u = np.full((n_paths, n_steps if bridge else 0), np.nan)
     u0 = np.empty(n_paths)
     blocks = 0
     for rows, lead_u, _, steps in pathlab._path_steps(
@@ -253,19 +245,53 @@ def test_rekeyed_streams_equal_fresh_streams(monkeypatch, seed, first,
         blocks += 1
         if lead:
             u0[rows] = lead_u
+        block = np.arange(rows.stop - rows.start)
         for n, zn, un, _ in steps:
             z[rows, n] = zn
             if bridge:
-                u[rows, n] = un
-    assert blocks == 4 and len(built) == 2
-    for p in range(n_paths):
-        want = _fresh_stream_draws(seed, first + p, n_steps, bridge, lead)
-        if lead:
-            assert u0[p] == want[0]
-        np.testing.assert_array_equal(z[p], want[1])
-        np.testing.assert_array_equal(u[p], want[2])
+                idx = block[(n + block) % 3 != 1] if staggered else block
+                u[rows.start + idx, n] = un(idx)
+            else:
+                assert un is None
+    return blocks, u0, z, u
+
+
+@pytest.mark.parametrize("seed,first",
+                         [(SEED, 0), (2 ** 63 + 12345, 2 ** 64 - 3)],
+                         ids=["small", "past_2_64"])
+@pytest.mark.parametrize("bridge,lead", [(False, False), (True, False),
+                                         (False, True), (True, True)])
+def test_rekeyed_streams_equal_fresh_streams(monkeypatch, seed, first,
+                                             bridge, lead):
+    # blocks of two paths, so seven paths re-key the pool four times, over
+    # one, two and three stream segments; the path indices of the second case
+    # wrap past 2**64.  A fresh pool builds one block's worth of streams, and
+    # later calls build none.
+    n_paths = 7
+    monkeypatch.setattr(pathlab, "_BLOCK", 2)
+    monkeypatch.setattr(pathlab, "_POOL", threading.local())
+    built = []
+    stream = pathlab.path_stream
+    monkeypatch.setattr(pathlab, "path_stream",
+                        lambda *a: built.append(a) or stream(*a))
+    for n_steps in (5, pathlab._SEGMENT + 5, 2 * pathlab._SEGMENT + 5):
+        for staggered in (False, True):
+            blocks, u0, z, u = _read_streams(seed, first, n_paths, n_steps,
+                                             bridge, lead, staggered)
+            assert blocks == 4
+            for p in range(n_paths):
+                want = _fresh_stream_draws(seed, first + p, n_steps, bridge,
+                                           lead)
+                if lead:
+                    assert u0[p] == want[0]
+                np.testing.assert_array_equal(z[p], want[1])
+                read = ~np.isnan(u[p])
+                assert read.all() or staggered
+                np.testing.assert_array_equal(u[p][read], want[2][read])
+    assert len(built) == 2
 
     # an ensemble runner over re-keyed streams: the walk summed path by path
+    n_steps = pathlab._SEGMENT + 5
     grid = TimeGrid.uniform(1.0, n_steps)
     got = wiener_ensemble(0.5, grid, n_paths, seed, [n_steps], first)
     sqdt = np.sqrt(grid.dt)
@@ -276,6 +302,118 @@ def test_rekeyed_streams_equal_fresh_streams(monkeypatch, seed, first,
                                                        False)[1]):
             x = x + dt_n * z_n
         assert got[p, 0] == x
+    assert len(built) == 2
+
+
+class _LoggedStream:
+    """A path stream that logs the path index (its key's second word) at
+    each call of random."""
+
+    def __init__(self, g, log):
+        self._g, self._log = g, log
+        self.bit_generator = g.bit_generator
+
+    def standard_normal(self, *args, **kwargs):
+        return self._g.standard_normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self._log.append(int(self.bit_generator.state["state"]["key"][1]))
+        return self._g.random(*args, **kwargs)
+
+
+def test_bridge_uniforms_of_the_last_segment_are_drawn_on_first_use(
+        monkeypatch):
+    # two segments: the first draws every path's uniforms with its normals,
+    # the last only those of paths that come near the floor
+    f = power_law_map(1.0)
+    grid = TimeGrid.uniform(0.25, pathlab._SEGMENT + 40)
+    n, rec = 9, [0, pathlab._SEGMENT, grid.n_steps]
+    far = reflected_ensemble(f, 10.0, 0.5, grid, n, SEED, rec, floors=True)
+    at_floor = reflected_ensemble(f, 0.0, 0.5, grid, n, SEED, rec,
+                                  floors=True)
+    log = []
+    stream = pathlab.path_stream
+    monkeypatch.setattr(pathlab, "_POOL", threading.local())
+    monkeypatch.setattr(pathlab, "path_stream",
+                        lambda *a: _LoggedStream(stream(*a), log))
+    # chi0 = 10 never comes within sqrt(18.5 dt) = 0.09 of the floor
+    got = reflected_ensemble(f, 10.0, 0.5, grid, n, SEED, rec, floors=True)
+    assert sorted(log) == list(range(n))
+    for a, b in zip(got, far):
+        np.testing.assert_array_equal(a, b)
+    # from the floor, some paths come near it again in the last segment and
+    # draw there too, and some do not
+    log.clear()
+    got = reflected_ensemble(f, 0.0, 0.5, grid, n, SEED, rec, floors=True)
+    draws = [log.count(p) for p in range(n)]
+    assert len(log) == sum(draws) and set(draws) == {1, 2}
+    for a, b in zip(got, at_floor):
+        np.testing.assert_array_equal(a, b)
+    # the reader alone: rows whose uniforms are never read draw none
+    log.clear()
+    for rows, _, _, steps in pathlab._path_steps(SEED, 100, n, grid.n_steps,
+                                                 rec, bridge=True):
+        for step, _, un, _ in steps:
+            if step == grid.n_steps - 1:
+                un(np.array([1, 4]))
+    assert sorted(log) == sorted([*range(100, 100 + n), 101, 104])
+
+
+def test_stream_pool_holds_at_most_a_block(monkeypatch):
+    # one pool per thread, grown to at most _BLOCK streams however short the
+    # grid (blocks of short grids used to hold more), and reused by later calls
+    monkeypatch.setattr(pathlab, "_POOL", threading.local())
+    built = []
+    stream = pathlab.path_stream
+    monkeypatch.setattr(pathlab, "path_stream",
+                        lambda *a: built.append(a) or stream(*a))
+    n = pathlab._BLOCK + 5
+    grids = [TimeGrid.uniform(1.0, steps) for steps in (16, 96, 512, 2048)]
+    for grid in grids:
+        wiener_ensemble(1.0, grid, n, SEED, [grid.n_steps])
+        assert len(pathlab._POOL.gens) <= pathlab._BLOCK
+    assert len(built) == pathlab._BLOCK
+    for grid in grids:
+        wiener_ensemble(1.0, grid, n, SEED, [grid.n_steps])
+    assert len(built) == pathlab._BLOCK
+
+
+def test_threads_running_ensembles_at_once_get_the_serial_bits(monkeypatch):
+    # each thread has its own pool; blocks of three paths re-key it often
+    monkeypatch.setattr(pathlab, "_BLOCK", 3)
+    f = reciprocal_map()
+    grid = TimeGrid.uniform(1.0, pathlab._SEGMENT + 37)
+    runs = {k: (lambda k=k: reflected_ensemble(f, 0.0, 0.3, grid, 11,
+                                               SEED + k, [grid.n_steps],
+                                               floors=True))
+            for k in range(4)}
+    want = {k: run() for k, run in runs.items()}
+    got, errors = {}, []
+
+    def worker(k):
+        try:
+            for _ in range(3):
+                got.setdefault(k, []).append(runs[k]())
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in runs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for k, outs in got.items():
+        assert len(outs) == 3
+        for out in outs:
+            for a, b in zip(out, want[k]):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_rekey_resets_a_used_generator():
@@ -542,6 +680,7 @@ def test_change_of_measure_matches_per_path_reference(monkeypatch):
     # chunks of 3 paths in blocks of 7: 20 paths make 3 blocks and 8 chunks
     grid = TimeGrid.uniform(0.05, 16)
     monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 3)
+    monkeypatch.setattr(pathlab, "_RECORD_ROWS", 7)
     monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 7 * 17)
     payoff = lambda p: float(p.X[-1]) * len(p.X) + p.path_index + p.grid.T
     for s in (power_law_map(3.0), f_from_sigma(lambda y: y ** 2)):
@@ -560,3 +699,75 @@ def test_change_of_measure_supermartingale_bound():
     mean, se = change_of_measure_expectation(
         power_law_map(3.0), lambda p: 1.0, 2.0, grid, 2000, SEED, (0.5, 4.0))
     assert mean <= 1.0 + 3 * se
+
+
+# the measure change's case list: maps whose S_f is zero, positive, negative
+# and composed, payoffs reading the stopped value, the stop time and the
+# path index, and grids of one to three stream segments, clustered steps
+# and several record blocks
+_MEASURE_MAPS = {
+    "reciprocal": reciprocal_map,
+    "cube": lambda: power_law_map(3.0),
+    "sqrt_shifted": lambda: shift_map(power_law_map(0.5), 0.1),
+    "log_shifted": lambda: shift_map(log_map(), 0.1),
+    "reciprocal_of_square": lambda: compose(reciprocal_map(),
+                                            power_law_map(2.0)),
+}
+_MEASURE_PAYOFFS = {
+    "one": lambda p: 1.0,
+    "end": lambda p: float(p.X[-1]),
+    "mixed": lambda p: float(p.X[-1]) * len(p.X) + p.path_index + p.grid.T,
+}
+_MEASURE_CASES = [(TimeGrid.uniform(0.25, 512), 1000, (0.4, 2.5)),
+                  (TimeGrid.uniform(0.05, 16), 50, (0.95, 1.5)),
+                  (TimeGrid.uniform(0.5, 777), 300, (0.5, 3.0)),
+                  (TimeGrid.uniform(1.0, 1061), 600, (0.3, 4.0)),
+                  (TimeGrid.clustered(0.5, 100), 2000, (0.6, 2.0))]
+
+
+@pytest.mark.slow
+def test_change_of_measure_shares_keep_every_bit(monkeypatch):
+    # shares of at least 24 paths, recorded 240 paths at a time, so that every
+    # case runs as up to three shares of several blocks
+    monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 24)
+    monkeypatch.setattr(pathlab, "_RECORD_ROWS", 240)
+    forks = []
+    fork_share = pathlab._fork_share
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: forks.append(work) or fork_share(work))
+    maps = {name: make() for name, make in _MEASURE_MAPS.items()}
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
+        forks.clear()
+        runs.append([change_of_measure_expectation(s, payoff, 1.0, grid, n,
+                                                   SEED, band)
+                     for s in maps.values()
+                     for payoff in _MEASURE_PAYOFFS.values()
+                     for grid, n, band in _MEASURE_CASES])
+        assert len(forks) == len(maps) * len(_MEASURE_PAYOFFS) * sum(
+            min(workers, n // 24) - 1 for _, n, _ in _MEASURE_CASES)
+    assert len(runs[0]) == 75
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_change_of_measure_payoff_error_in_a_share_reaches_the_caller(
+        monkeypatch):
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 2)
+    caller = os.getpid()
+
+    def payoff(p):
+        if os.getpid() != caller:
+            raise DomainError("payoff refused in the child")
+        return 1.0
+
+    grid = TimeGrid.uniform(0.05, 16)
+    n = 2 * pathlab._WEIGHT_ROWS
+    with pytest.raises(DomainError, match="payoff refused") as info:
+        change_of_measure_expectation(reciprocal_map(), payoff, 1.0, grid, n,
+                                      SEED, (0.5, 2.0))
+    assert info.value.__notes__ == [
+        f"raised in the share of paths {n // 2} ... {n - 1}, "
+        "in a forked worker"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
