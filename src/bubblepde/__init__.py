@@ -11,7 +11,6 @@ CLI (`cli`).
 
 from .errors import ConfigError, DomainError, NumericsError
 from .smoothmaps import (
-    MobiusCoeffs,
     SmoothMap,
     affine_map,
     compose,

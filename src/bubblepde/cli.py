@@ -462,8 +462,7 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
 
     tasks = [(scheme, lev, m, steps) for scheme in schemes
              for lev, (m, steps) in enumerate(_level_sizes(num))]
-    loads = _balance([scheme.step_cost * m * steps
-                      for scheme, _, m, steps in tasks],
+    loads = _balance([m * steps for _, _, m, steps in tasks],
                      _worker_count(len(tasks)))
 
     def solve_load(load):

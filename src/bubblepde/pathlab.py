@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 from .smoothmaps import (SmoothMap, multiplicative_functional,
@@ -55,14 +54,13 @@ from .smoothmaps import (SmoothMap, multiplicative_functional,
 
 # Relative guard keeping unreflected simulations off a finite domain edge.
 EDGE_GUARD = 1e-12
-# Ensemble runners process paths in blocks and draw one stream segment of a
-# block at a time into a buffer of bounded footprint; both knobs are
-# implementation constants, invisible in results thanks to the per-path
+# Ensemble runners process paths in blocks of _BLOCK paths and draw one
+# stream segment of a block at a time into one reused buffer; the block size
+# is an implementation constant, invisible in results thanks to the per-path
 # streams.  _BLOCK also caps each thread's pool of generators (one per path
 # of a block): at 32768 a short-grid run grew the pool to 10 000 generators
 # and the price benchmark's peak RSS by 12 MB.
 _BLOCK = 4096
-_CHUNK_BUDGET = 2 ** 22  # floats per (block x segment) buffer of draws
 # Steps per segment of the stream layout (see above).  It is part of the
 # layout: changing it changes every reflected path.
 _SEGMENT = 512
@@ -127,32 +125,14 @@ class PathBundle:
     path_index: int = 0
 
 
-@ISeedSequence.register
-class _PhiloxKey:
-    """Hands Philox the key (seed, path_index) as is: the same stream as
-    ``Philox(key=...)``, without the OS-entropy draw that constructor makes
-    for a seed it then ignores (most of the cost of a path stream)."""
-
-    __slots__ = ("seed", "index")
-
-    def __init__(self, seed: int, index: int):
-        self.seed, self.index = seed, index
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise NotImplementedError(
-                f"Philox asked for {n_words} words of {np.dtype(dtype)}")
-        return np.array([self.seed, self.index], dtype=np.uint64)
-
-
 def path_stream(seed: int, path_index: int = 0) -> np.random.Generator:
     """The counter-based generator owned by (seed, path_index): Philox with
     key (seed mod 2**64, path_index mod 2**64) and counter 0.  Any integer
     type is taken at its value (operator.index); a non-integer raises
     TypeError."""
-    key = _PhiloxKey(operator.index(seed) % 2 ** 64,
-                     operator.index(path_index) % 2 ** 64)
-    return np.random.Generator(np.random.Philox(key))
+    key = np.array([operator.index(seed) % 2 ** 64,
+                    operator.index(path_index) % 2 ** 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _rekey(gens, seed: int, first_index: int) -> None:
@@ -191,12 +171,6 @@ def _guarded(domain):
     return lo_g, hi_g
 
 
-def _block_rows(n_steps: int) -> int:
-    """Paths per block of _path_steps: at most _BLOCK, and few enough that
-    one segment of the block's normals and uniforms fits _CHUNK_BUDGET."""
-    return max(1, min(_BLOCK, _CHUNK_BUDGET // (2 * min(n_steps, _SEGMENT))))
-
-
 # Each thread's generators for _path_steps, kept for the life of the process;
 # a forked share inherits its caller's.
 _POOL = threading.local()
@@ -222,14 +196,10 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     """The one reader of the path streams, in the layout of the module
     docstring: each stream is read a segment of _SEGMENT steps at a time,
     its normals and then, with bridge, one uniform per step; with lead, one
-    uniform comes before all of them.  Paths run in blocks of at most _BLOCK,
-    sized so that one segment of the block's normals and uniforms fits one
-    buffer of at most _CHUNK_BUDGET floats, reused by every block and
-    segment.  Every law gets the same blocks and buffer; without bridge the
-    uniform half of the buffer is never written.  (Sizing the blocks of the
-    normal-only laws by their normals alone doubled those blocks, and the
-    allocator then kept more memory resident between calls: peak RSS of the
-    oracle_suite benchmark rose from 146 to 161 MB.)
+    uniform comes before all of them.  Paths run in blocks of _BLOCK, and one
+    buffer holding a segment of a block's normals and uniforms is reused by
+    every block and segment.  Every law gets the same blocks and buffer;
+    without bridge the uniform half of the buffer is never written.
 
     The generators come from the calling thread's pool (_POOL), which is
     grown with path_stream only when it holds fewer than a block, and are
@@ -251,8 +221,7 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     at = {int(node): k for k, node in enumerate(rec)}
     seed, first_index = operator.index(seed), operator.index(first_index)
     seg = min(n_steps, _SEGMENT)
-    size = _block_rows(n_steps)
-    rows_max = min(size, n_paths)
+    rows_max = min(_BLOCK, n_paths)
     buf = np.empty(2 * seg * rows_max)  # one allocation, released as one
     zbuf = buf[:seg * rows_max].reshape(seg, rows_max)
     ubuf = buf[seg * rows_max:].reshape(rows_max, seg) if bridge else None
@@ -289,8 +258,8 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     pool = vars(_POOL).pop("gens", [])
     pool.extend(path_stream(0, 0) for _ in range(rows_max - len(pool)))
     try:
-        for start in range(0, n_paths, size):
-            stop = min(start + size, n_paths)
+        for start in range(0, n_paths, _BLOCK):
+            stop = min(start + _BLOCK, n_paths)
             gens = pool[:stop - start]
             _rekey(gens, seed, first_index + start)
             u0 = np.array([g.random() for g in gens]) if lead else None
@@ -433,8 +402,7 @@ def _path_shares(runner):
         first = call.arguments["first_index"] = operator.index(
             call.arguments["first_index"])
         n_paths = operator.index(call.arguments["n_paths"])
-        shares = _worker_count(
-            n_paths // _block_rows(call.arguments["grid"].n_steps))
+        shares = _worker_count(n_paths // _BLOCK)
         if shares < 2:
             return runner(*call.args, **call.kwargs)
 

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .boundary import PayoffSpec, ThetaTable
@@ -213,15 +212,11 @@ _DT_REFACTOR = 1e-12
 
 class Scheme:
     """The boundary-scheme protocol the solver reads.  Each scheme has a
-    `kind` name, a `cap` (the top node y_M), a `convection` flag, a
-    `step_cost`, the `grid` and `rows` hooks below, and its own
-    `corner_defect`."""
+    `kind` name, a `cap` (the top node y_M), `convection` and `neumann`
+    flags, the `grid` and `rows` hooks below, and its own `corner_defect`."""
 
     convection = False  # True: solve the convection form for w = v / y
-    # Wall time of one time step per space node, relative to a step with a
-    # Dirichlet cap (one tridiagonal solve); compare-schemes balances its
-    # workers by it.
-    step_cost = 1.0
+    neumann = False  # True: the cap row is v_M - v_{M-1} = top datum
 
     def grid(self, m: int) -> SpaceGrid:
         """The default grid: a y = 0 node, then geometric nodes from
@@ -232,10 +227,9 @@ class Scheme:
              times: TimeGrid) -> tuple:
         """Boundary data on nodes y over times: (terminal datum, bottom
         value, top-row datum of each step k -- the step that solves for time
-        node k -- and the Neumann cap-row weights, None for a Dirichlet top).
-        Here the payoff itself, payoff(0) and a zero Dirichlet cap."""
+        node k).  Here the payoff itself, payoff(0) and a zero top datum."""
         return (np.asarray(payoff(y), dtype=float), float(payoff(0.0)),
-                np.zeros(times.n_steps), None)
+                np.zeros(times.n_steps))
 
 
 @dataclass(frozen=True)
@@ -272,8 +266,8 @@ class FundraiserScheme(Scheme):
         if not self.theta.covers(T):
             raise ConfigError(
                 f"theta table covers tau up to {self.theta.taus[-1]}, need {T}")
-        v, bottom, _, _ = super().rows(payoff, y, T, times)
-        return v, bottom, self.theta.interpolator()(T - times.nodes[:-1]), None
+        v, bottom, _ = super().rows(payoff, y, T, times)
+        return v, bottom, self.theta.interpolator()(T - times.nodes[:-1])
 
     def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
         return abs(float(payoff(self.cap)) - float(self.theta.theta[0]))
@@ -296,22 +290,19 @@ class _TruncatedScheme(Scheme):
 
 @dataclass(frozen=True)
 class NeumannCapScheme(_TruncatedScheme):
-    """Truncate at y = n and impose a one-sided second-order v_y(t, n) = 0."""
+    """Truncate at y = n and impose v_y(t, n) = 0 by the first-order row
+    v_M - v_{M-1} = 0 (the inherited zero top datum).  The row keeps every
+    implicit step matrix a tridiagonal M-matrix, so the scheme is monotone
+    and obeys the discrete maximum principle."""
 
     kind = "neumann_cap"
-    # the Neumann row makes each step a banded solve (dgbtrs): 1.6 to 1.8
-    # times a tridiagonal step at 200 to 800 nodes, implicit
-    step_cost = 1.8
-
-    def rows(self, payoff, y, T, times):
-        # the zero top-row datum is the right-hand side of the Neumann row
-        v, bottom, zero, _ = super().rows(payoff, y, T, times)
-        return v, bottom, zero, _neumann_row(y)
+    neumann = True
 
     def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
-        gamma, beta, alpha = _neumann_row(y)
-        h = np.asarray(payoff(y[-3:]), dtype=float)
-        return abs(gamma * h[0] + beta * h[1] + alpha * h[2])
+        """The payoff's one-sided slope at the cap against the zero the
+        Neumann row imposes."""
+        h = np.asarray(payoff(y[-2:]), dtype=float)
+        return abs(h[1] - h[0]) / (y[-1] - y[-2])
 
 
 @dataclass(frozen=True)
@@ -322,8 +313,8 @@ class TaperedTerminalScheme(_TruncatedScheme):
     kind = "tapered_terminal"
 
     def rows(self, payoff, y, T, times):
-        _, bottom, zero, _ = super().rows(payoff, y, T, times)
-        return _taper(payoff, self.n, y), bottom, zero, None
+        _, bottom, zero = super().rows(payoff, y, T, times)
+        return _taper(payoff, self.n, y), bottom, zero
 
     def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
         return abs(float(_taper(payoff, self.n, np.array([self.cap]))[0]) - 0.0)
@@ -344,7 +335,7 @@ class TransformedCauchyScheme(_TruncatedScheme):
         if not np.all(np.isfinite(v)) or v.max() > 1e12:
             raise ConfigError(
                 "transformed scheme needs payoff(y)/y bounded near 0")
-        return v, 0.0, np.zeros(times.n_steps), None
+        return v, 0.0, np.zeros(times.n_steps)
 
     def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
         return abs(float(payoff(self.cap)) / self.cap - 0.0)
@@ -364,8 +355,8 @@ class NaiveDirichletScheme(Scheme):
             raise ConfigError("cap must be positive")
 
     def rows(self, payoff, y, T, times):
-        v, bottom, _, _ = super().rows(payoff, y, T, times)
-        return v, bottom, np.full(times.n_steps, float(payoff(self.cap))), None
+        v, bottom, _ = super().rows(payoff, y, T, times)
+        return v, bottom, np.full(times.n_steps, float(payoff(self.cap)))
 
     def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
         return abs(float(payoff(self.cap)) - float(payoff(self.cap)))
@@ -391,13 +382,6 @@ class PdeSolution:
         out = np.interp(y, yn, row)
         return float(out) if np.ndim(y) == 0 else out
 
-    def to_csv(self, path) -> None:
-        """Matrix export: first row = y-nodes, first column = times."""
-        lines = ["t," + ",".join(repr(float(y)) for y in self.grid.nodes)]
-        for t, row in zip(self.times.nodes, self.values):
-            lines.append(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # The solver.
@@ -409,15 +393,6 @@ def _taper(payoff: PayoffSpec, n: float, y: np.ndarray) -> np.ndarray:
     hmid = float(payoff(n / 2.0))
     ramp = hmid * (n - np.asarray(y, dtype=float)) / (n / 2.0)
     return np.where(y <= n / 2.0, h, np.maximum(ramp, 0.0))
-
-
-def _neumann_row(y: np.ndarray) -> tuple:
-    """Weights (gamma, beta, alpha) of the one-sided second-order v_y at the
-    top node, on the nodes y[-3], y[-2], y[-1]."""
-    h1 = y[-1] - y[-2]
-    h2 = y[-2] - y[-3]
-    return (h1 / (h2 * (h1 + h2)), -(h1 + h2) / (h1 * h2),
-            (2 * h1 + h2) / (h1 * (h1 + h2)))
 
 
 def _require_finite(what: str, vals: np.ndarray, y: np.ndarray,
@@ -435,40 +410,26 @@ def _require_finite(what: str, vals: np.ndarray, y: np.ndarray,
 
 
 def _factor_step(thdt: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 cap_row: Optional[tuple]) -> Callable:
+                 neumann: bool) -> Callable:
     """LU-factor the implicit step matrix and return rhs -> (solution, info).
 
     Rows 1..m-1 are I - thdt * (a, b, c), row 0 is the Dirichlet bottom row,
-    and row m is either Dirichlet (cap_row None) or the Neumann cap row
-    (gamma, beta, alpha).  The tridiagonal matrix goes through dgttrf/dgttrs
-    and the Neumann one, with its extra sub-subdiagonal entry, through
-    dgbtrf/dgbtrs: the LAPACK arithmetic of gtsv and gbsv, factor and solve
-    split apart.
+    and row m is either Dirichlet, v_M, or with neumann v_M - v_{M-1}.  The
+    tridiagonal matrix goes through dgttrf/dgttrs: the LAPACK arithmetic of
+    gtsv, factor and solve split apart.
     """
     m = len(b) + 1
     lower = np.zeros(m)
     lower[:-1] = -thdt * a  # lower[i] = A[i + 1, i]
+    if neumann:
+        lower[m - 1] = -1.0
     diag = np.ones(m + 1)
     diag[1:-1] = 1.0 - thdt * b
     upper = np.zeros(m)
     upper[1:] = -thdt * c  # upper[i] = A[i, i + 1]
-    if cap_row is None:
-        *factors, info = dgttrf(lower, diag, upper)
-        _lapack_ok(info, thdt)
-        return partial(dgttrs, *factors)
-    # band storage for dgbtrf with kl = 2, ku = 1: A[i, j] at row 3 + i - j
-    # of column j, below two rows of fill-in space
-    gamma, beta, alpha = cap_row
-    diag[m] = alpha
-    lower[m - 1] = beta
-    ab = np.zeros((6, m + 1))
-    ab[2, 1:] = upper
-    ab[3] = diag
-    ab[4, :-1] = lower
-    ab[5, m - 2] = gamma
-    lu, ipiv, info = dgbtrf(ab, 2, 1)
+    *factors, info = dgttrf(lower, diag, upper)
     _lapack_ok(info, thdt)
-    return partial(dgbtrs, lu, 2, 1, ipiv=ipiv)
+    return partial(dgttrs, *factors)
 
 
 def _lapack_ok(info: int, thdt: float) -> None:
@@ -536,7 +497,7 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     if abs(y[-1] - cap) > 1e-9 * max(1.0, cap):
         raise ConfigError(
             f"grid must end at the scheme cap {cap}, got {y[-1]}")
-    v, bottom, top, cap_row = scheme.rows(payoff, y, T, times)
+    v, bottom, top = scheme.rows(payoff, y, T, times)
 
     m = grid.m
     a, b, c = stencil(s, scheme, grid)
@@ -561,7 +522,7 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     for k in range(n_t - 1, -1, -1):
         dt = dts[k]
         if dt_lu is None or abs(dt - dt_lu) > _DT_REFACTOR * dt_lu:
-            step_solve = _factor_step(th * dt, a, b, c, cap_row)
+            step_solve = _factor_step(th * dt, a, b, c, scheme.neumann)
             dt_lu = dt
         rhs[1:-1] = v[1:-1]
         if th < 1.0:

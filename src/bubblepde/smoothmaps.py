@@ -35,18 +35,6 @@ PRE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MobiusCoeffs:
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-
-@dataclass(frozen=True)
 class SmoothMap:
     """A thrice-differentiable strictly monotone map on an open interval.
 
@@ -154,17 +142,15 @@ def log_map(xi: float = 0.0) -> SmoothMap:
     return power_law_map(0.0, xi)
 
 
-def mobius_map(coeffs: MobiusCoeffs | tuple) -> SmoothMap:
-    """f(x) = (a x + b)/(c x + d), with ad - bc != 0.
+def mobius_map(coeffs: tuple) -> SmoothMap:
+    """f(x) = (a x + b)/(c x + d) for coeffs (a, b, c, d), with ad - bc != 0.
 
     For c != 0 the domain is the branch to the right of the pole -d/c;
     affine maps (c = 0) live on the whole line. S_f vanishes identically and
     T_f(x) = -2c/(cx + d), which is zero for affine maps.
     """
-    if not isinstance(coeffs, MobiusCoeffs):
-        coeffs = MobiusCoeffs(*coeffs)
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    det = coeffs.det
+    a, b, c, d = coeffs
+    det = a * d - b * c
     if det == 0.0:
         raise DomainError("mobius map requires ad - bc != 0")
     if c == 0.0:
@@ -204,13 +190,13 @@ def mobius_map(coeffs: MobiusCoeffs | tuple) -> SmoothMap:
 
 def reciprocal_map() -> SmoothMap:
     """1/x on (0, inf) -- alias for mobius (0,1,1,0)."""
-    return mobius_map(MobiusCoeffs(0.0, 1.0, 1.0, 0.0))
+    return mobius_map((0.0, 1.0, 1.0, 0.0))
 
 
 def affine_map(slope: float, intercept: float,
                domain: Optional[tuple[float, float]] = None) -> SmoothMap:
     """slope*x + intercept, optionally restricted to a subinterval."""
-    m = mobius_map(MobiusCoeffs(float(slope), float(intercept), 0.0, 1.0))
+    m = mobius_map((float(slope), float(intercept), 0.0, 1.0))
     if domain is None:
         return m
     return SmoothMap(domain=(float(domain[0]), float(domain[1])),
@@ -282,7 +268,7 @@ def from_descriptor(desc: dict) -> SmoothMap:
     if kind == "log":
         return log_map(desc.get("xi", 0.0))
     if kind == "mobius":
-        return mobius_map(MobiusCoeffs(desc["a"], desc["b"], desc["c"], desc["d"]))
+        return mobius_map((desc["a"], desc["b"], desc["c"], desc["d"]))
     if kind == "reciprocal":
         return reciprocal_map()
     if kind == "compose":

@@ -199,8 +199,8 @@ def test_ensemble_partition_independence(monkeypatch):
 
     # nor on how the runner cuts the ensemble into blocks and segments: a
     # path long enough for several stream segments, run whole and then in
-    # blocks of two paths with a draw budget of one segment per block, for
-    # every runner (the random-floor dual reads its floor's uniform first)
+    # blocks of two paths, for every runner (the random-floor dual reads its
+    # floor's uniform first)
     grid = TimeGrid.uniform(1.0, 2 * pathlab._SEGMENT + 37)
     rec = [pathlab._SEGMENT - 1, grid.n_steps]
     runs = [
@@ -212,7 +212,6 @@ def test_ensemble_partition_independence(monkeypatch):
     ]
     whole = [run(3) for run in runs]
     monkeypatch.setattr(pathlab, "_BLOCK", 2)
-    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 2 * pathlab._SEGMENT)
     for run, outs in zip(runs, whole):
         for a, b in zip(outs, run(9)):
             np.testing.assert_array_equal(a, b[:3])
@@ -459,7 +458,7 @@ def _share_setup(monkeypatch, workers):
     """A 40-step grid with blocks of two paths, so that seven paths make up
     to three shares (2, 2 and 3 paths), and the worker count forced."""
     grid = TimeGrid.uniform(1.0, 40)
-    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 2 * grid.n_steps)
+    monkeypatch.setattr(pathlab, "_BLOCK", 2)
     monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
     return grid
 
@@ -681,7 +680,7 @@ def test_change_of_measure_matches_per_path_reference(monkeypatch):
     grid = TimeGrid.uniform(0.05, 16)
     monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 3)
     monkeypatch.setattr(pathlab, "_RECORD_ROWS", 7)
-    monkeypatch.setattr(pathlab, "_CHUNK_BUDGET", 2 * 7 * 17)
+    monkeypatch.setattr(pathlab, "_BLOCK", 7)
     payoff = lambda p: float(p.X[-1]) * len(p.X) + p.path_index + p.grid.T
     for s in (power_law_map(3.0), f_from_sigma(lambda y: y ** 2)):
         got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,

@@ -181,11 +181,11 @@ def test_solve_fails_closed_on_non_finite_sigma():
 
 
 def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
-    """The time loop as a banded matrix built and handed to solve_banded at
-    every step, with the top-row datum computed step by step.  The implicit
-    matrix takes the dt of the last step whose dt moved by more than a
-    relative 1e-12 (solve's rule for refactoring), the explicit part each
-    step's own dt."""
+    """The time loop as a tridiagonal matrix built and handed to
+    solve_banded at every step, with the top-row datum computed step by
+    step.  The implicit matrix takes the dt of the last step whose dt moved
+    by more than a relative 1e-12 (solve's rule for refactoring), the
+    explicit part each step's own dt."""
     y = grid.nodes
     m = grid.m
     yi = y[1:-1]
@@ -208,19 +208,12 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
     else:
         v = np.asarray(payoff(y), dtype=float)
     bottom = 0.0 if transformed else float(payoff(0.0))
-    neumann = isinstance(scheme, NeumannCapScheme)
     if isinstance(scheme, FundraiserScheme):
         theta_of = scheme.theta.interpolator()
-    if neumann:
-        h1, h2 = y[m] - y[m - 1], y[m - 1] - y[m - 2]
-        alpha = (2 * h1 + h2) / (h1 * (h1 + h2))
-        beta = -(h1 + h2) / (h1 * h2)
-        gamma = h1 / (h2 * (h1 + h2))
     n_t = times.n_steps
     out = np.empty((n_t + 1, m + 1))
     out[n_t] = v * y if transformed else v
-    lower_bw = 2 if neumann else 1
-    ab = np.zeros((lower_bw + 2, m + 1))
+    ab = np.zeros((3, m + 1))
     rhs = np.empty(m + 1)
     dt_m = None
     for k in range(n_t - 1, -1, -1):
@@ -237,20 +230,16 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
         ab[1, 1:-1] = 1.0 - th * dt_m * b
         ab[2, 0:m - 1] = -th * dt_m * a
         rhs[0] = bottom
-        if neumann:
-            ab[1, m] = alpha
-            ab[2, m - 1] = beta
-            ab[3, m - 2] = gamma
-            rhs[m] = 0.0
+        ab[1, m] = 1.0
+        if isinstance(scheme, NeumannCapScheme):
+            ab[2, m - 1] = -1.0  # the cap row v_M - v_{M-1} = 0
+        if isinstance(scheme, FundraiserScheme):
+            rhs[m] = theta_of(T - times.nodes[k])
+        elif isinstance(scheme, NaiveDirichletScheme):
+            rhs[m] = float(payoff(scheme.cap))
         else:
-            ab[1, m] = 1.0
-            if isinstance(scheme, FundraiserScheme):
-                rhs[m] = theta_of(T - times.nodes[k])
-            elif isinstance(scheme, NaiveDirichletScheme):
-                rhs[m] = float(payoff(scheme.cap))
-            else:
-                rhs[m] = 0.0
-        v = solve_banded((lower_bw, 1), ab, rhs)
+            rhs[m] = 0.0
+        v = solve_banded((1, 1), ab, rhs)
         out[k] = v * y if transformed else v
     return out
 
@@ -346,14 +335,14 @@ def _flat_theta(cap, T, values):
        bump=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
        theta=st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
        kind=st.sampled_from(["fundraiser", "naive_dirichlet",
-                             "tapered_terminal"]))
+                             "tapered_terminal", "neumann_cap"]))
 def test_implicit_solve_invariants(coefficient, exponent, cap, m, steps, T,
                                    h, bump, theta, kind):
-    """Implicit Euler on a Dirichlet-capped scheme: a bond stays at par, the
-    solution is monotone in its data (payoff and Theta), and every value
-    lies between the least and the greatest boundary datum (the discrete
-    maximum principle).  The Neumann cap row is left out of the last two:
-    its second-order one-sided extrapolation is not monotone."""
+    """Implicit Euler: a bond stays at par, the solution is monotone in its
+    data (payoff and Theta), and every value lies between the least and the
+    greatest boundary datum (the discrete maximum principle).  The data are
+    the terminal row, the bottom column and, under a Dirichlet cap, the cap
+    column; the Neumann cap row v_M = v_{M-1} sets no datum."""
     sigma = {"kind": "power", "coefficient": coefficient,
              "exponent": exponent}
     nodes = np.linspace(0.0, cap, 6)
@@ -362,7 +351,8 @@ def test_implicit_solve_invariants(coefficient, exponent, cap, m, steps, T,
     make = {"fundraiser": lambda th: FundraiserScheme(
                 j=1.0 / cap, theta=_flat_theta(cap, T, th)),
             "naive_dirichlet": lambda th: NaiveDirichletScheme(cap=cap),
-            "tapered_terminal": lambda th: TaperedTerminalScheme(n=cap)}[kind]
+            "tapered_terminal": lambda th: TaperedTerminalScheme(n=cap),
+            "neumann_cap": lambda th: NeumannCapScheme(n=cap)}[kind]
     scheme = make(theta)
     grid, times = scheme.grid(m), TimeGrid.uniform(T, steps)
 
@@ -375,8 +365,10 @@ def test_implicit_solve_invariants(coefficient, exponent, cap, m, steps, T,
         assert np.max(np.abs(bond - 1.0)) < tol
     v = run(low, scheme)
     assert np.all(v <= run(high, make(np.add(theta, 0.5))) + tol)
-    # the boundary data: the terminal row, the bottom column and the cap
-    data = np.concatenate([v[-1], v[:, 0], v[:, -1]])
+    data = [v[-1], v[:, 0]]
+    if not scheme.neumann:
+        data.append(v[:, -1])
+    data = np.concatenate(data)
     assert data.min() - tol <= v.min() and v.max() <= data.max() + tol
 
 
@@ -438,19 +430,13 @@ def test_crank_nicolson_close_to_implicit():
                                                       abs=1e-6)
 
 
-def test_value_at_and_csv_export(tmp_path):
+def test_value_at_rejects_points_outside_the_solution():
     sol = solve(SIG2, FWD, 1.0, NaiveDirichletScheme(cap=10.0),
                 times=TimeGrid.uniform(1.0, 32))
     with pytest.raises(DomainError):
         sol.value_at(0.0, 11.0)
     with pytest.raises(DomainError):
         sol.value_at(2.0, 1.0)
-    p = tmp_path / "sol.csv"
-    sol.to_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0].startswith("t,")
-    assert len(lines) == 34  # header + 33 time rows
-    assert "np.float" not in lines[1]
 
 
 # ---------------------------------------------------------------------------
