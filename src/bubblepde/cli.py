@@ -29,7 +29,7 @@ from .pathlab import TimeGrid, _run_shares, _worker_count, \
     wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
     TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, f_from_sigma, \
-    solve, stencil
+    solve_start, stencil
 from .smoothmaps import from_descriptor
 
 _NUMERIC_DEFAULTS = {
@@ -317,13 +317,17 @@ def _make_theta(cfg: dict, f, payoff: PayoffSpec, j: float, target: Path,
     return table
 
 
-def _solve_at(cfg: dict, payoff: PayoffSpec, scheme, m: int, steps: int):
-    """Solve the model's pricing equation under `scheme` on its grid of m
-    space steps and on `steps` uniform time steps."""
+def _solve_level(cfg: dict, payoff: PayoffSpec, schemes, m: int, steps: int):
+    """The t = 0 row of the model's pricing equation under each of `schemes`
+    on its grid of m space steps, all on `steps` uniform time steps and
+    stepped as one stacked system: [(grid, row), ...]."""
     model = cfg["model"]
-    return solve(model["sigma"], payoff, model["T"], scheme,
-                 grid=scheme.grid(m), times=TimeGrid.uniform(model["T"], steps),
-                 theta_weight=cfg["numerics"]["theta_weight"])
+    grids = [scheme.grid(m) for scheme in schemes]
+    rows = solve_start(model["sigma"], payoff, model["T"],
+                       list(zip(schemes, grids)),
+                       TimeGrid.uniform(model["T"], steps),
+                       theta_weight=cfg["numerics"]["theta_weight"])
+    return list(zip(grids, rows))
 
 
 def price_at_floor(cfg: dict, f, payoff: PayoffSpec, j: float,
@@ -341,9 +345,10 @@ def price_at_floor(cfg: dict, f, payoff: PayoffSpec, j: float,
     pde_value = None
     if "sigma" in model:
         table = _make_theta(cfg, f, payoff, j, theta_path, pinned)
-        sol = _solve_at(cfg, payoff, FundraiserScheme(j=j, theta=table),
-                        num["space_nodes"], num["time_steps"])
-        pde_value = sol.value_at(0.0, float(f(x0)))
+        (grid, row), = _solve_level(cfg, payoff,
+                                    [FundraiserScheme(j=j, theta=table)],
+                                    num["space_nodes"], num["time_steps"])
+        pde_value = grid.interp(row, float(f(x0)))
     return mc, split, pde_value
 
 
@@ -466,19 +471,21 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                      _worker_count(len(tasks)))
 
     def solve_load(load):
-        """(CSV row, wall time of the solve) of each task of a load."""
-        done = []
+        """(CSV rows, wall time of the stacked solve) of each level of a
+        load: its solves at one level step as one system."""
+        levels = {}
         for i in load:
-            scheme, lev, m, steps = tasks[i]
+            levels.setdefault(tasks[i][1:], []).append(tasks[i][0])
+        done = []
+        for (lev, m, steps), group in levels.items():
             t0 = time.perf_counter()
-            sol = _solve_at(cfg, payoff, scheme, m, steps)
+            solved = _solve_level(cfg, payoff, group, m, steps)
             elapsed = time.perf_counter() - t0
-            val = sol.value_at(0.0, y_ref)
-            defect = corner_defect(model["sigma"], payoff, model["T"], scheme,
-                                   grid=sol.grid)
-            done.append(((scheme.kind, lev, m, steps, val, defect), elapsed))
-            # a load runs its largest solves back to back: hold one at most
-            del sol
+            done.append(([(scheme.kind, lev, m, steps, grid.interp(row, y_ref),
+                           corner_defect(model["sigma"], payoff, model["T"],
+                                         scheme, grid=grid))
+                          for scheme, (grid, row) in zip(group, solved)],
+                         elapsed))
         return done
 
     # each load's worker returns rows and times only, never a solution
@@ -488,9 +495,10 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
                                       for i in load) for load in loads])
     rows, runtimes = [], {}
     for done in results:
-        for row, elapsed in done:
-            rows.append(row)
-            runtimes[f"{row[0]}/level{row[1]}"] = elapsed
+        for level_rows, elapsed in done:
+            rows.extend(level_rows)
+            runtimes[f"level{level_rows[0][1]}/"
+                     + "+".join(row[0] for row in level_rows)] = elapsed
     rows.sort(key=lambda r: (r[0], r[1]))
     body = [f"{n},{lev},{m},{steps},{_fmt(v)},{_fmt(d)}"
             for n, lev, m, steps, v, d in rows]

@@ -201,6 +201,15 @@ class SpaceGrid:
     def m(self) -> int:
         return len(self.nodes) - 1
 
+    def interp(self, values: np.ndarray, y):
+        """Linear interpolation at y of the nodal values; DomainError when y
+        lies outside the grid."""
+        yn = self.nodes
+        if np.any(np.asarray(y) < yn[0]) or np.any(np.asarray(y) > yn[-1]):
+            raise DomainError("y outside the space grid")
+        out = np.interp(y, yn, values)
+        return float(out) if np.ndim(y) == 0 else out
+
 
 _DEFAULT_M = 800
 _DEFAULT_STEPS = 2048
@@ -376,11 +385,7 @@ class PdeSolution:
         k = min(int(np.searchsorted(tn, t, side="right")) - 1, len(tn) - 2)
         w = (t - tn[k]) / (tn[k + 1] - tn[k])
         row = (1 - w) * self.values[k] + w * self.values[k + 1]
-        yn = self.grid.nodes
-        if np.any(np.asarray(y) < yn[0]) or np.any(np.asarray(y) > yn[-1]):
-            raise DomainError("y outside the space grid")
-        out = np.interp(y, yn, row)
-        return float(out) if np.ndim(y) == 0 else out
+        return self.grid.interp(row, y)
 
 
 # ---------------------------------------------------------------------------
@@ -409,24 +414,70 @@ def _require_finite(what: str, vals: np.ndarray, y: np.ndarray,
         f"non-finite {what} at node i={i}, y={y[i]:.6g}{when}")
 
 
-def _factor_step(thdt: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 neumann: bool) -> Callable:
-    """LU-factor the implicit step matrix and return rhs -> (solution, info).
+@dataclass(frozen=True)
+class _Block:
+    """One (scheme, grid) problem of a march, past every check solve makes:
+    its terminal datum v, bottom value, top-row datum of each step and
+    interior stencil rows (a, b, c)."""
 
-    Rows 1..m-1 are I - thdt * (a, b, c), row 0 is the Dirichlet bottom row,
-    and row m is either Dirichlet, v_M, or with neumann v_M - v_{M-1}.  The
-    tridiagonal matrix goes through dgttrf/dgttrs: the LAPACK arithmetic of
-    gtsv, factor and solve split apart.
+    scheme: Scheme
+    grid: SpaceGrid
+    v: np.ndarray
+    bottom: float
+    top: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """Blocks concatenated into one block-diagonal tridiagonal system: the
+    stacked index of each block's bottom and top row, of every interior row
+    and of every Neumann cap row, and the interior stencil rows."""
+
+    bottoms: np.ndarray
+    tops: np.ndarray
+    inner: np.ndarray
+    neumann: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def of(cls, blocks) -> "_Stack":
+        sizes = np.array([len(blk.v) for blk in blocks])
+        bottoms = np.cumsum(sizes) - sizes
+        tops = bottoms + sizes - 1
+        return cls(bottoms=bottoms, tops=tops,
+                   inner=np.concatenate([np.arange(lo + 1, hi)
+                                         for lo, hi in zip(bottoms, tops)]),
+                   neumann=tops[[blk.scheme.neumann for blk in blocks]],
+                   a=np.concatenate([blk.a for blk in blocks]),
+                   b=np.concatenate([blk.b for blk in blocks]),
+                   c=np.concatenate([blk.c for blk in blocks]))
+
+
+def _factor_step(thdt: float, stack: _Stack) -> Callable:
+    """LU-factor the implicit step matrix of a stack and return rhs ->
+    (solution, info).
+
+    A block's interior rows are I - thdt * (a, b, c), its bottom row is
+    Dirichlet, and its top row is Dirichlet, v_M, or for a Neumann cap
+    v_M - v_{M-1}.  Every entry joining two blocks is 0, so LAPACK never
+    pivots across a junction and each block gets the arithmetic of its own
+    system, bit for bit.  The tridiagonal matrix goes through
+    dgttrf/dgttrs: the LAPACK arithmetic of gtsv, factor and solve split
+    apart.
     """
-    m = len(b) + 1
-    lower = np.zeros(m)
-    lower[:-1] = -thdt * a  # lower[i] = A[i + 1, i]
-    if neumann:
-        lower[m - 1] = -1.0
-    diag = np.ones(m + 1)
-    diag[1:-1] = 1.0 - thdt * b
-    upper = np.zeros(m)
-    upper[1:] = -thdt * c  # upper[i] = A[i, i + 1]
+    n = int(stack.tops[-1]) + 1
+    lower = np.zeros(n - 1)
+    lower[stack.inner - 1] = -thdt * stack.a  # lower[i] = A[i + 1, i]
+    lower[stack.neumann - 1] = -1.0
+    diag = np.ones(n)
+    diag[stack.inner] = 1.0 - thdt * stack.b
+    upper = np.zeros(n - 1)
+    upper[stack.inner] = -thdt * stack.c  # upper[i] = A[i, i + 1]
     *factors, info = dgttrf(lower, diag, upper)
     _lapack_ok(info, thdt)
     return partial(dgttrs, *factors)
@@ -470,6 +521,91 @@ def stencil(sigma, scheme: Scheme, grid: SpaceGrid):
     return a, b, c
 
 
+def _setup(sigma, payoff: PayoffSpec, T: float, pairs,
+           times: Optional[TimeGrid], theta_weight: float):
+    """Every check solve makes, then (times, a _Block of each (scheme, grid)
+    of pairs); times defaults to _DEFAULT_STEPS uniform steps."""
+    if not 0.0 <= theta_weight <= 1.0:
+        raise ConfigError("theta_weight must lie in [0, 1]")
+    if T <= 0:
+        raise ConfigError("T must be positive")
+    s = _sigma_callable(sigma)
+    if times is None:
+        times = TimeGrid.uniform(T, _DEFAULT_STEPS)
+    if abs(times.T - T) > 1e-12 * max(1.0, T):
+        raise ConfigError("time grid does not end at T")
+    blocks = []
+    for scheme, grid in pairs:
+        y, cap = grid.nodes, scheme.cap
+        if abs(y[-1] - cap) > 1e-9 * max(1.0, cap):
+            raise ConfigError(
+                f"grid must end at the scheme cap {cap}, got {y[-1]}")
+        v, bottom, top = scheme.rows(payoff, y, T, times)
+        a, b, c = stencil(s, scheme, grid)
+        _require_finite("terminal datum", v, y)
+        _require_finite("top-row datum", top[:, None], y, first=grid.m,
+                        t=times.nodes)
+        blocks.append(_Block(scheme, grid, v, bottom, top, a, b, c))
+    return times, blocks
+
+
+def _march(blocks, times: TimeGrid, th: float, history: bool) -> np.ndarray:
+    """Step the blocks backward over `times` under theta-weight th, as one
+    block-diagonal tridiagonal system.  Returns the stacked values at every
+    time node, shape (n_t + 1, stacked rows), when history, else at t = 0
+    alone; a convection block's values are still w = v / y."""
+    stack = _Stack.of(blocks)
+    n_t = times.n_steps
+    dts = times.dt.tolist()  # Python floats: a cheaper test per step
+    bottom = np.array([blk.bottom for blk in blocks])
+    top = np.column_stack([blk.top for blk in blocks])
+    v = np.concatenate([blk.v for blk in blocks])
+    if history:
+        out = np.empty((n_t + 1, len(v)))
+        out[n_t] = v
+    if th < 1.0:
+        # the stencil rows on every stacked row but the first and the last,
+        # 0 on the bottom and top rows, whose rhs is overwritten
+        coef = np.zeros((3, len(v)))
+        coef[:, stack.inner] = stack.a, stack.b, stack.c
+        a, b, c = coef[:, 1:-1]
+    rhs = np.empty(len(v))
+    # The step matrix depends on k only through dt: factor it when dt
+    # changes and reuse the factors for the run of steps that share it.  A
+    # uniform grid from linspace has steps that differ in their last bits
+    # unless the step count is a power of two, so only a relative move
+    # above _DT_REFACTOR counts as a change.
+    dt_lu = None
+    for k in range(n_t - 1, -1, -1):
+        dt = dts[k]
+        if dt_lu is None or abs(dt - dt_lu) > _DT_REFACTOR * dt_lu:
+            step_solve = _factor_step(th * dt, stack)
+            dt_lu = dt
+        rhs[1:-1] = v[1:-1]
+        if th < 1.0:
+            rhs[1:-1] += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
+        rhs[stack.bottoms] = bottom
+        rhs[stack.tops] = top[k]
+        v, info = step_solve(rhs)
+        _lapack_ok(info, th * dt)
+        if history:
+            out[k] = v
+    return out if history else v
+
+
+def _by_block(blocks, vals: np.ndarray) -> list:
+    """Each block's columns of stacked values, v = y * w for a convection
+    block."""
+    parts, start = [], 0
+    for blk in blocks:
+        part = vals[..., start:start + len(blk.v)]
+        if blk.scheme.convection:
+            part *= blk.grid.nodes
+        parts.append(part)
+        start += len(blk.v)
+    return parts
+
+
 def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
           grid: Optional[SpaceGrid] = None, times: Optional[TimeGrid] = None,
           theta_weight: float = 1.0) -> PdeSolution:
@@ -481,59 +617,38 @@ def solve(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     1/2 is Crank-Nicolson.  Off-diagonal sign violations (a non-monotone
     discretization) are rejected with the offending node named.
     """
-    if not 0.0 <= theta_weight <= 1.0:
-        raise ConfigError("theta_weight must lie in [0, 1]")
-    if T <= 0:
-        raise ConfigError("T must be positive")
-    s = _sigma_callable(sigma)
-    cap = scheme.cap
     if grid is None:
         grid = scheme.grid(_DEFAULT_M)
-    if times is None:
-        times = TimeGrid.uniform(T, _DEFAULT_STEPS)
-    if abs(times.T - T) > 1e-12 * max(1.0, T):
-        raise ConfigError("time grid does not end at T")
-    y = grid.nodes
-    if abs(y[-1] - cap) > 1e-9 * max(1.0, cap):
-        raise ConfigError(
-            f"grid must end at the scheme cap {cap}, got {y[-1]}")
-    v, bottom, top = scheme.rows(payoff, y, T, times)
+    times, blocks = _setup(sigma, payoff, T, [(scheme, grid)], times,
+                           theta_weight)
+    values, = _by_block(blocks, _march(blocks, times, theta_weight, True))
+    _require_finite("solution value", values, grid.nodes, t=times.nodes)
+    return PdeSolution(grid=grid, times=times, values=values)
 
-    m = grid.m
-    a, b, c = stencil(s, scheme, grid)
 
-    n_t = times.n_steps
-    _require_finite("terminal datum", v, y)
-    _require_finite("top-row datum", top[:, None], y, first=m,
-                    t=times.nodes)
+def solve_start(sigma, payoff: PayoffSpec, T: float, pairs, times: TimeGrid,
+                theta_weight: float = 1.0) -> list:
+    """The t = 0 row of solve(sigma, payoff, T, scheme, grid, times,
+    theta_weight) for each (scheme, grid) of pairs, bit for bit, from one
+    march of them all stacked that keeps no other time row.
 
-    dts = times.dt.tolist()  # Python floats: a cheaper test per step
-    th = theta_weight
-    out = np.empty((n_t + 1, m + 1))
-    out[n_t] = v * y if scheme.convection else v
-    rhs = np.empty(m + 1)
-    rhs[0] = bottom
-    # The step matrix depends on k only through dt: factor it when dt
-    # changes and reuse the factors for the run of steps that share it.  A
-    # uniform grid from linspace has steps that differ in their last bits
-    # unless the step count is a power of two, so only a relative move
-    # above _DT_REFACTOR counts as a change.
-    dt_lu = None
-    for k in range(n_t - 1, -1, -1):
-        dt = dts[k]
-        if dt_lu is None or abs(dt - dt_lu) > _DT_REFACTOR * dt_lu:
-            step_solve = _factor_step(th * dt, a, b, c, scheme.neumann)
-            dt_lu = dt
-        rhs[1:-1] = v[1:-1]
-        if th < 1.0:
-            rhs[1:-1] += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
-        rhs[m] = top[k]
-        v, info = step_solve(rhs)
-        _lapack_ok(info, th * dt)
-        out[k] = v * y if scheme.convection else v
-    _require_finite("solution value", out, y, t=times.nodes)
-
-    return PdeSolution(grid=grid, times=times, values=out)
+    A failure raises the error solve raises for the first pair that fails
+    on its own: a non-finite value crosses a zero junction (0 * nan) into
+    the neighbouring blocks, and a LAPACK info counts stacked rows.
+    """
+    times, blocks = _setup(sigma, payoff, T, pairs, times, theta_weight)
+    try:
+        rows = _by_block(blocks, _march(blocks, times, theta_weight, False))
+        # a value that turns non-finite stays so at every later step of the
+        # march, so the t = 0 row shows any that solve's history would
+        for blk, row in zip(blocks, rows):
+            _require_finite("solution value", row, blk.grid.nodes)
+        return rows
+    except NumericsError as exc:
+        stacked = exc
+    for blk in blocks:
+        solve(sigma, payoff, T, blk.scheme, blk.grid, times, theta_weight)
+    raise stacked
 
 
 def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,

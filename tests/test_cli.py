@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bubblepde import (ConfigError, DomainError, NumericsError, PayoffSpec,
-                       ThetaTable, cli, f_from_sigma, pathlab,
+                       ThetaTable, cli, f_from_sigma, pathlab, pdesolve,
                        price_and_decompose)
 from bubblepde.cli import config_hash, main, resolve_config
 
@@ -535,6 +535,18 @@ def test_price_rejects_non_numeric_theta_cell(tmp_path):
                  str(tmp_path / "out2")]) == 2
 
 
+def _assert_runtimes_name_every_solve(meta, schemes, levels):
+    """Every (scheme, level) appears in exactly one runtimes_s key, which
+    names its level and its schemes: level<L>/<scheme>+<scheme>..."""
+    named = []
+    for key in meta["runtimes_s"]:
+        level, kinds = key.split("/")
+        assert level.startswith("level"), key
+        named += [(kind, int(level[len("level"):])) for kind in kinds.split("+")]
+    assert sorted(named) == sorted((name, lev) for name in schemes
+                                   for lev in range(levels))
+
+
 def test_compare_schemes(tmp_path):
     cfgp = write_config(tmp_path)
     assert main(["compare-schemes", "--config", str(cfgp)]) == 0
@@ -556,7 +568,7 @@ def test_compare_schemes(tmp_path):
     assert all(d > 0.5 for d in defect["neumann_cap"])
     assert "runtime" not in body
     meta = json.loads((tmp_path / "out" / "compare.meta.json").read_text())
-    assert "fundraiser/level0" in meta["runtimes_s"]
+    _assert_runtimes_name_every_solve(meta, names, 2)
 
 
 def test_compare_schemes_accepts_exactly_the_five_kinds(tmp_path):
@@ -652,9 +664,8 @@ def test_compare_schemes_bytes_do_not_depend_on_the_worker_count(
         body, meta = _compare_schemes(cfgp, tmp_path / f"w{workers}", schemes)
         assert meta["workers"] == min(workers, solves)
         assert len(forks) == meta["workers"] - 1
-        assert sorted(meta["runtimes_s"]) == sorted(
-            f"{name}/level{lev}" for name in schemes.split(",")
-            for lev in range(numerics["levels"]))
+        _assert_runtimes_name_every_solve(meta, schemes.split(","),
+                                          numerics["levels"])
         # each worker's summed solve time
         assert len(meta["load_s"]) == meta["workers"]
         assert sum(meta["load_s"]) == pytest.approx(
@@ -681,20 +692,38 @@ def test_compare_schemes_balances_by_space_nodes_times_time_steps(
     assert costs == want
 
 
+def test_compare_schemes_steps_each_level_of_a_worker_once(tmp_path,
+                                                          monkeypatch):
+    # one worker stacks the solves of a level into one stepping loop:
+    # five schemes at three levels step three times
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 1)
+    loops = []
+    march = pdesolve._march
+    monkeypatch.setattr(pdesolve, "_march",
+                        lambda blocks, *a: loops.append(len(blocks))
+                        or march(blocks, *a))
+    _, meta = _compare_schemes(
+        write_config(tmp_path, numerics=COMPARE_NUMERICS["3_levels"]),
+        tmp_path / "out", ",".join(FIVE_SCHEMES))
+    assert loops == [5, 5, 5]
+    assert sorted(meta["runtimes_s"]) == [
+        f"level{lev}/" + "+".join(FIVE_SCHEMES) for lev in range(3)]
+
+
 @pytest.mark.parametrize("where", ["child", "caller"])
 def test_compare_schemes_solve_failure_exits_3_and_no_child_remains(
         tmp_path, monkeypatch, capsys, where):
     monkeypatch.setattr(pathlab, "_cpu_count", lambda: 2)
-    caller, solve_at = os.getpid(), cli._solve_at
+    caller, solve_level = os.getpid(), cli._solve_level
 
     def refusing(*args):
         if (os.getpid() == caller) == (where == "caller"):
             raise NumericsError(f"solve refused in the {where}")
         if where == "caller":
             time.sleep(60)  # a slow child, killed when the caller fails
-        return solve_at(*args)
+        return solve_level(*args)
 
-    monkeypatch.setattr(cli, "_solve_at", refusing)
+    monkeypatch.setattr(cli, "_solve_level", refusing)
     cfgp = write_config(tmp_path)
     start = time.monotonic()
     assert main(["compare-schemes", "--config", str(cfgp)]) == 3

@@ -1,6 +1,7 @@
 """Finite-difference solver tests: the bubble detector, scale-map recovery,
 grids, the four boundary treatments, the stepper against a per-step
-reference, and the corner-defect diagnostic."""
+reference, the stacked stepper against solve, and the corner-defect
+diagnostic."""
 
 import numpy as np
 import pytest
@@ -281,6 +282,87 @@ def test_solve_factors_once_per_step_size(monkeypatch):
         solve(lambda y: y ** 2, FWD, 1.0, NeumannCapScheme(n=10.0),
               grid=grid, times=times)
         assert len(calls) == want
+
+
+def _blocks_of_five_sizes(tab):
+    """Every scheme with cap 10, each on a grid of its own size."""
+    return [(FundraiserScheme(j=0.1, theta=tab),
+             SpaceGrid.geometric(1e-4, 10.0, 60)),
+            (NeumannCapScheme(n=10.0),
+             SpaceGrid.geometric_with_zero(1e-4, 10.0, 48)),
+            (TaperedTerminalScheme(n=10.0),
+             SpaceGrid.geometric_with_zero(1e-4, 10.0, 33)),
+            (TransformedCauchyScheme(n=10.0),
+             SpaceGrid.geometric_with_zero(1e-4, 10.0, 60)),
+            (NaiveDirichletScheme(cap=10.0),
+             SpaceGrid.geometric_with_zero(1e-4, 10.0, 41))]
+
+
+@pytest.mark.parametrize("times", [TimeGrid.uniform(1.0, 60),
+                                   TimeGrid.clustered(1.0, 64)],
+                         ids=["uniform", "clustered"])
+@pytest.mark.parametrize("th", [1.0, 0.5])
+def test_stacked_rows_equal_solve_bitwise(times, th):
+    # the clustered grid refactors the stack at every step; the orders put
+    # the Neumann cap next to Dirichlet caps and the transformed block
+    # (v = y * w) among the others
+    sig = lambda y: y ** 2
+    blocks = _blocks_of_five_sizes(_theta_table(0.1))
+    want = [solve(sig, FWD, 1.0, scheme, grid, times, th).values[0]
+            for scheme, grid in blocks]
+    for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (1, 4), (4, 1, 3), (3,),
+                  (2, 0, 1)):
+        got = pdesolve.solve_start(sig, FWD, 1.0, [blocks[i] for i in order],
+                                   times, th)
+        assert len(got) == len(order)
+        for i, row in zip(order, got):
+            assert row.tobytes() == want[i].tobytes(), (order, blocks[i][0].kind)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+@pytest.mark.parametrize("th", [1.0, 0.5])
+def test_stacked_failure_raises_the_error_of_the_failing_block(th):
+    # a payoff of 1e308 at the cap overflows the cap-10 block while it
+    # steps; the NaN crosses the zero junctions (0 * nan) into both
+    # neighbours, so the stack re-solves its blocks one at a time to blame
+    sig = lambda y: y ** 2
+    payoff = PayoffSpec.from_table([0.0, 4.0, 10.0], [0.0, 4.0, 1e308])
+    times = TimeGrid.uniform(1.0, 16)
+    bad = (NaiveDirichletScheme(cap=10.0), SpaceGrid.geometric(0.5, 10.0, 30))
+    pairs = [(NaiveDirichletScheme(cap=4.0),
+              SpaceGrid.geometric_with_zero(1e-4, 4.0, 20)), bad,
+             (TaperedTerminalScheme(n=3.0),
+              SpaceGrid.geometric_with_zero(1e-4, 3.0, 25))]
+    stacked_times, blocks = pdesolve._setup(sig, payoff, 1.0, pairs, times, th)
+    rows = pdesolve._by_block(
+        blocks, pdesolve._march(blocks, stacked_times, th, False))
+    assert not any(np.all(np.isfinite(row)) for row in rows)
+    for scheme, grid in pairs[::2]:
+        assert np.all(np.isfinite(solve(sig, payoff, 1.0, scheme, grid, times,
+                                        th).values))
+    with pytest.raises(NumericsError, match=r"y=0\.5") as alone:
+        solve(sig, payoff, 1.0, *bad, times, th)
+    with pytest.raises(NumericsError) as stacked:
+        pdesolve.solve_start(sig, payoff, 1.0, pairs, times, th)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((NaiveDirichletScheme(cap=10.0), SpaceGrid.geometric(1e-4, 5.0, 20)),
+     ConfigError),
+    ((TransformedCauchyScheme(n=10.0),
+      SpaceGrid(nodes=np.array([0.0, 0.5, 2.0, 3.5, 5.0, 7.5, 10.0]))),
+     NumericsError)], ids=["cap", "stencil"])
+def test_stack_checks_every_block_as_solve_does(bad, error):
+    times = TimeGrid.uniform(1.0, 16)
+    good = (TaperedTerminalScheme(n=10.0),
+            SpaceGrid.geometric_with_zero(1e-4, 10.0, 20))
+    with pytest.raises(error) as alone:
+        solve(SIG2, FWD, 1.0, *bad, times)
+    with pytest.raises(error) as stacked:
+        pdesolve.solve_start(SIG2, FWD, 1.0, [good, bad], times)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_fundraiser_scheme_builds_its_cap_map_once(monkeypatch):
