@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError
 from .pathlab import TimeGrid, reflected_ensemble
@@ -138,6 +137,8 @@ class ThetaTable:
     def interpolator(self):
         """Monotone piecewise-cubic interpolant of tau -> Theta; querying
         outside [0, max tau] raises (extrapolation is forbidden)."""
+        from scipy.interpolate import PchipInterpolator
+
         pchip = PchipInterpolator(self.taus, self.theta, extrapolate=False)
         hi = self.taus[-1]
         grace = hi * (1 + 1e-12) + 1e-15  # tolerate roundoff at the top edge

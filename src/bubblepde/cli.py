@@ -363,6 +363,12 @@ def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
 
 
 def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
+    # the scipy modules a price calls, loaded before the clock starts, so
+    # that runtime_s times the pricing, not the import
+    import scipy.integrate
+    import scipy.interpolate
+    import scipy.linalg.lapack
+
     t_start = time.perf_counter()
     model = cfg["model"]
     x0, j0, T = model["x0"], model["j0"], model["T"]
@@ -414,10 +420,12 @@ def _check_compare_schemes(cfg: dict, f, names) -> None:
     model, num = cfg["model"], cfg["numerics"]
     if "sigma" not in model:
         raise ConfigError("compare-schemes needs model.sigma")
-    for name in names or ():
+    for k, name in enumerate(names or ()):
         if name not in _SCHEME_NAMES:
             raise ConfigError(f"unknown scheme {name!r}; choose from "
                               f"{', '.join(_SCHEME_NAMES)}")
+        if name in names[:k]:
+            raise ConfigError(f"--scheme names {name!r} more than once")
     sizes = _level_sizes(num)
     for name in names or _RIVALS:
         if name not in _RIVALS:
@@ -469,6 +477,10 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
              for lev, (m, steps) in enumerate(_level_sizes(num))]
     loads = _balance([m * steps for _, _, m, steps in tasks],
                      _worker_count(len(tasks)))
+    # the scipy modules the solves call, loaded once before the workers
+    # fork, and outside the timed solves
+    import scipy.interpolate
+    import scipy.linalg.lapack
 
     def solve_load(load):
         """(CSV rows, wall time of the stacked solve) of each level of a

@@ -9,13 +9,14 @@ reports read.
 
 The normal CDF is computed from scipy's complementary error function; the
 test suite checks it against a continued-fraction reference and mpmath.
+scipy is imported inside the functions that call it, so importing this
+module does not load it; erfc, scipy's ufunc, is a module attribute loaded
+on first access.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .errors import DomainError, NumericsError
 
@@ -23,8 +24,17 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def __getattr__(name):
+    if name == "erfc":
+        from scipy.special import erfc
+        return erfc
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def norm_cdf(x):
     """Standard normal CDF via the scaled complementary error function."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
@@ -40,6 +50,8 @@ def integrate(fun, a, b, tol=1e-10):
     reports non-convergence or the achieved error exceeds the request by more
     than an order of magnitude.
     """
+    from scipy.integrate import quad
+
     val, err, info, *rest = quad(fun, a, b, epsabs=tol, epsrel=tol * 10,
                                  limit=400, full_output=1)
     if rest:  # a warning message is appended on trouble

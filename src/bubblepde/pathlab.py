@@ -31,7 +31,9 @@ os.fork, or while other threads run, a runner works in process.  Since each
 path reads only its own stream, no output depends on the share count.  One
 helper, _run_shares, forks, collects and reaps the workers, and raises a
 worker's exception in the caller; the measure change's per-path values
-and the compare-schemes solves run through it too.
+and the compare-schemes solves run through it too.  A worker pickles its
+outcome into a pipe, and the caller unpickles it straight from the pipe as
+it arrives, with no joined copy of the bytes.
 """
 
 from __future__ import annotations
@@ -320,12 +322,15 @@ def _fork_share(work) -> tuple[int, int]:
 
 
 def _receive(read: int):
-    """The outcome a child sent on the pipe read, None if it sent none."""
-    chunks = []
-    while chunk := os.read(read, 1 << 20):
-        chunks.append(chunk)
+    """The outcome a child sent on the pipe read, unpickled as it arrives;
+    if the child sent none or stopped partway, the EOFError or
+    UnpicklingError that says so."""
     # the bytes come from a child this module forked, never from outside
-    return pickle.loads(b"".join(chunks)) if chunks else None
+    with open(read, "rb", closefd=False) as stream:
+        try:
+            return pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            return exc
 
 
 def _run_shares(works, labels):
@@ -352,11 +357,12 @@ def _run_shares(works, labels):
             os.close(read)
             status[pid] = os.waitpid(pid, 0)[1]
     for k, outcome in enumerate(outcomes):
-        if outcome is None:
+        if isinstance(outcome, Exception):  # from _receive: no whole outcome
             pid = children[k - 1][0]
             raise RuntimeError(
                 f"the worker of {labels[k]} (pid {pid}) ended without a "
-                f"result, exit code {os.waitstatus_to_exitcode(status[pid])}")
+                f"result, exit code {os.waitstatus_to_exitcode(status[pid])}"
+            ) from outcome
         if not outcome[0]:
             outcome[1].add_note(f"raised in {labels[k]}, in a forked worker")
             raise outcome[1]
@@ -634,6 +640,9 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     s.require(np.array([lo, hi]))
     if not (lo < x0 < hi):
         raise DomainError("x0 must start inside the band")
+    # loaded once here, not by schwarzian_integral in each forked share
+    import scipy.integrate
+
     work = functools.partial(_weighted_payoffs, s, payoff, x0, grid, seed,
                              band)
     vals = np.concatenate(_run_path_shares(

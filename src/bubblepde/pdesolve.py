@@ -15,9 +15,6 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import brentq
 
 from .boundary import PayoffSpec, ThetaTable
 from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
@@ -58,6 +55,8 @@ def _doubling_tail(func: Callable, start: float, n_panels: int = 60,
     an absolute floor or keep shrinking geometrically (ratio < ratio_cut);
     constant or growing increments mean divergence.
     """
+    from scipy.integrate import quad
+
     incs = []
     lo = start
     total = 0.0
@@ -107,6 +106,9 @@ def f_from_sigma(sigma) -> SmoothMap:
         alpha = 1.0 / (1.0 - p)
         scale = (a * (p - 1.0)) ** alpha
         return compose(affine_map(scale, 0.0), power_law_map(alpha))
+
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
 
     s = _sigma_callable(sigma)
     converges, _ = _doubling_tail(lambda y: 1.0 / s(y), 1.0)
@@ -470,6 +472,8 @@ def _factor_step(thdt: float, stack: _Stack) -> Callable:
     dgttrf/dgttrs: the LAPACK arithmetic of gtsv, factor and solve split
     apart.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     n = int(stack.tops[-1]) + 1
     lower = np.zeros(n - 1)
     lower[stack.inner - 1] = -thdt * stack.a  # lower[i] = A[i + 1, i]

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError, DomainError
 
@@ -326,6 +325,8 @@ def schwarzian_integral(f: SmoothMap, X, t, live=None) -> np.ndarray:
     values, and S_f is taken as 0 elsewhere, so the integral keeps its bits
     at every node up to which all nodes are live.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     if live is None:
         S = schwarzian(f, X)
     else:

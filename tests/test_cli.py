@@ -6,11 +6,14 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -597,6 +600,17 @@ def test_compare_schemes_fails_before_the_set_up(tmp_path, capsys, model,
     assert not (tmp_path / "out").exists()
 
 
+def test_compare_schemes_rejects_a_repeated_scheme(tmp_path, capsys):
+    # a repeated name would run its solves twice and write its rows twice
+    cfgp = write_config(tmp_path)
+    assert main(["compare-schemes", "--config", str(cfgp), "--scheme",
+                 "naive_dirichlet,fundraiser,naive_dirichlet"]) == 2
+    err = capsys.readouterr().err
+    assert "--scheme" in err and "'naive_dirichlet'" in err
+    assert "'fundraiser'" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_schemes_subset_flag(tmp_path):
     cfgp = write_config(tmp_path)
     assert main(["compare-schemes", "--config", str(cfgp),
@@ -861,3 +875,107 @@ def test_price_and_oracle_agree_on_the_bond(tmp_path, model):
     priced = [report[key] for key in ("oracle_investor", "oracle_fundraiser")
               if report[key]]
     assert listed == priced and "1.0" in listed
+
+
+# ---------------------------------------------------------------------------
+# cold start: each test runs in a fresh interpreter on the source tree
+
+SRC = Path(cli.__file__).resolve().parents[1]
+# runs each argv given as a JSON argument through main, then prints the
+# scipy modules the process has loaded
+LOADED_SCIPY = """
+import json, sys
+from bubblepde import cli
+for argv in map(json.loads, sys.argv[1:]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _fresh_python(*args):
+    """A new interpreter run with the package's source tree on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def _scipy_loaded_after(*argvs):
+    proc = _fresh_python("-c", LOADED_SCIPY, *map(json.dumps, argvs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_after() == []
+
+
+def test_theta_and_simulate_load_no_scipy(tmp_path):
+    argvs = [["theta", "--config", str(write_config(tmp_path)), "--out",
+              str(tmp_path / "theta")]]
+    for kind in ("wiener", "bessel3", "drifted", "skorokhod"):
+        (tmp_path / kind).mkdir()
+        cfgp = write_config(tmp_path / kind, simulate={"kind": kind})
+        argvs.append(["simulate", "--config", str(cfgp)])
+    assert _scipy_loaded_after(*argvs) == []
+
+
+# runs argv[1], a JSON argv for main or "measure" for a measure change, on
+# two workers, and fails if scipy loads inside a share of _run_shares or a
+# timed span (from a process's first perf_counter call on): such a load
+# would repeat in every forked worker, or be timed as the work
+SCIPY_UP_FRONT = """
+import json, os, sys, time, types
+from bubblepde import cli, pathlab
+from bubblepde.smoothmaps import power_law_map
+
+def scipy_loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "scipy"}
+
+def loads_none(work):
+    def run():
+        before = scipy_loaded()
+        out = work()
+        assert scipy_loaded() == before, "a share loaded scipy"
+        return out
+    return run
+
+marks, clock = {}, time.perf_counter
+
+def perf_counter():
+    now = scipy_loaded()
+    assert marks.setdefault(os.getpid(), now) == now, "a timed span loaded scipy"
+    return clock()
+
+cli.time = types.SimpleNamespace(perf_counter=perf_counter)
+pathlab._cpu_count = lambda: 2
+shares = pathlab._run_shares
+pathlab._run_shares = cli._run_shares = (
+    lambda works, labels: shares([loads_none(w) for w in works], labels))
+if sys.argv[1] == "measure":
+    pathlab.change_of_measure_expectation(
+        power_law_map(3.0), lambda p: 1.0, 1.0, pathlab.TimeGrid.uniform(0.25, 16),
+        2 * pathlab._WEIGHT_ROWS, 7, (0.5, 2.0))
+else:
+    assert cli.main(json.loads(sys.argv[1])) == 0
+"""
+
+
+@pytest.mark.parametrize("command", ["price", "compare-schemes", "measure"])
+def test_scipy_loads_before_the_clock_and_the_fork(tmp_path, command):
+    arg = "measure" if command == "measure" else json.dumps(
+        [command, "--config", str(write_config(tmp_path))])
+    proc = _fresh_python("-c", SCIPY_UP_FRONT, arg)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    cfgp = write_config(tmp_path)
+    proc = _fresh_python("-m", "bubblepde", "oracle", "--config", str(cfgp))
+    assert proc.returncode == 0, proc.stderr
+    assert "forward_recip_bessel_fundraiser" in proc.stdout
+    assert (tmp_path / "out" / "oracle.csv").exists()
+    # the exit code is main's
+    proc = _fresh_python("-m", "bubblepde", "oracle", "--config",
+                         str(tmp_path / "missing.json"))
+    assert proc.returncode == 2 and "config error" in proc.stderr

@@ -9,6 +9,7 @@ arbitrary-precision erfc.
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 from bubblepde import (
     DomainError,
@@ -37,6 +38,11 @@ def erfc_continued_fraction(x, terms=120):
 
 # ---------------------------------------------------------------------------
 # special functions
+
+
+def test_erfc_is_scipys_ufunc():
+    # closedform imports scipy on first use; its erfc is scipy's own
+    assert erfc is scipy.special.erfc
 
 
 def test_erfc_against_continued_fraction():

@@ -3,6 +3,7 @@ invariants, the reflection/dual couplings, and the path functionals."""
 
 import dataclasses
 import os
+import pickle
 import sys
 import threading
 import time
@@ -524,6 +525,30 @@ def test_share_exception_reaches_the_caller_and_no_child_remains(
     with pytest.raises(DomainError, match=f"drift refused in the {where}"):
         drifted_ensemble(refusing, 1.0, grid, 7, SEED, [grid.n_steps])
     assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("kept, cause", [
+    (0.5, pickle.UnpicklingError), (0.0, EOFError)], ids=["cut_short", "empty"])
+def test_share_outcome_cut_short_raises_the_labelled_error(monkeypatch, kept,
+                                                           cause):
+    # a child that sends part of its pickled outcome, as one that dies while
+    # sending does, or none of it: the caller names the share that sent it,
+    # with the unpickler's own error as the cause
+    grid = _share_setup(monkeypatch, 2)
+    caller, dumps = os.getpid(), pickle.dumps
+
+    def cut_dumps(*args):
+        data = dumps(*args)
+        return data if os.getpid() == caller else data[:int(len(data) * kept)]
+
+    monkeypatch.setattr(pickle, "dumps", cut_dumps)
+    with pytest.raises(RuntimeError, match=(
+            r"^the worker of the share of paths 3 \.\.\. 6 \(pid \d+\) "
+            r"ended without a result, exit code 0$")) as info:
+        wiener_ensemble(1.0, grid, 7, SEED, [grid.n_steps])
+    assert type(info.value.__cause__) is cause
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
