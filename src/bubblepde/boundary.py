@@ -34,14 +34,17 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ConfigError(f"unknown payoff kind {self.kind!r}")
-        if self.kind == "call" and not self.strike >= 0:
-            raise ConfigError("call strike must be >= 0")
+        if self.kind == "call" and not 0 <= self.strike < np.inf:
+            raise ConfigError(f"call strike must be finite and >= 0, got "
+                              f"{self.strike!r}")
         if self.kind == "table":
             if self.table is None:
                 raise ConfigError("payoff kind 'table' needs (nodes, values)")
             y, h = (np.asarray(a, dtype=float) for a in self.table)
             if y.ndim != 1 or y.shape != h.shape or len(y) < 2:
                 raise ConfigError("payoff table needs matching 1-d nodes and values")
+            if not (np.all(np.isfinite(y)) and np.all(np.isfinite(h))):
+                raise ConfigError("payoff table nodes and values must be finite")
             if np.any(np.diff(y) <= 0):
                 raise ConfigError("payoff table nodes must be strictly increasing")
             if np.any(h < 0):

@@ -205,10 +205,10 @@ class SpaceGrid:
 
     def interp(self, values: np.ndarray, y):
         """Linear interpolation at y of the nodal values; DomainError when y
-        lies outside the grid."""
+        lies outside the grid or is not finite."""
         yn = self.nodes
-        if np.any(np.asarray(y) < yn[0]) or np.any(np.asarray(y) > yn[-1]):
-            raise DomainError("y outside the space grid")
+        if not np.all((np.asarray(y) >= yn[0]) & (np.asarray(y) <= yn[-1])):
+            raise DomainError("y outside the space grid or not finite")
         out = np.interp(y, yn, values)
         return float(out) if np.ndim(y) == 0 else out
 
@@ -216,7 +216,7 @@ class SpaceGrid:
 _DEFAULT_M = 800
 _DEFAULT_STEPS = 2048
 _LO_FRAC = 1e-5  # default bottom node as a fraction of the cap
-# Relative change of dt below which solve keeps its LU factors: roundoff in
+# Relative change of dt below which solve keeps its step factors: roundoff in
 # the grid nodes, not a new step size.
 _DT_REFACTOR = 1e-12
 
@@ -419,8 +419,10 @@ def _require_finite(what: str, vals: np.ndarray, y: np.ndarray,
 @dataclass(frozen=True)
 class _Block:
     """One (scheme, grid) problem of a march, past every check solve makes:
-    its terminal datum v, bottom value, top-row datum of each step and
-    interior stencil rows (a, b, c)."""
+    its terminal datum v, bottom value, top-row datum of each step, interior
+    stencil rows (a, b, c) and their symmetric form (see _symmetric): which
+    interior rows are live, the scale of each and the symmetric coupling of
+    each pair of neighbours."""
 
     scheme: Scheme
     grid: SpaceGrid
@@ -430,61 +432,172 @@ class _Block:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    live: np.ndarray
+    scale: np.ndarray
+    off: np.ndarray
+
+
+# |log D| at most this keeps the scale D and 1/D normal doubles
+_LOG_SCALE_MAX = -float(np.log(np.finfo(float).tiny))
+
+
+def _symmetric(a: np.ndarray, c: np.ndarray, y: np.ndarray) -> tuple:
+    """The symmetric form of a block's interior stencil rows: (live, scale,
+    off) over its interior nodes 1 .. M - 1.
+
+    A row whose stencil is all zero (sigma^2 underflows there) is not live:
+    like a Dirichlet row it holds its terminal datum.  Live neighbours i and
+    i + 1 couple when c_i > 0 and a_{i+1} > 0, and the scale D with D_{i+1}
+    / D_i = sqrt(c_i / a_{i+1}) makes D (I - thdt L) D^-1 symmetric, with
+    off-diagonal -thdt * off_i, off_i = sqrt(c_i) sqrt(a_{i+1}).  A coupling
+    one way only has no symmetric form: it raises NumericsError naming the
+    node whose coefficient is 0.
+
+    log D is summed along each chain of coupled rows and centred on the
+    midpoint of its range.  Under the diffusion stencil D_i^2 is (y_{i+1} -
+    y_{i-1}) / sigma^2(y_i) times a constant per chain, so log D spans half
+    the spread of log sigma^2 (at most ln(1.8e308 / 4.9e-324) = 1454) and of
+    the log node gaps (a factor under 1e5 on a scheme's default grid, 11.5):
+    centred, |log D| < 367 and D is finite for any sigma.  A hand-built grid
+    whose gaps span some 600 decades could leave the double range, and that
+    raises NumericsError.
+    """
+    live = (a > 0) | (c > 0)
+    up, down = c[:-1] > 0, a[1:] > 0
+    pair = live[:-1] & live[1:]
+    one_sided = np.flatnonzero(pair & (up != down))
+    if len(one_sided):
+        j = int(one_sided[0])
+        i = j + 2 if up[j] else j + 1  # the node of the zero coefficient
+        raise NumericsError(
+            f"one-sided stencil coupling at node i={i}, y={y[i]:.6g}: the "
+            f"step matrix has no symmetric form")
+    link = pair & up & down
+    step = np.zeros(len(link))
+    step[link] = 0.5 * (np.log(c[:-1][link]) - np.log(a[1:][link]))
+    log_d = np.concatenate([[0.0], np.cumsum(step)])
+    starts = np.flatnonzero(np.concatenate([[True], ~link]))
+    mid = (np.maximum.reduceat(log_d, starts)
+           + np.minimum.reduceat(log_d, starts)) / 2
+    log_d -= np.repeat(mid, np.diff(np.append(starts, len(log_d))))
+    scale = np.exp(np.where(np.abs(log_d) <= _LOG_SCALE_MAX, log_d, np.inf))
+    _require_finite("symmetrising scale", scale, y, first=1)
+    off = np.where(link, np.sqrt(c[:-1]) * np.sqrt(a[1:]), 0.0)
+    return live, scale, off
 
 
 @dataclass(frozen=True)
 class _Stack:
-    """Blocks concatenated into one block-diagonal tridiagonal system: the
-    stacked index of each block's bottom and top row, of every interior row
-    and of every Neumann cap row, and the interior stencil rows."""
+    """Blocks concatenated into one block-diagonal symmetric tridiagonal
+    system in the scaled unknowns u = D v of their live interior rows.
 
-    bottoms: np.ndarray
+    It holds the stacked node of each unknown (`cols`, a slice when they
+    are contiguous), its scale D, the diagonal and off-diagonal of the
+    symmetric operator D L D^-1 (a Neumann cap row folded into the last
+    diagonal entry, a 0 across each junction and each break), the nodes
+    that hold a datum (bottom and dead rows) with their data, each block's
+    top node and the Neumann ones among them, each top-row datum, and what
+    the neighbours that are not unknowns add to each step's rhs: `src[k]`
+    at the unknowns `src_rows`."""
+
+    cols: slice | np.ndarray
+    scale: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+    fixed: np.ndarray
+    held: np.ndarray
     tops: np.ndarray
-    inner: np.ndarray
-    neumann: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    ntops: np.ndarray
+    top: np.ndarray
+    src_rows: np.ndarray
+    src: np.ndarray
 
     @classmethod
-    def of(cls, blocks) -> "_Stack":
+    def of(cls, blocks, th: float, dts: np.ndarray) -> "_Stack":
+        """The stack of blocks under theta-weight th, whose step k has the
+        step size dts[k]."""
         sizes = np.array([len(blk.v) for blk in blocks])
         bottoms = np.cumsum(sizes) - sizes
         tops = bottoms + sizes - 1
-        return cls(bottoms=bottoms, tops=tops,
-                   inner=np.concatenate([np.arange(lo + 1, hi)
-                                         for lo, hi in zip(bottoms, tops)]),
-                   neumann=tops[[blk.scheme.neumann for blk in blocks]],
-                   a=np.concatenate([blk.a for blk in blocks]),
-                   b=np.concatenate([blk.b for blk in blocks]),
-                   c=np.concatenate([blk.c for blk in blocks]))
+        n_nodes = int(sizes.sum())
+        live = np.zeros(n_nodes, dtype=bool)
+        scale, diag, off = np.ones(n_nodes), np.zeros(n_nodes), np.zeros(n_nodes)
+        below, above = np.zeros(n_nodes), np.zeros(n_nodes)
+        neumann = np.array([blk.scheme.neumann for blk in blocks])
+        for blk, lo, hi in zip(blocks, bottoms, tops):
+            live[lo + 1:hi] = blk.live
+            scale[lo + 1:hi] = blk.scale
+            diag[lo + 1:hi] = blk.b
+            if blk.scheme.neumann:  # v_M = v_{M-1} + datum
+                diag[hi - 1] += blk.c[-1]
+            off[lo + 1:hi - 1] = blk.off  # off[i] couples nodes i and i + 1
+            below[lo + 1:hi] = blk.a
+            above[lo + 1:hi] = blk.c
+        v = np.concatenate([blk.v for blk in blocks])
+        held = v.copy()
+        held[bottoms] = [blk.bottom for blk in blocks]
+        top = np.column_stack([blk.top for blk in blocks])
+        is_top = np.zeros(n_nodes, dtype=bool)
+        is_top[tops] = True
+        cols = np.flatnonzero(live)
+
+        # Each unknown next to a node that is not one takes the coupling to
+        # that node's datum into its rhs, both halves of the theta step:
+        # the datum at the step's time node and at the one before it (on
+        # the first step the terminal datum; for a Neumann cap, whose
+        # v_{M-1} part is folded into the diagonal, v_M - v_{M-1}).
+        lo_at = cols[~live[cols - 1]]
+        hi_at = cols[~live[cols + 1]]
+        at = np.concatenate([lo_at, hi_at])
+        nodes = np.concatenate([lo_at - 1, hi_at + 1])
+        coef = scale[at] * np.concatenate([below[lo_at], above[hi_at]])
+        new = np.tile(held[nodes], (len(dts), 1))
+        blk_of = np.searchsorted(bottoms, nodes, side="right") - 1
+        new[:, is_top[nodes]] = top[:, blk_of[is_top[nodes]]]
+        first = v[nodes]
+        cap = is_top[nodes] & neumann[blk_of]
+        first[cap] -= v[nodes[cap] - 1]
+        old = np.vstack([new[1:], first])
+        dt = dts[:, None]
+        rows, where = np.unique(at, return_inverse=True)
+        src = np.zeros((len(dts), len(rows)))
+        np.add.at(src, (slice(None), where),
+                  coef * (th * dt * new + (1 - th) * dt * old))
+
+        contiguous = len(cols) and cols[-1] - cols[0] + 1 == len(cols)
+        return cls(cols=slice(cols[0], cols[-1] + 1) if contiguous else cols,
+                   scale=scale[cols], diag=diag[cols], off=off[cols[:-1]],
+                   fixed=np.flatnonzero(~live & ~is_top),
+                   held=held[~live & ~is_top], tops=tops,
+                   ntops=tops[neumann], top=top,
+                   src_rows=np.searchsorted(cols, rows), src=src)
+
+    def unscale(self, rows: np.ndarray) -> None:
+        """Turn stacked rows, whose unknown columns hold u of the time nodes
+        0, 1, ..., into v: u / D there, and each other node's datum."""
+        rows[:, self.cols] /= self.scale
+        rows[:, self.fixed] = self.held
+        rows[:, self.tops] = self.top[:len(rows)]
+        rows[:, self.ntops] += rows[:, self.ntops - 1]
 
 
 def _factor_step(thdt: float, stack: _Stack) -> Callable:
-    """LU-factor the implicit step matrix of a stack and return rhs ->
-    (solution, info).
+    """LDL^T-factor the implicit step matrix I - thdt * (diag, off) of a
+    stack and return rhs -> (solution, info), the solution written over
+    rhs.
 
-    A block's interior rows are I - thdt * (a, b, c), its bottom row is
-    Dirichlet, and its top row is Dirichlet, v_M, or for a Neumann cap
-    v_M - v_{M-1}.  Every entry joining two blocks is 0, so LAPACK never
-    pivots across a junction and each block gets the arithmetic of its own
-    system, bit for bit.  The tridiagonal matrix goes through
-    dgttrf/dgttrs: the LAPACK arithmetic of gtsv, factor and solve split
-    apart.
+    The matrix is similar to the interior rows of I - thdt L, which are
+    diagonally dominant with a positive diagonal, so it is symmetric
+    positive definite and dpttrf needs no pivoting.  Every entry joining two
+    blocks is 0, so each block gets the arithmetic of its own system, bit
+    for bit.
     """
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
-    n = int(stack.tops[-1]) + 1
-    lower = np.zeros(n - 1)
-    lower[stack.inner - 1] = -thdt * stack.a  # lower[i] = A[i + 1, i]
-    lower[stack.neumann - 1] = -1.0
-    diag = np.ones(n)
-    diag[stack.inner] = 1.0 - thdt * stack.b
-    upper = np.zeros(n - 1)
-    upper[stack.inner] = -thdt * stack.c  # upper[i] = A[i, i + 1]
-    *factors, info = dgttrf(lower, diag, upper)
+    d, e, info = dpttrf(1.0 - thdt * stack.diag, -thdt * stack.off,
+                        overwrite_d=1, overwrite_e=1)
     _lapack_ok(info, thdt)
-    return partial(dgttrs, *factors)
+    return partial(dpttrs, d, e, overwrite_b=1)
 
 
 def _lapack_ok(info: int, thdt: float) -> None:
@@ -549,52 +662,65 @@ def _setup(sigma, payoff: PayoffSpec, T: float, pairs,
         _require_finite("terminal datum", v, y)
         _require_finite("top-row datum", top[:, None], y, first=grid.m,
                         t=times.nodes)
-        blocks.append(_Block(scheme, grid, v, bottom, top, a, b, c))
+        blocks.append(_Block(scheme, grid, v, bottom, top, a, b, c,
+                             *_symmetric(a, c, y)))
     return times, blocks
 
 
 def _march(blocks, times: TimeGrid, th: float, history: bool) -> np.ndarray:
     """Step the blocks backward over `times` under theta-weight th, as one
-    block-diagonal tridiagonal system.  Returns the stacked values at every
-    time node, shape (n_t + 1, stacked rows), when history, else at t = 0
-    alone; a convection block's values are still w = v / y."""
-    stack = _Stack.of(blocks)
+    block-diagonal symmetric positive-definite tridiagonal system in the
+    scaled unknowns u = D v of their live interior rows (see _Stack).
+
+    Returns the stacked values at every time node, shape (n_t + 1, stacked
+    rows), when history, else at t = 0 alone; a convection block's values
+    are still w = v / y.  The rows that are not unknowns -- bottom, top and
+    dead rows -- are written only into the rows returned.
+    """
     n_t = times.n_steps
-    dts = times.dt.tolist()  # Python floats: a cheaper test per step
-    bottom = np.array([blk.bottom for blk in blocks])
-    top = np.column_stack([blk.top for blk in blocks])
-    v = np.concatenate([blk.v for blk in blocks])
-    if history:
-        out = np.empty((n_t + 1, len(v)))
-        out[n_t] = v
-    if th < 1.0:
-        # the stencil rows on every stacked row but the first and the last,
-        # 0 on the bottom and top rows, whose rhs is overwritten
-        coef = np.zeros((3, len(v)))
-        coef[:, stack.inner] = stack.a, stack.b, stack.c
-        a, b, c = coef[:, 1:-1]
-    rhs = np.empty(len(v))
     # The step matrix depends on k only through dt: factor it when dt
-    # changes and reuse the factors for the run of steps that share it.  A
-    # uniform grid from linspace has steps that differ in their last bits
-    # unless the step count is a power of two, so only a relative move
-    # above _DT_REFACTOR counts as a change.
+    # changes and reuse the factors, the explicit-half coefficients and the
+    # rhs terms for the run of steps that share it.  A uniform grid from
+    # linspace has steps that differ in their last bits unless the step
+    # count is a power of two, so only a relative move above _DT_REFACTOR
+    # counts as a change.
+    dts = times.dt.tolist()  # Python floats: a cheaper test per step
+    for k in range(n_t - 2, -1, -1):
+        if abs(dts[k] - dts[k + 1]) <= _DT_REFACTOR * dts[k + 1]:
+            dts[k] = dts[k + 1]
+    stack = _Stack.of(blocks, th, np.array(dts))
+    v = np.concatenate([blk.v for blk in blocks])
+    u = v[stack.cols] * stack.scale
+    rows = np.empty((n_t + 1 if history else 1, len(v)))
+    r, tmp = np.empty_like(u), np.empty(len(stack.off))
     dt_lu = None
-    for k in range(n_t - 1, -1, -1):
+    for k in range(n_t - 1, -1, -1) if len(u) else ():
         dt = dts[k]
-        if dt_lu is None or abs(dt - dt_lu) > _DT_REFACTOR * dt_lu:
+        if dt != dt_lu:
             step_solve = _factor_step(th * dt, stack)
+            if th < 1.0:
+                explicit_diag = 1.0 + (1 - th) * dt * stack.diag
+                explicit_off = (1 - th) * dt * stack.off
             dt_lu = dt
-        rhs[1:-1] = v[1:-1]
         if th < 1.0:
-            rhs[1:-1] += (1 - th) * dt * (a * v[:-2] + b * v[1:-1] + c * v[2:])
-        rhs[stack.bottoms] = bottom
-        rhs[stack.tops] = top[k]
-        v, info = step_solve(rhs)
+            np.multiply(explicit_diag, u, out=r)
+            np.multiply(explicit_off, u[:-1], out=tmp)
+            r[1:] += tmp
+            np.multiply(explicit_off, u[1:], out=tmp)
+            r[:-1] += tmp
+            u, r = r, u
+        u[stack.src_rows] += stack.src[k]
+        u, info = step_solve(u)
         _lapack_ok(info, th * dt)
         if history:
-            out[k] = v
-    return out if history else v
+            rows[k, stack.cols] = u
+    if history:
+        stack.unscale(rows[:n_t])
+        rows[n_t] = v
+        return rows
+    rows[0, stack.cols] = u
+    stack.unscale(rows)
+    return rows[0]
 
 
 def _by_block(blocks, vals: np.ndarray) -> list:
@@ -634,11 +760,13 @@ def solve_start(sigma, payoff: PayoffSpec, T: float, pairs, times: TimeGrid,
                 theta_weight: float = 1.0) -> list:
     """The t = 0 row of solve(sigma, payoff, T, scheme, grid, times,
     theta_weight) for each (scheme, grid) of pairs, bit for bit, from one
-    march of them all stacked that keeps no other time row.
+    march of them all stacked that keeps no other time row.  Every entry
+    joining two blocks of the stacked symmetric system is 0, so dpttrf and
+    dpttrs factor and solve each block exactly as they would alone.
 
     A failure raises the error solve raises for the first pair that fails
     on its own: a non-finite value crosses a zero junction (0 * nan) into
-    the neighbouring blocks, and a LAPACK info counts stacked rows.
+    the neighbouring blocks, and a LAPACK info counts stacked unknowns.
     """
     times, blocks = _setup(sigma, payoff, T, pairs, times, theta_weight)
     try:

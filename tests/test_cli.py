@@ -823,6 +823,22 @@ def test_simulate_kinds(tmp_path, kind):
         assert any(r.startswith("Jstar_T_mean,") for r in summary)
 
 
+@pytest.mark.parametrize("payoff", [
+    {"kind": "table", "nodes": [0, 2, 8], "values": [0, float("nan"), 8]},
+    {"kind": "table", "nodes": [0, 2, float("inf")], "values": [0, 1, 8]},
+    {"kind": "call", "strike": float("inf")}],
+    ids=["nan-value", "inf-node", "inf-strike"])
+def test_non_finite_payoff_names_its_key(tmp_path, capsys, payoff):
+    # json reads NaN and Infinity; such a payoff used to pass resolution,
+    # after which price failed naming no key and oracle exited 0
+    cfgp = write_config(tmp_path, payoff=payoff)
+    for command in ("price", "oracle"):
+        assert main([command, "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert "config key payoff: " in err and "finite" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     cfgp = write_config(tmp_path)
     assert main(["oracle", "--config", str(cfgp)]) == 0

@@ -6,7 +6,7 @@ diagnostic."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from bubblepde import (
     ConfigError,
@@ -111,6 +111,15 @@ def test_space_grid_validation():
         SpaceGrid(nodes=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, 5.0,
+                               np.array([1.0, np.nan])])
+def test_space_grid_interp_rejects_points_off_the_grid(y):
+    # nan compares False both ways, so a range test alone let it through
+    grid = SpaceGrid.geometric(1e-3, 4.0, 20)
+    with pytest.raises(DomainError):
+        grid.interp(grid.nodes, y)
+
+
 # ---------------------------------------------------------------------------
 # scheme plumbing
 
@@ -181,14 +190,11 @@ def test_solve_fails_closed_on_non_finite_sigma():
 # the stepper against the per-step reference
 
 
-def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
-    """The time loop as a tridiagonal matrix built and handed to
-    solve_banded at every step, with the top-row datum computed step by
-    step.  The implicit matrix takes the dt of the last step whose dt moved
-    by more than a relative 1e-12 (solve's rule for refactoring), the
-    explicit part each step's own dt."""
+def _reference_data(sig, payoff, T, scheme, grid, times):
+    """What both per-step references start from: the interior stencil rows
+    (a, b, c), the terminal datum, the bottom value and the top-row datum of
+    step k (computed step by step)."""
     y = grid.nodes
-    m = grid.m
     yi = y[1:-1]
     sig2 = np.asarray(sig(yi), dtype=float) ** 2
     hm = yi - y[:-2]
@@ -211,6 +217,25 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
     bottom = 0.0 if transformed else float(payoff(0.0))
     if isinstance(scheme, FundraiserScheme):
         theta_of = scheme.theta.interpolator()
+        top_of = lambda k: theta_of(T - times.nodes[k])
+    elif isinstance(scheme, NaiveDirichletScheme):
+        top_of = lambda k: float(payoff(scheme.cap))
+    else:
+        top_of = lambda k: 0.0
+    return (a, b, c), v, bottom, top_of
+
+
+def _lu_reference(sig, payoff, T, scheme, grid, times, th):
+    """The discrete equations on every node, boundary rows included, as a
+    tridiagonal matrix built and handed to solve_banded (an LU solve) at
+    every step.  The implicit matrix takes the dt of the last step whose dt
+    moved by more than a relative 1e-12, the explicit part each step's own
+    dt.  A row whose stencil is all zero is an identity row."""
+    y = grid.nodes
+    m = grid.m
+    (a, b, c), v, bottom, top_of = _reference_data(sig, payoff, T, scheme,
+                                                   grid, times)
+    transformed = isinstance(scheme, TransformedCauchyScheme)
     n_t = times.n_steps
     out = np.empty((n_t + 1, m + 1))
     out[n_t] = v * y if transformed else v
@@ -234,14 +259,69 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
         ab[1, m] = 1.0
         if isinstance(scheme, NeumannCapScheme):
             ab[2, m - 1] = -1.0  # the cap row v_M - v_{M-1} = 0
-        if isinstance(scheme, FundraiserScheme):
-            rhs[m] = theta_of(T - times.nodes[k])
-        elif isinstance(scheme, NaiveDirichletScheme):
-            rhs[m] = float(payoff(scheme.cap))
-        else:
-            rhs[m] = 0.0
+        rhs[m] = top_of(k)
         v = solve_banded((1, 1), ab, rhs)
         out[k] = v * y if transformed else v
+    return out
+
+
+def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
+    """The time loop in the scaled interior unknowns u = D v: at every step
+    the symmetric positive-definite tridiagonal system of the interior
+    rows, its boundary rows eliminated into the rhs, built and handed to
+    solveh_banded (LAPACK ptsv, which is pttrf + pttrs), with the top-row
+    datum computed step by step.  Every constant of a step takes the dt of
+    the last step whose dt moved by more than a relative 1e-12 (solve's
+    rule for refactoring).  D_{i+1} / D_i = sqrt(c_i / a_{i+1}), summed in
+    log space and centred on the midpoint of its range."""
+    y = grid.nodes
+    m = grid.m
+    (a, b, c), v, bottom, top_of = _reference_data(sig, payoff, T, scheme,
+                                                   grid, times)
+    transformed = isinstance(scheme, TransformedCauchyScheme)
+    neumann = isinstance(scheme, NeumannCapScheme)
+    log_d = np.concatenate([[0.0], np.cumsum(0.5 * (np.log(c[:-1])
+                                                    - np.log(a[1:])))])
+    log_d -= (log_d.max() + log_d.min()) / 2
+    d = np.exp(log_d)
+    off = np.sqrt(c[:-1]) * np.sqrt(a[1:])
+    diag = b.copy()
+    if neumann:
+        diag[-1] += c[-1]  # v_M = v_{M-1}
+    n_t = times.n_steps
+    out = np.empty((n_t + 1, m + 1))
+    out[n_t] = v * y if transformed else v
+    u = v[1:-1] * d
+    # the explicit half's old boundary data: the terminal datum on the
+    # first step (for the Neumann cap the part v_{M-1} does not cover)
+    old_bottom = v[0]
+    old_top = v[m] - v[m - 1] if neumann else v[m]
+    ab = np.zeros((2, m - 1))
+    dt_m = None
+    for k in range(n_t - 1, -1, -1):
+        dt = times.dt[k]
+        if dt_m is None or abs(dt - dt_m) > 1e-12 * dt_m:
+            dt_m = dt
+        if th < 1.0:
+            rhs = (1.0 + (1 - th) * dt_m * diag) * u
+            rhs[1:] += (1 - th) * dt_m * off * u[:-1]
+            rhs[:-1] += (1 - th) * dt_m * off * u[1:]
+        else:
+            rhs = u.copy()
+        new_top = top_of(k)
+        rhs[0] += d[0] * a[0] * (th * dt_m * bottom
+                                 + (1 - th) * dt_m * old_bottom)
+        rhs[-1] += d[-1] * c[-1] * (th * dt_m * new_top
+                                    + (1 - th) * dt_m * old_top)
+        ab[0, 1:] = -th * dt_m * off
+        ab[1] = 1.0 - th * dt_m * diag
+        u = solveh_banded(ab, rhs)
+        row = np.empty(m + 1)
+        row[0] = bottom
+        row[1:-1] = u / d
+        row[m] = row[m - 1] + new_top if neumann else new_top
+        out[k] = row * y if transformed else row
+        old_bottom, old_top = bottom, new_top
     return out
 
 
@@ -251,7 +331,9 @@ def _stepped_reference(sig, payoff, T, scheme, grid, times, th):
 @pytest.mark.parametrize("th", [1.0, 0.5])
 def test_stepper_matches_per_step_reference_bitwise(times, th):
     # uniform(1, 60) has dt that differ in their last bits (one factoring
-    # for the whole grid); clustered changes dt at every step
+    # for the whole grid); clustered changes dt at every step.  The LU
+    # reference solves the same discrete equations unscaled, so it checks
+    # them: the largest difference measured was 3.5e-15 * max|v|.
     sig = lambda y: y ** 2
     tab = _theta_table(0.1)  # cap f(0.1) = 10
     geo = SpaceGrid.geometric(1e-4, 10.0, 60)
@@ -265,6 +347,42 @@ def test_stepper_matches_per_step_reference_bitwise(times, th):
                     theta_weight=th).values
         want = _stepped_reference(sig, FWD, 1.0, scheme, grid, times, th)
         assert np.array_equal(got, want), scheme.kind
+        lu = _lu_reference(sig, FWD, 1.0, scheme, grid, times, th)
+        assert np.max(np.abs(got - lu)) <= 1e-12 * np.max(np.abs(lu)), \
+            scheme.kind
+
+
+@pytest.mark.parametrize("th", [1.0, 0.5])
+@pytest.mark.parametrize("exponent, cap, dead", [(60.0, 4.0, 68),
+                                                 (60.0, 300.0, 0),
+                                                 (1e300, 1.0, 199)])
+def test_extreme_exponent_matches_lu_reference(exponent, cap, dead, th):
+    # sigma = y^60: at cap 4, sigma^2 underflows to 0 below y ~ 2e-3, and
+    # those rows hold their terminal datum; at cap 300 the live sigma^2
+    # spans 1e-303 .. 1e297, and the centred scale D stays within 1e+-149.
+    # sigma = y^1e300 is 0 at every interior node of a cap-1 grid.
+    sig = lambda y: y ** exponent
+    scheme = NeumannCapScheme(n=cap)
+    grid, times = scheme.grid(200), TimeGrid.uniform(1.0, 64)
+    a, _, c = pdesolve.stencil(sig, scheme, grid)
+    live, scale, _ = pdesolve._symmetric(a, c, grid.nodes)
+    assert np.sum(~live) == dead
+    assert np.all(np.isfinite(scale)) and np.all(np.isfinite(1 / scale))
+    got = solve(sig, FWD, 1.0, scheme, grid, times, th).values
+    want = _lu_reference(sig, FWD, 1.0, scheme, grid, times, th)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    held = np.flatnonzero(~live) + 1
+    assert np.array_equal(got[:, held], np.broadcast_to(got[-1, held],
+                                                         got[:, held].shape))
+
+
+def test_one_sided_coupling_is_rejected():
+    # y_3 = 2 y_2: the convection stencil's a_2 is exactly 0 while c_1 > 0,
+    # so the step matrix is not diagonally similar to a symmetric one
+    grid = SpaceGrid(nodes=[0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+    with pytest.raises(NumericsError, match=r"one-sided .* node i=2, y=2:"):
+        solve(SIG2, FWD, 1.0, TransformedCauchyScheme(n=10.0), grid=grid,
+              times=TimeGrid.uniform(1.0, 16))
 
 
 def test_solve_factors_once_per_step_size(monkeypatch):
