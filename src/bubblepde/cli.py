@@ -571,20 +571,23 @@ def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
     grid = TimeGrid.uniform(T, num["time_steps"])
     seed, n_paths = num["seed"], num["paths"]
 
-    def run(n, record):
-        """X, and J* for the floor-carrying kinds, at the recorded nodes."""
+    def run(first, n, record):
+        """X, and J* for the floor-carrying kinds, at the recorded nodes of
+        paths first ... first + n - 1."""
         if kind == "wiener":
-            return wiener_ensemble(x0, grid, n, seed, record), None
+            return wiener_ensemble(x0, grid, n, seed, record, first), None
         if kind == "bessel3":
-            return bessel_dual_ensemble(x0, grid, n, seed, record, j0=j0)
+            return bessel_dual_ensemble(x0, grid, n, seed, record, j0, first)
         if kind == "drifted":
-            return drifted_ensemble(f, x0, grid, n, seed, record)[0], None
-        vals, _contact, floors = reflected_ensemble(f, x0 - j0, j0, grid, n,
-                                                    seed, record, floors=True)
+            return drifted_ensemble(f, x0, grid, n, seed, record,
+                                    first)[0], None
+        vals, _contact, floors = reflected_ensemble(
+            f, x0 - j0, j0, grid, n, seed, record, first, floors=True)
         return vals, floors
 
+    # the dumped paths run once, every node recorded; the rest, end only
     n_dump = min(num["dump_paths"], n_paths)
-    paths, jpaths = run(n_dump, range(grid.n_steps + 1))
+    paths, jpaths = run(0, n_dump, range(grid.n_steps + 1))
     for i in range(n_dump):
         lines = ["t,X,Jstar"]
         for k_node in range(len(grid.nodes)):
@@ -593,10 +596,10 @@ def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
                          f"{float(paths[i, k_node])!r},{jcell}")
         (out / f"path_{i:04d}.csv").write_text("\n".join(lines) + "\n")
 
-    ends, jends = run(n_paths, [grid.n_steps])
-    ends = ends[:, 0]
+    ends, jends = run(n_dump, n_paths - n_dump, [grid.n_steps])
+    ends = np.concatenate([paths[:, -1], ends[:, 0]])
     if jends is not None:
-        jends = jends[:, 0]
+        jends = np.concatenate([jpaths[:, -1], jends[:, 0]])
 
     rows = [f"X_T_mean,{_fmt(ends.mean())},{_fmt(ends.std(ddof=1) / np.sqrt(n_paths))}",
             f"X_T_var,{_fmt(ends.var(ddof=1))},"]

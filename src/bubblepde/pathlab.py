@@ -1,9 +1,12 @@
 """Seeded path simulation: Wiener, Bessel-3 via the max-dual construction,
-drifted unit-diffusion SDEs, and the reflected (floor-constrained) SDE with
-its Euler-Maruyama scheme reflected on the exact Brownian-bridge minimum of
-each step; plus path functionals.  Each law has one vectorized ensemble
-runner: it runs paths first_index ... first_index + n_paths - 1 and keeps
-the nodes it is asked to record, so a single path is a one-path call.
+drifted unit-diffusion SDEs absorbed at their domain edge, and the reflected
+(floor-constrained) SDE; plus path functionals.  The last three sample each
+step's Brownian bridge, not only its end nodes: the reflected scheme
+reflects on the bridge minimum, the drifted walk is absorbed when the bridge
+crosses an edge, and the dual's running maximum takes the bridge maximum.
+Each law has one vectorized ensemble runner: it runs paths first_index ...
+first_index + n_paths - 1 and keeps the nodes it is asked to record, so a
+single path is a one-path call.
 
 Reproducibility contract: every path index i owns a counter-based stream
 keyed by (master seed, i) -- numpy Philox -- so path i is bit-identical no
@@ -11,18 +14,19 @@ matter how an ensemble is chunked or batched, and ensemble reductions run in
 fixed path-index order.  All four runners read their streams in one layout,
 through one reader: each stream is read in segments of _SEGMENT steps (the
 last segment may be shorter), and for each segment first its normals, one
-per step, and then, for the reflected law only, one uniform per step.  The
-dual with a random floor first reads the floor's uniform.  For the laws
-without uniforms this is simply one standard normal per step.  The layout
-is fixed by the step count alone.  A runner does not build one generator
-per path: each thread keeps one pool of generators for the life of the
-process, and the reader re-keys them for each block of paths, which sets
-exactly the state path_stream(seed, i) starts in, so the draws and the
-layout are those of the per-path streams.  In a stream's last segment
-nothing follows the uniforms, so a path's uniforms there are drawn only
-when the reflected kernel first reads one of them: a path that never comes
-near its floor in that segment draws none, and the bits it does draw are
-the same.
+per step, and then, for the reflected, drifted and dual laws, one uniform
+per step, which samples that step's bridge.  The dual with a random floor
+first reads the floor's uniform.  For the Wiener law (and the measure
+change, which runs on it) this is simply one standard normal per step.  The
+layout is fixed by the law and the step count alone.  A runner does not
+build one generator per path: each thread keeps one pool of generators for
+the life of the process, and the reader re-keys them for each block of
+paths, which sets exactly the state path_stream(seed, i) starts in, so the
+draws and the layout are those of the per-path streams.  In a stream's last
+segment nothing follows the uniforms, so a path's uniforms there are drawn
+only when a kernel first reads one of them: a path that never comes near
+its floor, its edge or its running maximum in that segment draws none, and
+the bits it does draw are the same.
 
 Large ensembles run as contiguous path shares in forked workers, one per CPU
 of the process's affinity mask: the caller runs the first share and joins
@@ -51,7 +55,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .smoothmaps import (SmoothMap, multiplicative_functional,
+from .smoothmaps import (SmoothMap, _flat, multiplicative_functional,
                          schwarzian_integral)
 
 # Relative guard keeping unreflected simulations off a finite domain edge.
@@ -73,9 +77,11 @@ _TILE = 256  # paths per transposed tile of a time-major draw
 _WEIGHT_ROWS = 256
 # Paths per recorded block of the measure change: about 4 MB at 512 steps.
 _RECORD_ROWS = 1024
-# A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so the
-# minimum of a Brownian bridge from chi to chi^ over dt stays >= 0 whenever
-# chi * chi^ >= (53 ln 2 / 2) dt = 18.37 dt; 18.5 leaves room for rounding.
+# A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so a
+# Brownian bridge over dt whose ends lie at distances a and b on one side of
+# a level never reaches the level whenever a * b >= (53 ln 2 / 2) dt
+# = 18.37 dt; 18.5 leaves room for rounding.  Only steps with a * b below
+# it sample their bridge, and only they read their uniform.
 _BRIDGE_REACH = 18.5
 
 
@@ -425,6 +431,15 @@ def _path_shares(runner):
 # ---------------------------------------------------------------------------
 # Ensemble runners.
 
+def _bridge_min(x, y, u, dt):
+    """The minimum of the Brownian bridge from x to y over a step dt, sampled
+    with the uniform u (Glasserman 2003, 6.4).  The bridge maximum is
+    -_bridge_min(-x, -y, u, dt), which rounds exactly as
+    (x + y + sqrt((y - x)^2 - 2 dt log(1 - u))) / 2."""
+    d = y - x
+    return 0.5 * (x + y - np.sqrt(d * d - 2.0 * dt * np.log1p(-u)))
+
+
 @_path_shares
 def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
                     record, first_index: int = 0) -> np.ndarray:
@@ -452,8 +467,17 @@ def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
 def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
                          record, j0: Optional[float] = None,
                          first_index: int = 0):
-    """Bessel-3 through its dual walk: X* Brownian from 2 j0 - x0,
-    J*_n = max(J*_{n-1}, X*_n) from j0, X = 2 J* - X*.
+    """Bessel-3 through its dual walk (Pitman's theorem): X* Brownian from
+    2 j0 - x0, J* its running maximum from j0, X = 2 J* - X*.
+
+    J* takes the maximum of each step's Brownian bridge, not only its end
+    node: from the nodes X*_{n-1} and X*_n and the step's uniform U,
+        M_n = (X*_{n-1} + X*_n + sqrt((X*_n - X*_{n-1})^2 - 2 dt log(1 - U))) / 2
+        J*_n = max(J*_{n-1}, M_n),
+    so X and J* at the nodes are exact in law at any step count.  M_n is
+    sampled only where it can exceed J*_{n-1},
+    (J*_{n-1} - X*_{n-1}) (J*_{n-1} - X*_n) < 18.5 dt; elsewhere
+    J*_n = max(J*_{n-1}, X*_n) for every U.
 
     With j0 = x0 -> 0 this is the classical 2*max - walk representation of
     the Bessel-3 process from 0; for fixed 0 < j0 <= x0 it realizes the
@@ -467,21 +491,29 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     if j0 is not None and not (0 < j0 <= x0):
         raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0")
     rec = _record(record, grid)
-    sqdt = np.sqrt(grid.dt)
+    dt = grid.dt
+    sqdt = np.sqrt(dt)
+    reach = _BRIDGE_REACH * dt
     values = np.empty((n_paths, len(rec)))
     jstars = np.empty((n_paths, len(rec)))
     # with j0=None the floor's uniform is the first variate of each stream
     for rows, u0, k0, steps in _path_steps(seed, first_index, n_paths,
-                                           grid.n_steps, rec, lead=j0 is None):
+                                           grid.n_steps, rec, bridge=True,
+                                           lead=j0 is None):
         m = rows.stop - rows.start
         J = x0 * u0 if j0 is None else np.full(m, float(j0))
         Xstar = 2 * J - x0
         if k0 is not None:
             values[rows, k0] = 2 * J - Xstar
             jstars[rows, k0] = J
-        for n, z, _, k in steps:
-            Xstar = Xstar + sqdt[n] * z
-            J = np.maximum(J, Xstar)
+        for n, z, u, k in steps:
+            prop = Xstar + sqdt[n] * z
+            near = np.flatnonzero((J - Xstar) * (J - prop) < reach[n])
+            J = np.maximum(J, prop)
+            if near.size:
+                top = -_bridge_min(-Xstar[near], -prop[near], u(near), dt[n])
+                J[near] = np.maximum(J[near], top)
+            Xstar = prop
             if k is not None:
                 values[rows, k] = 2 * J - Xstar
                 jstars[rows, k] = J
@@ -491,12 +523,23 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
 @_path_shares
 def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
                      seed: int, record, first_index: int = 0):
-    """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbing at the domain
-    edge: X_n = X_{n-1} - 1/2 T_f(X_{n-1}) dt_n + sqrt(dt_n) xi_n.
+    """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbed at the domain
+    edge: X_n = X_{n-1} - 1/2 T_f(X_{n-1}) dt_n + sqrt(dt_n) xi_n, the drift
+    frozen at the start of the step (and skipped for an affine f, whose
+    T_f = 0 adds -0.0, which changes no bit).
 
-    A path whose proposal exits the (guarded) domain is parked at the edge
-    from that node on -- the stopped process, not an error.  A block stops
-    stepping once all its paths are parked.
+    A path is absorbed when its proposal exits the (guarded) domain, or when
+    the step's Brownian bridge from X_{n-1} to the proposal crosses a finite
+    (guarded) edge in between: its minimum, sampled with the step's uniform
+    U as in the reflected kernel, falls to the lower edge, or its maximum
+    rises to the upper one.  Given the nodes a and b away from the edge,
+    that happens with probability exp(-2 a b / dt_n).  The bridge is sampled
+    only where it can reach the edge, a b < 18.5 dt_n.  An absorbed path is
+    parked at the edge it crossed from that node on -- the stopped process,
+    not an error.  A block stops stepping once all its paths are parked.
+    Each finite edge is tested with the same U, so with one finite edge the
+    scheme is exact in law for frozen drift; a step near both edges of a band
+    narrower than 2 sqrt(18.5 dt) undercounts a double crossing.
 
     Returns (values, alive): values[p, k] = X at node record[k] of path
     first_index + p, alive[p] False when the path was absorbed.
@@ -506,20 +549,38 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
     rec = _record(record, grid)
     dt = grid.dt
     sqdt = np.sqrt(dt)
+    reach = _BRIDGE_REACH * dt
     lo_g, hi_g = _guarded(f.domain)
+    flat = f.pre is _flat
+    # (edge, side) per finite edge: side * (X - edge) > 0 inside the domain
+    edges = [(e, s) for e, s in ((lo_g, 1.0), (hi_g, -1.0)) if np.isfinite(e)]
     values = np.empty((n_paths, len(rec)))
     alive_all = np.ones(n_paths, dtype=bool)
     for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
-                                          grid.n_steps, rec):
+                                          grid.n_steps, rec, bridge=True):
         X = np.full(rows.stop - rows.start, float(x0))
         alive = np.ones(len(X), dtype=bool)
         if k0 is not None:
             values[rows, k0] = X
-        for n, z, _, k in steps:
-            drift = -0.5 * f.pre(X) * dt[n]
-            prop = X + drift + sqdt[n] * z
-            X = np.where(alive, np.clip(prop, lo_g, hi_g), X)
+        for n, z, u, k in steps:
+            if flat:
+                prop = X + sqdt[n] * z
+            else:
+                prop = X + -0.5 * f.pre(X) * dt[n] + sqdt[n] * z
+            X_new = np.where(alive, np.clip(prop, lo_g, hi_g), X)
             alive &= (lo_g < prop) & (prop < hi_g)
+            for edge, side in edges:
+                near = np.flatnonzero(
+                    alive & ((X - edge) * (prop - edge) < reach[n]))
+                if near.size:
+                    # the bridge of the distance to the edge falls to 0
+                    low = _bridge_min(side * (X[near] - edge),
+                                      side * (prop[near] - edge), u(near),
+                                      dt[n])
+                    out = near[low <= 0]
+                    X_new[out] = edge
+                    alive[out] = False
+            X = X_new
             if k is not None:
                 values[rows, k] = X
             if not alive.any():
@@ -530,14 +591,6 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
     return values, alive_all
 
 
-def _bridge_drop(chi, prop, u, dt):
-    """max(-m, 0) for the minimum m of the Brownian bridge from chi to prop
-    over a step dt, sampled with the uniform u (Glasserman 2003, 6.4)."""
-    d = prop - chi
-    m = 0.5 * (chi + prop - np.sqrt(d * d - 2.0 * dt * np.log1p(-u)))
-    return np.maximum(-m, 0.0)
-
-
 @_path_shares
 def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
                        n_paths: int, seed: int, record, first_index: int = 0,
@@ -546,13 +599,14 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     the exact minimum of each step's Brownian bridge.
 
     Per step, from chi_0 = chi0 >= 0 (the start's height above the floor)
-    and l_0 = l0, with the drift frozen at the start of the step:
+    and l_0 = l0, with the drift frozen at the start of the step (and
+    skipped for an affine f, as in drifted_ensemble):
         proposal  chi^ = chi + dgamma - 1/2 T_f(chi + l) dt
         bridge minimum  m = (chi + chi^ - sqrt((chi^ - chi)^2 - 2 dt log(1 - U))) / 2
         dl = max(-m, 0);  chi <- chi^ + dl;  l <- l + dl
         X = chi + l,  J* = l
     dgamma = sqrt(dt) xi, and xi and the uniform U come from the path's stream
-    in the reflected layout (module docstring).  m is the minimum over the
+    in the bridge layout (module docstring).  m is the minimum over the
     step of the Brownian bridge from chi to chi^, so the floor level rises
     whenever the path dips below it between two nodes, not only at them;
     without drift the scheme is exact in law (Asmussen, Glynn & Pitman 1995).
@@ -572,6 +626,7 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     if not chi0 >= 0:
         raise DomainError(f"start {chi0} below the floor: need chi0 >= 0")
     edge = hi < np.inf
+    flat = f.pre is _flat
     rec = _record(record, grid)
     dt = grid.dt
     sqdt = np.sqrt(dt)
@@ -589,18 +644,20 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
             if floors:
                 levels[rows, k0] = lev
         for n, z, u, k in steps:
-            x_abs = chi + lev
-            drift = -0.5 * f.pre(x_abs) * dt[n]
-            prop = chi + drift + sqdt[n] * z
+            if flat:
+                prop = chi + sqdt[n] * z
+            else:
+                prop = chi + -0.5 * f.pre(chi + lev) * dt[n] + sqdt[n] * z
             near = chi * prop < reach[n]
             if edge:
-                live = x_abs < hi
+                live = chi + lev < hi
                 prop = np.where(live, prop, chi)
                 near &= live
             near = np.flatnonzero(near)
             if near.size:
                 p = prop[near]
-                dl = _bridge_drop(chi[near], p, u(near), dt[n])
+                dl = np.maximum(-_bridge_min(chi[near], p, u(near), dt[n]),
+                                0.0)
                 prop[near] = p + dl
                 lev[near] += dl
                 hit[near[dl > 0]] = True

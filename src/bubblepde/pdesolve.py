@@ -166,7 +166,7 @@ def f_from_sigma(sigma) -> SmoothMap:
 
 @dataclass(frozen=True)
 class SpaceGrid:
-    """Strictly increasing price-space nodes y_0 < ... < y_M, M >= 3."""
+    """Strictly increasing finite price-space nodes y_0 < ... < y_M, M >= 3."""
 
     nodes: np.ndarray
 
@@ -174,6 +174,10 @@ class SpaceGrid:
         y = np.asarray(self.nodes, dtype=float)
         if y.ndim != 1 or len(y) < 4:
             raise ConfigError("space grid needs at least 4 nodes")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            i = int(bad[0])
+            raise ConfigError(f"space grid node i={i} is not finite: {y[i]}")
         if np.any(np.diff(y) <= 0):
             raise ConfigError("space grid must be strictly increasing")
         object.__setattr__(self, "nodes", y)

@@ -108,6 +108,7 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
     """f(x) = (x - xi)^alpha on (xi, inf); alpha = 0 means f(x) = log(x - xi).
 
     Closed forms: T_f(x) = (alpha-1)/(x-xi), S_f(x) = (1-alpha^2)/(2(x-xi)^2).
+    alpha = 1 is affine, so its T_f is _flat, as for an affine Moebius map.
     """
     a = float(alpha)
     xi = float(xi)
@@ -129,7 +130,8 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
             d1=lambda x: a * (np.asarray(x, dtype=float) - xi) ** (a - 1),
             d2=lambda x: a * (a - 1) * (np.asarray(x, dtype=float) - xi) ** (a - 2),
             d3=lambda x: a * (a - 1) * (a - 2) * (np.asarray(x, dtype=float) - xi) ** (a - 3),
-            pre=lambda x: (a - 1) / (np.asarray(x, dtype=float) - xi),
+            pre=_flat if a == 1.0 else
+            lambda x: (a - 1) / (np.asarray(x, dtype=float) - xi),
             sign=1 if a > 0 else -1,
             descriptor={"kind": "power_law", "alpha": a, "xi": xi},
         )

@@ -136,6 +136,32 @@ def test_absorbed_walk_survival_prices_bond_below_par():
     assert p + 3.0 * se < 1.0
 
 
+@pytest.mark.slow
+def test_bridge_monitored_kernels_meet_closed_forms_at_512_steps():
+    """At 512 steps, over seeds 1-10 fixed before any run and 20 000 paths
+    each, the absorbed walk's survival from 1 to T = 1 matches bond_bm and
+    the dual's E[1/X_T] from 1 matches forward_recip_bessel_investor: every
+    |z| <= 3, and each kernel's mean z lies within 3/sqrt(10) of 0.  Both
+    kernels sample each step's Brownian bridge; monitored at the nodes only,
+    they read z = +2.6 ... +5.4 here."""
+    n, steps = 20000, 512
+    grid = TimeGrid.uniform(1.0, steps)
+    ref = forward_recip_bessel_investor(1.0, 1.0)
+    zs = {"absorbed": [], "dual": []}
+    for seed in range(1, 11):
+        _, alive = drifted_ensemble(power_law_map(1.0), 1.0, grid, n, seed,
+                                    [steps])
+        p = alive.mean()
+        zs["absorbed"].append((p - bond_bm(1.0, 1.0))
+                              / np.sqrt(p * (1.0 - p) / n))
+        vals, _ = bessel_dual_ensemble(1.0, grid, n, seed, [steps])
+        inv = 1.0 / vals[:, 0]
+        zs["dual"].append((inv.mean() - ref) / (inv.std(ddof=1) / np.sqrt(n)))
+    for name, z in zs.items():
+        assert np.max(np.abs(z)) <= 3.0, (name, z)
+        assert abs(np.mean(z)) <= 3.0 / np.sqrt(10), (name, z)
+
+
 def test_volatility_growth_detector_and_solution_nonuniqueness():
     """sigma = y^2 admits two distinct solutions of the same terminal-value
     problem: the cap-extension scheme preserves v = y exactly (its stencil
@@ -291,10 +317,11 @@ def test_derivative_identities_and_process_composition():
 def test_reflection_duality_invariants_and_cross_simulator_moments():
     """The max-minus-walk dual construction satisfies its pathwise order
     relations exactly; its terminal law agrees with the drifted simulator
-    within joint MC error once each runs at a step count where its own
-    discretization bias (running-max resolution ~ -2*0.5826*sqrt(dt) for the
-    dual; singular drift plus absorption filtering for the drifted walk) is
-    below the noise floor."""
+    within joint MC error.  The dual's running maximum takes each step's
+    sampled Brownian-bridge maximum, so it has no running-max bias at any
+    step count; the drifted walk, absorbed on bridges too, still freezes its
+    singular drift over each step, a bias that 4096 steps put below the
+    noise floor."""
     grid = TimeGrid.uniform(1.0, 1024)
     slack = 2.0 * np.sqrt(1.0 / 1024)
     X, J = bessel_dual_ensemble(1.0, grid, 1000, SEED, range(1025), j0=0.5)

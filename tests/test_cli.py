@@ -3,6 +3,7 @@ subcommand at toy scale, and report determinism."""
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -805,10 +806,47 @@ def test_price_compare_and_convergence_agree(tmp_path):
     assert not (outs["convergence"] / "theta.csv").exists()
 
 
+_SIMULATE_RUNNERS = {"wiener": "wiener_ensemble",
+                     "bessel3": "bessel_dual_ensemble",
+                     "drifted": "drifted_ensemble",
+                     "skorokhod": "reflected_ensemble"}
+
+
 @pytest.mark.parametrize("kind", ["wiener", "bessel3", "drifted", "skorokhod"])
-def test_simulate_kinds(tmp_path, kind):
+def test_simulate_kinds(tmp_path, monkeypatch, kind):
+    # every path runs once: the dumped ones with every node recorded, the
+    # rest from the next index with the end node only; the summary is that
+    # of all paths run at once
+    name = _SIMULATE_RUNNERS[kind]
+    runner, runs = getattr(cli, name), []
+    sig = inspect.signature(runner)
+
+    def counted(*args, **kwargs):
+        call = sig.bind(*args, **kwargs)
+        call.apply_defaults()
+        runs.append((call.arguments["first_index"], call.arguments["n_paths"],
+                     len(call.arguments["record"])))
+        return runner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
     cfgp = write_config(tmp_path, simulate={"kind": kind})
     assert main(["simulate", "--config", str(cfgp)]) == 0
+    n, steps = TINY_NUMERICS["paths"], TINY_NUMERICS["time_steps"]
+    assert runs == [(0, 3, steps + 1), (3, n - 3, 1)]
+    f = cli._resolve(json.loads(cfgp.read_text()), {})[1]
+    grid = pathlab.TimeGrid.uniform(1.0, steps)
+    args = {"wiener": (1.0, grid, n, 99, [steps]),
+            "bessel3": (1.0, grid, n, 99, [steps], 0.25),
+            "drifted": (f, 1.0, grid, n, 99, [steps]),
+            "skorokhod": (f, 0.75, 0.25, grid, n, 99, [steps])}[kind]
+    out = runner(*args)
+    ends = (out if kind == "wiener" else out[0])[:, 0]
+    summary = (tmp_path / "out" / "ensemble_summary.csv").read_text()
+    assert (f"X_T_mean,{cli._fmt(ends.mean())},"
+            f"{cli._fmt(ends.std(ddof=1) / n ** 0.5)}\n") in summary
+    if kind == "bessel3":
+        jends = out[1][:, 0]
+        assert f"Jstar_T_mean,{cli._fmt(jends.mean())}," in summary
     outdir = tmp_path / "out"
     dumps = sorted(outdir.glob("path_*.csv"))
     assert len(dumps) == 3

@@ -1,6 +1,7 @@
 """Path-engine tests: stream reproducibility, the ensemble runners' laws and
 invariants, the reflection/dual couplings, and the path functionals."""
 
+import collections
 import dataclasses
 import os
 import pickle
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from bubblepde import (DomainError, affine_map, f_from_sigma, pathlab,
-                       power_law_map, reciprocal_map)
+                       power_law_map, reciprocal_map, smoothmaps)
 from bubblepde.pathlab import (
     PathBundle,
     TimeGrid,
@@ -28,6 +29,9 @@ from bubblepde.smoothmaps import (compose, log_map, schwarzian_process,
                                    shift_map)
 
 SEED = 424242
+# an affine map with one finite edge, above; and a band with two
+_UPPER_EDGE = affine_map(1.0, 0.0, domain=(-np.inf, 1.2))
+_BAND = affine_map(1.0, 0.0, domain=(0.0, 1.2))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +194,24 @@ def test_closed_form_drift_matches_d2_over_d1_drift(f):
     np.testing.assert_array_equal(new_a, old_a)
 
 
+def test_affine_maps_skip_the_zero_drift_bit_for_bit():
+    # an affine map's T_f is smoothmaps._flat, whose zero drift the drifted
+    # and reflected kernels skip; the same map with a T_f that is another
+    # function steps through the drift arithmetic, and gets the same bits
+    grid = TimeGrid.uniform(1.0, pathlab._SEGMENT + 88)
+    every = range(grid.n_steps + 1)
+    for f in (power_law_map(1.0), power_law_map(1.0, -0.5),
+              affine_map(2.0, 1.0), _UPPER_EDGE, _BAND):
+        assert f.pre is smoothmaps._flat
+        stepped = dataclasses.replace(f, pre=lambda x: smoothmaps._flat(x))
+        for run in (
+                lambda g: drifted_ensemble(g, 0.3, grid, 12, SEED, every),
+                lambda g: reflected_ensemble(g, 0.2, 0.1, grid, 12, SEED,
+                                             every, floors=True)):
+            for a, b in zip(run(f), run(stepped)):
+                np.testing.assert_array_equal(a, b)
+
+
 def test_ensemble_partition_independence(monkeypatch):
     # values depend only on (seed, path index), not on ensemble size
     f = reciprocal_map()
@@ -199,23 +221,34 @@ def test_ensemble_partition_independence(monkeypatch):
     np.testing.assert_array_equal(small, big[:3])
 
     # nor on how the runner cuts the ensemble into blocks and segments: a
-    # path long enough for several stream segments, run whole and then in
-    # blocks of two paths, for every runner (the random-floor dual reads its
-    # floor's uniform first)
+    # path long enough for three stream segments, run whole, in blocks of
+    # two paths and one path at a time, for every runner and every layout
+    # (the random-floor dual reads its floor's uniform first; the drifted
+    # walks from 0.3 and the edged maps are absorbed on bridges)
     grid = TimeGrid.uniform(1.0, 2 * pathlab._SEGMENT + 37)
     rec = [pathlab._SEGMENT - 1, grid.n_steps]
+    bm = power_law_map(1.0)
     runs = [
-        lambda n: reflected_ensemble(f, 0.0, 0.3, grid, n, SEED, rec,
-                                     floors=True),
-        lambda n: (wiener_ensemble(1.0, grid, n, SEED, rec),),
-        lambda n: bessel_dual_ensemble(1.0, grid, n, SEED, rec),
-        lambda n: drifted_ensemble(f, 1.0, grid, n, SEED, rec),
+        lambda n, i=0: reflected_ensemble(f, 0.0, 0.3, grid, n, SEED, rec, i,
+                                          floors=True),
+        lambda n, i=0: (wiener_ensemble(1.0, grid, n, SEED, rec, i),),
+        lambda n, i=0: bessel_dual_ensemble(1.0, grid, n, SEED, rec, None, i),
+        lambda n, i=0: bessel_dual_ensemble(1.0, grid, n, SEED, rec, 0.5, i),
+        lambda n, i=0: drifted_ensemble(f, 1.0, grid, n, SEED, rec, i),
+        lambda n, i=0: drifted_ensemble(bm, 0.3, grid, n, SEED, rec, i),
+        lambda n, i=0: drifted_ensemble(_UPPER_EDGE, 1.0, grid, n, SEED, rec,
+                                        i),
+        lambda n, i=0: drifted_ensemble(_BAND, 0.6, grid, n, SEED, rec, i),
     ]
     whole = [run(3) for run in runs]
+    assert not whole[5][1].all() and not whole[6][1].all()
     monkeypatch.setattr(pathlab, "_BLOCK", 2)
     for run, outs in zip(runs, whole):
         for a, b in zip(outs, run(9)):
             np.testing.assert_array_equal(a, b[:3])
+        for i in range(3):
+            for a, b in zip(outs, run(1, i)):
+                np.testing.assert_array_equal(a[i], b[0])
 
 
 def _fresh_stream_draws(seed, i, n_steps, bridge, lead):
@@ -331,6 +364,16 @@ def test_bridge_uniforms_of_the_last_segment_are_drawn_on_first_use(
     far = reflected_ensemble(f, 10.0, 0.5, grid, n, SEED, rec, floors=True)
     at_floor = reflected_ensemble(f, 0.0, 0.5, grid, n, SEED, rec,
                                   floors=True)
+    # the absorbed walk far from its edge and near it, and the dual far
+    # below its running maximum (X* starts at 2 j0 - x0 = -9) and at it
+    # (paths 18 ... 26, of which some are near their maximum at the end)
+    others = [
+        (lambda: drifted_ensemble(f, 10.0, grid, n, SEED, rec),
+         lambda: drifted_ensemble(f, 0.8, grid, n, SEED, rec)),
+        (lambda: bessel_dual_ensemble(10.0, grid, n, SEED, rec, 0.5),
+         lambda: bessel_dual_ensemble(1.0, grid, n, SEED, rec, 1.0, 18)),
+    ]
+    want = [(far_run(), near_run()) for far_run, near_run in others]
     log = []
     stream = pathlab.path_stream
     monkeypatch.setattr(pathlab, "_POOL", threading.local())
@@ -349,6 +392,16 @@ def test_bridge_uniforms_of_the_last_segment_are_drawn_on_first_use(
     assert len(log) == sum(draws) and set(draws) == {1, 2}
     for a, b in zip(got, at_floor):
         np.testing.assert_array_equal(a, b)
+    for (far_run, near_run), (far_want, near_want) in zip(others, want):
+        log.clear()
+        for a, b in zip(far_run(), far_want):
+            np.testing.assert_array_equal(a, b)
+        assert sorted(log) == list(range(n))
+        log.clear()
+        for a, b in zip(near_run(), near_want):
+            np.testing.assert_array_equal(a, b)
+        draws = collections.Counter(log)
+        assert len(draws) == n and set(draws.values()) == {1, 2}
     # the reader alone: rows whose uniforms are never read draw none
     log.clear()
     for rows, _, _, steps in pathlab._path_steps(SEED, 100, n, grid.n_steps,
@@ -572,7 +625,8 @@ def test_live_thread_keeps_the_ensemble_in_process(monkeypatch):
 
 # Values of paths 7 and 8 (seed SEED, 1061 steps on [0, 1]) at nodes 0, 511,
 # 512, 513 and 1061, which straddle the first stream segment's end.  They pin
-# the stream layout and the step arithmetic of each runner.
+# the stream layout and the step arithmetic of each runner; the drifted and
+# dual rows are also those of the scalar references below.
 _PINNED = {
     "wiener": [
         [[1.0, 0.484966295682148, 0.47810705348976074, 0.4995437947838205,
@@ -580,28 +634,34 @@ _PINNED = {
          [1.0, 0.6333332068943717, 0.6879569140723928, 0.6808771865540556,
           0.8090344544715551]]],
     "dual_fixed_floor": [
-        [[1.0, 1.7113295951536531, 1.7181888373460403, 1.6967520960519806,
-          1.656110705742414],
-         [1.0, 1.3666667931056278, 1.3120430859276064, 1.3191228134459436,
-          1.4226989986874965]],
-        [[0.9, 0.9981479454179015, 0.9981479454179015, 0.9981479454179015,
-          0.9981479454179015],
-         [0.9, 0.9, 0.9, 0.9, 1.0158667265795256]]],
+        [[1.0, 1.7269729826866504, 1.7338322248790377, 1.7391115512164834,
+          1.3818294698929003],
+         [1.0, 1.3666667931056278, 1.3120430859276064, 1.282622953366729,
+          1.3123023138376733]],
+        [[0.9, 1.0059696391844002, 1.0059696391844002, 1.0059696391844002,
+          1.2848936456478226],
+         [0.9, 0.9, 0.9, 0.9, 0.9]]],
     "dual_random_floor": [
-        [[0.2, 0.8392924260671719, 0.8178556847731121, 0.8146947184916078,
-          0.81762193390706],
-         [0.2, 0.5096502786653831, 0.5167300061837203, 0.5539953792204414,
-          0.5649104548865946]],
-        [[0.057461598431257956, 0.11925153413903722, 0.11925153413903722,
-          0.11925153413903722, 0.11925153413903722],
+        [[0.2, 0.8549358136001692, 0.8334990723061095, 0.8336179147090972,
+          0.4973985466089547],
+         [0.2, 0.5096502786653831, 0.5167300061837203, 0.5261511690501078,
+          0.6088167241902442]],
+        [[0.057461598431257956, 0.1270732279055359, 0.1270732279055359,
+          0.1270732279055359, 0.44202061264092046],
          [0.07945357832231646, 0.07945357832231646, 0.07945357832231646,
-          0.07945357832231646, 0.17716669048639713]]],
+          0.07945357832231646, 0.07945357832231646]]],
     "drifted": [
-        [[1.0, 0.9454911686571881, 0.9396287703275961, 0.962068574851057,
-          1.4499921476562607],
-         [1.0, 1.1282761874549194, 1.183735246011692, 1.1774517329103698,
-          1.63212321630787]],
+        [[1.0, 0.9454911686571881, 0.9396287703275961, 0.9353525072195514,
+          2.220588715295289],
+         [1.0, 1.1282761874549194, 1.183735246011692, 1.2139515929895843,
+          1.5982919765879586]],
         [True, True]],
+    "drifted_upper_edge": [
+        [[1.0, 1.1999999999978, 1.1999999999978, 1.1999999999978,
+          1.1999999999978],
+         [1.0, 0.6333332068943717, 0.6879569140723928, 0.7173770466332702,
+          0.687697686162326]],
+        [False, True]],
     "reflected": [
         [[0.3, 1.0455611906358833, 1.0396033849899595, 1.035230661191916,
           2.297478493960657],
@@ -628,6 +688,8 @@ def test_runner_values_are_pinned():
         "dual_random_floor": bessel_dual_ensemble(0.2, grid, 2, SEED, rec,
                                                   None, 7),
         "drifted": drifted_ensemble(f, 1.0, grid, 2, SEED, rec, 7),
+        "drifted_upper_edge": drifted_ensemble(_UPPER_EDGE, 1.0, grid, 2,
+                                               SEED, rec, 7),
         "reflected": reflected_ensemble(f, 0.0, 0.3, grid, 2, SEED, rec, 7,
                                         floors=True),
     }
@@ -635,6 +697,100 @@ def test_runner_values_are_pinned():
         assert len(outs) == len(_PINNED[name])
         for a, want in zip(outs, _PINNED[name]):
             np.testing.assert_array_equal(a, np.array(want), err_msg=name)
+
+
+def _bridge_low(x, y, u, dt):
+    """The minimum of the bridge from x to y over dt, sampled with u.  numpy's
+    log1p, not math's: numpy's vectorised log1p can round otherwise than the
+    C library's, and a numpy scalar rounds as an array element does."""
+    d = y - x
+    return 0.5 * (x + y - np.sqrt(d * d - 2.0 * dt * np.log1p(-u)))
+
+
+def _dual_reference(x0, j0, grid, seed, i):
+    """X and J* of path i of bessel_dual_ensemble at every node, one scalar
+    step at a time from a new path_stream: J* takes the sampled bridge
+    maximum of every step, near its running maximum or not."""
+    u0, z, u = _fresh_stream_draws(seed, i, grid.n_steps, True, j0 is None)
+    J = x0 * u0 if j0 is None else j0
+    Y = 2 * J - x0
+    xs, js = [2 * J - Y], [J]
+    for dt, zn, un in zip(grid.dt, z, u):
+        Y1 = Y + np.sqrt(dt) * zn
+        d = Y1 - Y
+        top = 0.5 * (Y + Y1 + np.sqrt(d * d - 2.0 * dt * np.log1p(-un)))
+        J, Y = max(J, Y1, top), Y1
+        xs.append(2 * J - Y)
+        js.append(J)
+    return np.array(xs), np.array(js)
+
+
+def _drifted_reference(f, x0, grid, seed, i):
+    """X of path i of drifted_ensemble at every node, whether it survived,
+    and whether a bridge (not a node) absorbed it, one scalar step at a time
+    from a new path_stream: every step samples the bridge at each finite
+    edge, near it or not."""
+    _, z, u = _fresh_stream_draws(seed, i, grid.n_steps, True, False)
+    lo, hi = f.domain
+    guard = pathlab.EDGE_GUARD
+    lo_g = lo + guard * (1 + abs(lo)) if np.isfinite(lo) else lo
+    hi_g = hi - guard * (1 + abs(hi)) if np.isfinite(hi) else hi
+    X, alive, bridged, xs = x0, True, False, [x0]
+    for dt, zn, un in zip(grid.dt, z, u):
+        if alive:
+            prop = X - 0.5 * f.pre(np.array([X]))[0] * dt + np.sqrt(dt) * zn
+            if not lo_g < prop < hi_g:
+                X, alive = min(max(prop, lo_g), hi_g), False
+            elif np.isfinite(lo_g) and _bridge_low(X - lo_g, prop - lo_g,
+                                                   un, dt) <= 0:
+                X, alive, bridged = lo_g, False, True
+            elif np.isfinite(hi_g) and _bridge_low(hi_g - X, hi_g - prop,
+                                                   un, dt) <= 0:
+                X, alive, bridged = hi_g, False, True
+            else:
+                X = prop
+        xs.append(X)
+    return np.array(xs), alive, bridged
+
+
+def test_drifted_and_dual_runners_match_scalar_references():
+    # the pinned rows, and more paths of maps that absorb at a lower edge,
+    # an upper edge and both, on the three-segment grid; the references
+    # sample every step's bridge, so they also check that the runners' near
+    # filters skip only bridges that cannot reach their level
+    grid = TimeGrid.uniform(1.0, 1061)
+    rec = [0, 511, 512, 513, 1061]
+    duals = {"dual_fixed_floor": (1.0, 0.9), "dual_random_floor": (0.2, None)}
+    for name, (x0, j0) in duals.items():
+        refs = [_dual_reference(x0, j0, grid, SEED, i) for i in (7, 8)]
+        for k, want in enumerate(_PINNED[name]):
+            np.testing.assert_array_equal(
+                [ref[k][rec] for ref in refs], want, err_msg=name)
+    drifted = {"drifted": (reciprocal_map(), 1.0),
+               "drifted_upper_edge": (_UPPER_EDGE, 1.0)}
+    for name, (f, x0) in drifted.items():
+        refs = [_drifted_reference(f, x0, grid, SEED, i) for i in (7, 8)]
+        np.testing.assert_array_equal([ref[0][rec] for ref in refs],
+                                      _PINNED[name][0], err_msg=name)
+        assert [ref[1] for ref in refs] == _PINNED[name][1]
+
+    every = range(grid.n_steps + 1)
+    bridged = 0
+    for f, x0 in [(power_law_map(1.0), 0.3), (_UPPER_EDGE, 1.0),
+                  (_BAND, 0.6)]:
+        X, alive = drifted_ensemble(f, x0, grid, 12, SEED, every)
+        for i in range(12):
+            want, survived, by_bridge = _drifted_reference(f, x0, grid, SEED,
+                                                           i)
+            np.testing.assert_array_equal(X[i], want)
+            assert alive[i] == survived
+            bridged += by_bridge
+    assert bridged
+    X, J = bessel_dual_ensemble(0.5, grid, 6, SEED, every, 0.5)
+    for i in range(6):
+        want_x, want_j = _dual_reference(0.5, 0.5, grid, SEED, i)
+        np.testing.assert_array_equal(X[i], want_x)
+        np.testing.assert_array_equal(J[i], want_j)
 
 
 def test_bessel_dual_ensemble_random_floor_law():

@@ -111,6 +111,17 @@ def test_space_grid_validation():
         SpaceGrid(nodes=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("nodes, bad", [
+    ([0.0, 1.0, np.nan, 3.0, 4.0], "i=2 is not finite: nan"),
+    ([0.0, 1.0, 2.0, 3.0, np.inf], "i=4 is not finite: inf"),
+    ([-np.inf, 0.0, np.nan, 2.0, 3.0], "i=0 is not finite: -inf"),
+])
+def test_space_grid_names_its_first_non_finite_node(nodes, bad):
+    # a NaN compares false, so the increasing-order check alone passes it
+    with pytest.raises(ConfigError, match=f"node {bad}$"):
+        SpaceGrid(nodes=nodes)
+
+
 @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf, 5.0,
                                np.array([1.0, np.nan])])
 def test_space_grid_interp_rejects_points_off_the_grid(y):
