@@ -52,8 +52,10 @@ _RIVALS = {cls.kind: cls for cls in (NeumannCapScheme, TaperedTerminalScheme,
 _SCHEME_NAMES = (FundraiserScheme.kind, *_RIVALS)
 
 # most steps of the direct Monte Carlo pass of price and convergence: the
-# bridge-reflected walk keeps only the O(dt) drift-freezing bias, and at 512
-# steps that is at most a tenth of the 20 000-path standard error (README)
+# bridge-reflected walk keeps only the O(dt) drift-freezing bias.  At 512
+# steps that was at most a tenth of the 20 000-path standard error in five
+# cases off the floor (README); from the floor (x0 = j0) it was +0.5 to 1%,
+# or 1.1 to 2.0 standard errors
 _MC_TIME_STEPS = 512
 
 _SECTIONS = ("model", "payoff", "numerics", "output", "convergence", "simulate")
@@ -137,8 +139,6 @@ def _resolve(raw: dict, overrides: dict):
     _known(model, "model", _MODEL_KEYS)
     if ("sigma" in model) == ("f" in model):
         _fail("model", "exactly one of 'sigma' or 'f' must be given")
-    if "sigma" in model and not isinstance(model["sigma"], dict):
-        _fail("model.sigma", "must be a descriptor object")
     if "f" in model and not isinstance(model["f"], dict):
         _fail("model.f", "must be a map descriptor object")
     x0 = _number(model, "model", "x0", positive=True)

@@ -1,9 +1,11 @@
 """Seeded path simulation: Wiener, Bessel-3 via the max-dual construction,
 drifted unit-diffusion SDEs absorbed at their domain edge, and the reflected
-(floor-constrained) SDE; plus path functionals.  The last three sample each
-step's Brownian bridge, not only its end nodes: the reflected scheme
-reflects on the bridge minimum, the drifted walk is absorbed when the bridge
-crosses an edge, and the dual's running maximum takes the bridge maximum.
+(floor-constrained) SDE; plus path functionals and the change of measure,
+which walks Wiener paths to their first node outside a band.  The Bessel-3,
+drifted and reflected laws sample each step's Brownian bridge, not only its
+end nodes: the reflected scheme reflects on the bridge minimum, the drifted
+walk is absorbed when the bridge crosses an edge, and the dual's running
+maximum takes the bridge maximum.
 Each law has one vectorized ensemble runner: it runs paths first_index ...
 first_index + n_paths - 1 and keeps the nodes it is asked to record, so a
 single path is a one-path call.
@@ -34,8 +36,8 @@ the others' arrays in path order.  Below two blocks of paths, without
 os.fork, or while other threads run, a runner works in process.  Since each
 path reads only its own stream, no output depends on the share count.  One
 helper, _run_shares, forks, collects and reaps the workers, and raises a
-worker's exception in the caller; the measure change's per-path values
-and the compare-schemes solves run through it too.  A worker pickles its
+worker's exception in the caller; the measure change's shares and the
+compare-schemes solves run through it too.  A worker pickles its
 outcome into a pipe, and the caller unpickles it straight from the pipe as
 it arrives, with no joined copy of the bytes.
 """
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import DomainError
 from .smoothmaps import (SmoothMap, _flat, multiplicative_functional,
-                         schwarzian_integral)
+                         schwarzian)
 
 # Relative guard keeping unreflected simulations off a finite domain edge.
 EDGE_GUARD = 1e-12
@@ -71,12 +73,8 @@ _BLOCK = 4096
 # layout: changing it changes every reflected path.
 _SEGMENT = 512
 _TILE = 256  # paths per transposed tile of a time-major draw
-# Paths per chunk of change_of_measure_expectation's weights, which bounds
-# the chunk's temporaries (held paths, S_f, the integral) to about 1 MB each
-# at 512 steps; a share of the measure change has at least this many paths.
+# Paths in the smallest share of change_of_measure_expectation.
 _WEIGHT_ROWS = 256
-# Paths per recorded block of the measure change: about 4 MB at 512 steps.
-_RECORD_ROWS = 1024
 # A uniform U on the 2**-53 lattice gives -log(1 - U) <= 53 ln 2, so a
 # Brownian bridge over dt whose ends lie at distances a and b on one side of
 # a level never reaches the level whenever a * b >= (53 ln 2 / 2) dt
@@ -679,17 +677,19 @@ def future_infimum(path: PathBundle) -> np.ndarray:
     return np.minimum.accumulate(X[::-1])[::-1]
 
 
-def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], float],
-                                  x0: float, grid: TimeGrid, n_paths: int, seed: int,
+def change_of_measure_expectation(s: SmoothMap, payoff: Callable, x0: float,
+                                  grid: TimeGrid, n_paths: int, seed: int,
                                   band: tuple[float, float]):
     """Importance-sampling oracle: Wiener paths stopped at the exit of a
     compact band, the payoff weighted by the multiplicative functional of s
-    at the stopping time.  A path that overshoots the band on its exit step
-    is projected onto the band edge at the exit node, so weight and payoff
-    both see a value inside [lo, hi] (and hence inside the domain of s when
-    the band is).  The paths' weighted payoffs run as contiguous shares of
-    at least _WEIGHT_ROWS paths, one per CPU (_run_path_shares), joined in
-    path order before the mean.
+    at the stopping time.  A path stops at its first node outside the band,
+    where it is projected onto the band edge, so weight and payoff both see
+    a value inside [lo, hi] (and hence inside the domain of s when the band
+    is); a path that never leaves stops at T.  payoff maps an array of
+    stopped values to their payoffs (a scalar broadcasts).  The paths'
+    weighted payoffs run as contiguous shares of at least _WEIGHT_ROWS
+    paths, one per CPU (_run_path_shares), joined in path order before the
+    mean.
 
     Returns (estimate, stderr) over the n_paths ensemble.
     """
@@ -697,9 +697,6 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
     s.require(np.array([lo, hi]))
     if not (lo < x0 < hi):
         raise DomainError("x0 must start inside the band")
-    # loaded once here, not by schwarzian_integral in each forked share
-    import scipy.integrate
-
     work = functools.partial(_weighted_payoffs, s, payoff, x0, grid, seed,
                              band)
     vals = np.concatenate(_run_path_shares(
@@ -709,35 +706,35 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable[[PathBundle], f
 
 def _weighted_payoffs(s, payoff, x0, grid, seed, band, first_index, n_paths):
     """The weighted payoffs of change_of_measure_expectation for paths
-    first_index ... first_index + n_paths - 1, recorded _RECORD_ROWS paths
-    at a time by the unwrapped (in-process) wiener_ensemble."""
+    first_index ... first_index + n_paths - 1, stepped on the Wiener walk's
+    streams.  Each live path carries X, S_f at its last node and the
+    trapezoid sum I of S_f up to it, added in cumulative_trapezoid's order,
+    I += dt (S + S_old) / 2.0, so that I has that rule's bits.  On the
+    step where a path leaves the band it is clipped onto the edge, adds its
+    last term and retires; a block whose paths have all retired stops."""
     lo, hi = band
+    dt = grid.dt
+    sqdt = np.sqrt(dt)
     vals = np.empty(n_paths)
-    nodes = np.arange(grid.n_steps + 1)
-    stopped = {}  # stop node -> the grid up to it, shared by its paths
-    for start in range(0, n_paths, _RECORD_ROWS):
-        block = wiener_ensemble.__wrapped__(
-            x0, grid, min(_RECORD_ROWS, n_paths - start), seed, nodes,
-            first_index + start)
-        for c in range(0, len(block), _WEIGHT_ROWS):
-            X = block[c:c + _WEIGHT_ROWS]
-            rows = np.arange(len(X))
-            # stop at the first node outside the band, else at the last
-            outside = (X <= lo) | (X >= hi)
-            stop = np.where(outside.any(axis=1), outside.argmax(axis=1),
-                            grid.n_steps)
-            at_stop = np.clip(X[rows, stop], lo, hi)
-            X[rows, stop] = at_stop
-            # the integral at the stop reads S_f at the nodes up to it only;
-            # the later nodes, maybe outside the domain of s, are never read
-            live = nodes <= stop[:, None]
-            integral = schwarzian_integral(s, X, grid.nodes, live)[rows, stop]
-            weight = multiplicative_functional(s, float(x0), at_stop, integral)
-            for r, i in enumerate(range(start + c, start + c + len(X))):
-                n = int(stop[r])
-                if n not in stopped:
-                    stopped[n] = TimeGrid(grid.nodes[:n + 1])
-                p = PathBundle(grid=stopped[n], X=X[r, :n + 1], seed=seed,
-                               path_index=first_index + i)
-                vals[i] = weight[r] * payoff(p)
+    for rows, _, _, steps in _path_steps(seed, first_index, n_paths,
+                                         grid.n_steps, []):
+        m = rows.stop - rows.start
+        live = np.arange(m)
+        X = np.full(m, float(x0))
+        S = schwarzian(s, X)
+        I = np.zeros(m)
+        x_stop, i_stop = np.empty(m), np.empty(m)
+        for n, z, _, _ in steps:
+            X = np.clip(X + sqdt[n] * z[live], lo, hi)
+            S, S_old = schwarzian(s, X), S
+            I = I + dt[n] * (S + S_old) / 2.0
+            out = (X <= lo) | (X >= hi)
+            if out.any():
+                x_stop[live[out]], i_stop[live[out]] = X[out], I[out]
+                live, X, S, I = (v[~out] for v in (live, X, S, I))
+                if not live.size:
+                    break
+        x_stop[live], i_stop[live] = X, I
+        weight = multiplicative_functional(s, float(x0), x_stop, i_stop)
+        vals[rows] = weight * payoff(x_stop)
     return vals

@@ -3,9 +3,9 @@ with interchangeable boundary schemes: the floor-anchored scheme fed by a
 Monte Carlo boundary table, three truncation-based rivals, and a naive
 Dirichlet diagnostic that deliberately picks up the wrong (linear) solution.
 
-Also houses the bridge between the volatility function sigma and the space
-transform f (f' o f^{-1} = -sigma), and the integral test telling strict
-local martingales from true ones.
+Also houses the space transform f of a power volatility sigma in closed
+form (f' o f^{-1} = -sigma), and the integral test telling strict local
+martingales from true ones.
 """
 
 from __future__ import annotations
@@ -85,84 +85,40 @@ def is_strict_local_martingale(sigma) -> bool:
 
 
 def f_from_sigma(sigma) -> SmoothMap:
-    """Recover the decreasing space transform f from sigma:
-    f^{-1}(y) = integral_y^inf dy'/sigma(y'), so f'(f^{-1}(y)) = -sigma(y).
+    """The decreasing space transform f of a power sigma(y) = a*y^p, p > 1,
+    in closed form: f^{-1}(y) = integral_y^inf dy'/sigma(y') gives
+    f(x) = (a(p-1))^{1/(1-p)} * x^{1/(1-p)}, so f'(f^{-1}(y)) = -sigma(y).
 
-    Power-law sigma(y) = a*y^p (p > 1) is handled analytically:
-    f(x) = (a(p-1))^{1/(1-p)} * x^{1/(1-p)}.  Other descriptors go through
-    adaptive quadrature for f^{-1}, root bracketing for f, and the chain of
-    sigma-derivatives (by central differences) for f'', f''' and
-    T_f(x) = f''/f' = -sigma'(f(x)).
-
-    Raises DomainError when the tail integral of 1/sigma diverges (no finite
-    f^{-1} exists, e.g. sigma(y) = y).
+    Raises ConfigError for any other sigma, a callable or a descriptor of
+    another kind, and DomainError when p <= 1: the tail integral of 1/sigma
+    diverges, so no f^{-1} exists (e.g. sigma(y) = y).
     """
-    if isinstance(sigma, dict) and sigma.get("kind") == "power":
-        a, p = _power_sigma(sigma)
-        if not p > 1:
-            raise DomainError(
-                f"tail integral of 1/sigma diverges for exponent {p} <= 1; "
-                "no space transform exists")
-        alpha = 1.0 / (1.0 - p)
-        scale = (a * (p - 1.0)) ** alpha
-        return compose(affine_map(scale, 0.0), power_law_map(alpha))
-
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    s = _sigma_callable(sigma)
-    converges, _ = _doubling_tail(lambda y: 1.0 / s(y), 1.0)
-    if not converges:
-        raise DomainError("tail integral of 1/sigma diverges; "
-                          "no space transform exists")
-
-    def f_inv(y):
-        val, _ = quad(lambda u: 1.0 / s(u), y, np.inf, limit=400)
-        return val
-
-    def f_scalar(x):
-        if x <= 0:
-            raise DomainError("space transform defined for x > 0")
-        y_lo, y_hi = 1.0, 1.0
-        while f_inv(y_lo) < x:
-            y_lo /= 4.0
-            if y_lo < 1e-280:
-                raise NumericsError("could not bracket f(x) from below")
-        while f_inv(y_hi) > x:
-            y_hi *= 4.0
-            if y_hi > 1e280:
-                raise NumericsError("could not bracket f(x) from above")
-        return brentq(lambda y: f_inv(y) - x, y_lo, y_hi, xtol=1e-14, rtol=1e-13)
-
-    def ds(y, k):  # central-difference sigma derivatives
-        h = 1e-5 * np.maximum(np.abs(y), 1.0)
-        if k == 1:
-            return (s(y + h) - s(y - h)) / (2 * h)
-        return (s(y + h) - 2 * s(y) + s(y - h)) / h ** 2
-
-    f_eval = np.vectorize(f_scalar, otypes=[float])
-
-    def d1(x):
-        return -s(f_eval(x))
-
-    def d2(x):
-        y = f_eval(x)
-        return ds(y, 1) * s(y)
-
-    def d3(x):
-        y = f_eval(x)
-        return -(ds(y, 2) * s(y) + ds(y, 1) ** 2) * s(y)
-
-    def pre(x):
-        return -ds(f_eval(x), 1)
-
-    return SmoothMap(domain=(0.0, np.inf), eval=f_eval, d1=d1, d2=d2, d3=d3,
-                     pre=pre, sign=-1.0, descriptor={"kind": "from_sigma",
-                                            "sigma": getattr(sigma, "__name__", "callable")})
+    if not (isinstance(sigma, dict) and sigma.get("kind") == "power"):
+        raise ConfigError("the space transform needs a power sigma "
+                          f"descriptor, got {sigma!r}")
+    a, p = _power_sigma(sigma)
+    if not p > 1:
+        raise DomainError(
+            f"tail integral of 1/sigma diverges for exponent {p} <= 1; "
+            "no space transform exists")
+    alpha = 1.0 / (1.0 - p)
+    scale = (a * (p - 1.0)) ** alpha
+    return compose(affine_map(scale, 0.0), power_law_map(alpha))
 
 
 # ---------------------------------------------------------------------------
 # Grids and schemes.
+
+def _log_nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    """n log-uniform nodes from lo to hi.  The top node is hi exactly, which
+    exp(log hi) misses by an ulp at some hi, so that a price at the cap lies
+    on the grid."""
+    if not 0 < lo < hi:
+        raise ConfigError("geometric grid needs 0 < lo < hi")
+    y = np.exp(np.linspace(np.log(lo), np.log(hi), n))
+    y[-1:] = hi
+    return y
+
 
 @dataclass(frozen=True)
 class SpaceGrid:
@@ -190,18 +146,13 @@ class SpaceGrid:
     def geometric(cls, lo: float, hi: float, m: int) -> "SpaceGrid":
         """Log-uniform nodes: resolution concentrates toward y = 0 where the
         degenerate coefficient needs it."""
-        if not 0 < lo < hi:
-            raise ConfigError("geometric grid needs 0 < lo < hi")
-        return cls(np.exp(np.linspace(np.log(lo), np.log(hi), int(m) + 1)))
+        return cls(_log_nodes(lo, hi, int(m) + 1))
 
     @classmethod
     def geometric_with_zero(cls, lo: float, hi: float, m: int) -> "SpaceGrid":
         """As geometric, but with an explicit y = 0 node for schemes whose
         domain is [0, n]."""
-        if not 0 < lo < hi:
-            raise ConfigError("geometric grid needs 0 < lo < hi")
-        inner = np.exp(np.linspace(np.log(lo), np.log(hi), int(m)))
-        return cls(np.concatenate([[0.0], inner]))
+        return cls(np.concatenate([[0.0], _log_nodes(lo, hi, int(m))]))
 
     @property
     def m(self) -> int:

@@ -4,7 +4,10 @@ Carriers for the market's scale/price transformations. Each map knows its
 open domain, its first three derivatives, its pre-Schwarzian (the
 log-derivative ratio T_f = f''/f') and its monotonicity sign, which is
 enough to evaluate the Schwarzian S_f = f'''/f' - (3/2)(f''/f')^2 and the
-multiplicative path functional built from them.
+multiplicative path functional built from them: schwarzian_process along
+one recorded path, multiplicative_functional at a node given the integral
+of S_f up to it (the change of measure adds that integral up step by step
+as it walks its paths).
 
 All evaluators are vectorized over numpy arrays. Derivatives and T_f are
 closed form for every constructor (power law, logarithm, Moebius,
@@ -303,6 +306,8 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     Returns an array aligned to the path's grid nodes, possibly shorter when
     truncated.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     X = np.asarray(path.X, dtype=float)
     inside = np.atleast_1d(f.contains(X))
     if not inside[0]:
@@ -310,34 +315,14 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     if not np.all(inside):
         n = int(np.argmin(inside))  # first exit node
         X = X[:n]
-    integral = schwarzian_integral(f, X, path.grid.nodes[: len(X)])
+    integral = cumulative_trapezoid(schwarzian(f, X), path.grid.nodes[: len(X)],
+                                    initial=0)
     out = multiplicative_functional(f, X[0], X, integral)
     out[0] = 1.0
     return out
 
 
-def schwarzian_integral(f: SmoothMap, X, t, live=None) -> np.ndarray:
-    """int_0^t S_f(X_u) du at every node, along the last axis of X (one path,
-    or a block of paths as rows) whose nodes sit at the times t.
-
-    The trapezoidal rule, accumulated in time order, so a row of a block
-    gets the same bits as the path on its own, and the integral at a node
-    depends on the nodes up to it only.  Every value of X must lie in the
-    domain of f; with live, a boolean mask of X's shape, only the live
-    values, and S_f is taken as 0 elsewhere, so the integral keeps its bits
-    at every node up to which all nodes are live.
-    """
-    from scipy.integrate import cumulative_trapezoid
-
-    if live is None:
-        S = schwarzian(f, X)
-    else:
-        S = np.zeros(np.shape(X))
-        S[live] = schwarzian(f, np.asarray(X)[live])
-    return cumulative_trapezoid(S, t, initial=0)
-
-
 def multiplicative_functional(f: SmoothMap, x0, x, integral) -> np.ndarray:
     """sqrt(f'(x0)/f'(x)) * exp(integral / 4): the functional at a node where
-    the path from x0 is at x, given the schwarzian_integral up to it."""
+    the path from x0 is at x, given int_0^t S_f(X_u) du up to it."""
     return np.sqrt(f.d1(x0) / f.d1(x)) * np.exp(0.25 * integral)

@@ -6,6 +6,7 @@ import copy
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,10 +146,13 @@ MODEL = {"x0": 1.0, "j0": 0.25, "T": 1.0}
     ("payoff", "payoff", {"kind": "call", "strike": [1]}),
     ("payoff", "payoff", {"kind": "table", "nodes": [0.0, 1.0], "values": "x"}),
     ("model.sigma", "model", dict(MODEL, sigma=dict(SIG2, exponent="x"))),
+    ("model.sigma", "model", dict(MODEL, sigma={"kind": "exp", "rate": 1.0})),
+    ("model.sigma", "model", dict(MODEL, sigma="y**2")),
     ("model.f", "model", dict(MODEL, f={"kind": "power_law"})),
     ("model.f", "model", dict(MODEL, f={"kind": "no_such_map"})),
 ], ids=["strike-abc", "strike-null", "strike-list", "table-values",
-        "sigma-exponent", "f-missing-alpha", "f-unknown-kind"])
+        "sigma-exponent", "sigma-not-power", "sigma-not-a-descriptor",
+        "f-missing-alpha", "f-unknown-kind"])
 def test_malformed_descriptor_value_is_a_config_error(tmp_path, key, section,
                                                       value):
     cfgp = write_config(tmp_path, **{section: value})
@@ -327,6 +331,21 @@ def test_price_deterministic_across_out_dirs(tmp_path):
                  str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "report.csv").read_bytes() \
         == (tmp_path / "b" / "report.csv").read_bytes()
+
+
+def test_price_and_compare_schemes_run_from_the_floor(tmp_path):
+    # at x0 = j0 the price point f(x0) is the cap, the grid's top node, which
+    # exp(log cap) used to miss by an ulp at 0.02, 0.05 and 0.2 (exit 3)
+    numerics = dict(TINY_NUMERICS, paths=64, time_steps=16, theta_paths=64,
+                    theta_time_steps=16, theta_taus=3)
+    for j in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
+        cfgp = write_config(tmp_path, numerics=numerics, model={
+            "sigma": SIG2, "x0": j, "j0": j, "T": 1.0})
+        assert main(["price", "--config", str(cfgp)]) == 0, j
+        rows = {row[0]: row[1:]
+                for row in _body(tmp_path / "out" / "report.csv")}
+        assert math.isfinite(float(rows["pde_price"][0])), j
+        assert main(["compare-schemes", "--config", str(cfgp)]) == 0, j
 
 
 @pytest.mark.parametrize("time_steps, mc_steps", [(96, 96), (640, 512)])
@@ -1008,7 +1027,7 @@ pathlab._run_shares = cli._run_shares = (
     lambda works, labels: shares([loads_none(w) for w in works], labels))
 if sys.argv[1] == "measure":
     pathlab.change_of_measure_expectation(
-        power_law_map(3.0), lambda p: 1.0, 1.0, pathlab.TimeGrid.uniform(0.25, 16),
+        power_law_map(3.0), lambda x: 1.0, 1.0, pathlab.TimeGrid.uniform(0.25, 16),
         2 * pathlab._WEIGHT_ROWS, 7, (0.5, 2.0))
 else:
     assert cli.main(json.loads(sys.argv[1])) == 0

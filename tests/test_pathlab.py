@@ -820,7 +820,7 @@ def test_change_of_measure_closes_to_bessel_mean():
     grid = TimeGrid.uniform(0.25, 512)
     band = (0.4, 2.5)
     mean, se = change_of_measure_expectation(
-        reciprocal_map(), lambda p: float(p.X[-1]), 1.0, grid, 4000, SEED, band)
+        reciprocal_map(), lambda x: x, 1.0, grid, 4000, SEED, band)
     # direct simulation of the weighted law: Bessel-3 stopped at the band exit
     tot = 0.0
     tot2 = 0.0
@@ -840,8 +840,8 @@ def test_change_of_measure_closes_to_bessel_mean():
 
 
 def _measure_reference(s, payoff, x0, grid, n, seed, band):
-    """change_of_measure_expectation path by path, on schwarzian_process;
-    also returns every path's stop node."""
+    """change_of_measure_expectation path by path, on schwarzian_process and
+    the payoff of each stopped value; also returns every path's stop node."""
     lo, hi = band
     X = wiener_ensemble(x0, grid, n, seed, range(grid.n_steps + 1))
     vals, stops = np.empty(n), np.empty(n, dtype=int)
@@ -851,19 +851,21 @@ def _measure_reference(s, payoff, x0, grid, n, seed, band):
         row[stop] = min(max(row[stop], lo), hi)
         p = PathBundle(grid=TimeGrid(grid.nodes[:stop + 1]), X=row[:stop + 1],
                        seed=seed, path_index=i)
-        vals[i] = schwarzian_process(s, p)[-1] * payoff(p)
+        vals[i] = schwarzian_process(s, p)[-1] * payoff(row[stop])
         stops[i] = stop
     return (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))), stops
 
 
 def test_change_of_measure_matches_per_path_reference(monkeypatch):
-    # chunks of 3 paths in blocks of 7: 20 paths make 3 blocks and 8 chunks
+    # shares of at least 3 paths, stepped in blocks of 7, so that a share
+    # steps full blocks and a short one
     grid = TimeGrid.uniform(0.05, 16)
     monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 3)
-    monkeypatch.setattr(pathlab, "_RECORD_ROWS", 7)
     monkeypatch.setattr(pathlab, "_BLOCK", 7)
-    payoff = lambda p: float(p.X[-1]) * len(p.X) + p.path_index + p.grid.T
-    for s in (power_law_map(3.0), f_from_sigma(lambda y: y ** 2)):
+    payoff = _MEASURE_PAYOFFS["mixed"]
+    for s in (power_law_map(3.0),
+              f_from_sigma({"kind": "power", "coefficient": 1.0,
+                            "exponent": 2.0})):
         got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,
                                             (0.95, 1.5))
         want, stops = _measure_reference(s, payoff, 1.0, grid, 20, SEED,
@@ -877,14 +879,13 @@ def test_change_of_measure_supermartingale_bound():
     # the weight alone (payoff == 1) has expectation <= 1 + 3 se
     grid = TimeGrid.uniform(0.5, 256)
     mean, se = change_of_measure_expectation(
-        power_law_map(3.0), lambda p: 1.0, 2.0, grid, 2000, SEED, (0.5, 4.0))
+        power_law_map(3.0), lambda x: 1.0, 2.0, grid, 2000, SEED, (0.5, 4.0))
     assert mean <= 1.0 + 3 * se
 
 
 # the measure change's case list: maps whose S_f is zero, positive, negative
-# and composed, payoffs reading the stopped value, the stop time and the
-# path index, and grids of one to three stream segments, clustered steps
-# and several record blocks
+# and composed, a constant, linear and nonlinear payoff of the stopped
+# value, and grids of one to three stream segments and clustered steps
 _MEASURE_MAPS = {
     "reciprocal": reciprocal_map,
     "cube": lambda: power_law_map(3.0),
@@ -894,9 +895,9 @@ _MEASURE_MAPS = {
                                             power_law_map(2.0)),
 }
 _MEASURE_PAYOFFS = {
-    "one": lambda p: 1.0,
-    "end": lambda p: float(p.X[-1]),
-    "mixed": lambda p: float(p.X[-1]) * len(p.X) + p.path_index + p.grid.T,
+    "one": lambda x: 1.0,
+    "end": lambda x: x,
+    "mixed": lambda x: x * x - 2.0 / x,
 }
 _MEASURE_CASES = [(TimeGrid.uniform(0.25, 512), 1000, (0.4, 2.5)),
                   (TimeGrid.uniform(0.05, 16), 50, (0.95, 1.5)),
@@ -907,10 +908,9 @@ _MEASURE_CASES = [(TimeGrid.uniform(0.25, 512), 1000, (0.4, 2.5)),
 
 @pytest.mark.slow
 def test_change_of_measure_shares_keep_every_bit(monkeypatch):
-    # shares of at least 24 paths, recorded 240 paths at a time, so that every
-    # case runs as up to three shares of several blocks
+    # shares of at least 24 paths, so that every case runs as up to three
+    # shares
     monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 24)
-    monkeypatch.setattr(pathlab, "_RECORD_ROWS", 240)
     forks = []
     fork_share = pathlab._fork_share
     monkeypatch.setattr(pathlab, "_fork_share",
@@ -936,7 +936,7 @@ def test_change_of_measure_payoff_error_in_a_share_reaches_the_caller(
     monkeypatch.setattr(pathlab, "_cpu_count", lambda: 2)
     caller = os.getpid()
 
-    def payoff(p):
+    def payoff(x):
         if os.getpid() != caller:
             raise DomainError("payoff refused in the child")
         return 1.0

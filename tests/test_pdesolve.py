@@ -79,12 +79,10 @@ def test_f_from_sigma_rejects_true_martingale_exponent():
         f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 0.5})
 
 
-def test_f_from_sigma_generic_matches_fast_path():
-    fast = f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 1.5})
-    generic = f_from_sigma(lambda y: y ** 1.5)
-    x = np.array([0.7, 1.0, 1.8])
-    np.testing.assert_allclose(generic(x), fast(x), rtol=1e-6)
-    np.testing.assert_allclose(generic.d1(x), fast.d1(x), rtol=1e-5)
+def test_f_from_sigma_refuses_a_sigma_without_a_closed_form():
+    for sigma in (lambda y: y ** 1.5, {"kind": "exp", "rate": 1.0}):
+        with pytest.raises(ConfigError, match="power sigma descriptor"):
+            f_from_sigma(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +100,10 @@ def test_space_grid_constructors():
     z = SpaceGrid.geometric_with_zero(0.01, 10.0, 6)
     assert z.nodes[0] == 0.0
     assert z.m == 6
+    # the top node is the cap exactly: exp(log cap) misses these by an ulp
+    for cap in (1 / 0.02, 1 / 0.05, 1 / 0.2):
+        for make in (SpaceGrid.geometric, SpaceGrid.geometric_with_zero):
+            assert make(cap * 1e-5, cap, 60).nodes[-1] == cap
 
 
 def test_space_grid_validation():

@@ -140,7 +140,6 @@ PRE_MAPS = {
     "shift": lambda: shift_map(power_law_map(2.0), 0.5),
     "sigma_power": lambda: f_from_sigma(
         {"kind": "power", "coefficient": 2.0, "exponent": 1.5}),
-    "sigma_callable": lambda: f_from_sigma(lambda y: y ** 1.5),
 }
 
 
