@@ -130,9 +130,8 @@ class ThetaTable:
             raise ConfigError("the table must include the tau=0 anchor")
         if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(stderr))):
             raise ConfigError("non-finite entries in theta table")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "stderr", stderr)
+        for name, arr in (("taus", taus), ("theta", theta), ("stderr", stderr)):
+            object.__setattr__(self, name, arr)
 
     def covers(self, T: float) -> bool:
         return self.taus[-1] >= T - 1e-12 * max(1.0, abs(T))
@@ -206,9 +205,12 @@ class ThetaTable:
             payoff_descriptor = meta.get("payoff", {})
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"{meta_path}: malformed side file: {exc!r}") from None
-        return cls(j=j, taus=data[:, 0], theta=data[:, 1], stderr=data[:, 2],
-                   n_paths=n_paths, seed=seed, map_descriptor=map_descriptor,
-                   payoff_descriptor=payoff_descriptor)
+        try:
+            return cls(j=j, taus=data[:, 0], theta=data[:, 1], stderr=data[:, 2],
+                       n_paths=n_paths, seed=seed, map_descriptor=map_descriptor,
+                       payoff_descriptor=payoff_descriptor)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _floor_grid(horizon: float, taus: np.ndarray, grid_resolution: int) -> TimeGrid:
@@ -255,14 +257,10 @@ def estimate_theta(f: SmoothMap, j: float, taus, payoff: PayoffSpec, n_paths: in
             raise DomainError(f"tau={t} missing from the simulation grid")
     values, _, _ = reflected_ensemble(f, 0.0, j, grid, n_paths, seed, rec)
 
-    theta = np.empty(len(taus))
-    stderr = np.empty(len(taus))
-    anchor = float(payoff(float(f(j))))
-    theta[0], stderr[0] = anchor, 0.0
+    theta, stderr = np.empty(len(taus)), np.empty(len(taus))
+    theta[0], stderr[0] = float(payoff(float(f(j)))), 0.0
     for k in range(1, len(taus)):
-        h = payoff(f(values[:, k]))
-        theta[k] = h.mean()
-        stderr[k] = h.std(ddof=1) / np.sqrt(n_paths)
+        theta[k], stderr[k] = _mean_se(payoff(f(values[:, k])))
     return ThetaTable(j=float(j), taus=taus, theta=theta, stderr=stderr,
                       n_paths=int(n_paths), seed=int(seed),
                       map_descriptor=f.descriptor,

@@ -122,6 +122,13 @@ def _number(sec: dict, path: str, key, default=None, positive=False,
     return int(val) if integer else float(val)
 
 
+def _check_ladder(js: list, x0: float, note: str = "") -> None:
+    """Every rung j of the convergence ladder needs 0 < j <= x0."""
+    if js[0] > x0:
+        _fail("convergence.j_sequence",
+              f"rungs {js}{note} must not exceed model.x0={x0}")
+
+
 def resolve_config(raw: dict, overrides: dict) -> dict:
     """Validate the raw config dict, fill defaults, apply CLI overrides.
     Returns the resolved config; raises ConfigError naming the violated key.
@@ -209,6 +216,7 @@ def _resolve(raw: dict, overrides: dict):
         if any(b >= a for a, b in zip(js, js[1:])):
             _fail("convergence.j_sequence",
                   "must be a decreasing list of positive numbers")
+        _check_ladder(js, x0)
         resolved["convergence"] = {"j_sequence": js}
     if raw.get("simulate") is not None:
         sec = _section(raw, "simulate", required=False)
@@ -281,9 +289,7 @@ def _write_csv(path: Path, digest: str, header: str, rows: list[str]) -> None:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +541,7 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
     kind = _model_kind(f)
     js = cfg.get("convergence", {}).get(
         "j_sequence", [0.4, 0.2, 0.1, 0.05, 0.02])
+    _check_ladder(js, x0, "" if "convergence" in cfg else " (the default)")
 
     rows = []
     prev = None
@@ -553,11 +560,8 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
     _write_csv(out / "convergence.csv", digest,
                "j,mc_price,mc_stderr,pde_price,diff,oracle,oracle_gap", body)
     for j, mc, se, pv, diff, orc, gap in rows:
-        extras = ""
-        if pv is not None:
-            extras += f"  pde={pv:.6f}"
-        if orc is not None:
-            extras += f"  oracle={orc:.6f}"
+        extras = "".join(f"  {name}={v:.6f}" for name, v in
+                         (("pde", pv), ("oracle", orc)) if v is not None)
         print(f"j={j:<6g} mc={mc:.6f}+-{se:.6f}{extras}")
     print(f"table -> {out / 'convergence.csv'}")
     return 0

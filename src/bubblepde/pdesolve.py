@@ -161,9 +161,11 @@ class SpaceGrid:
     def interp(self, values: np.ndarray, y):
         """Linear interpolation at y of the nodal values; DomainError when y
         lies outside the grid or is not finite."""
-        yn = self.nodes
-        if not np.all((np.asarray(y) >= yn[0]) & (np.asarray(y) <= yn[-1])):
-            raise DomainError("y outside the space grid or not finite")
+        yn, ys = self.nodes, np.atleast_1d(np.asarray(y, dtype=float))
+        bad = ys[~((ys >= yn[0]) & (ys <= yn[-1]))]
+        if bad.size:
+            raise DomainError(f"y={float(bad[0])!r} outside the space grid "
+                              f"[{float(yn[0])!r}, {float(yn[-1])!r}] or not finite")
         out = np.interp(y, yn, values)
         return float(out) if np.ndim(y) == 0 else out
 

@@ -1,27 +1,27 @@
-"""Smooth monotone maps with analytic derivatives up to third order.
+"""Smooth monotone maps with analytic derivatives and closed-form Schwarzians.
 
 Carriers for the market's scale/price transformations. Each map knows its
-open domain, its first three derivatives, its pre-Schwarzian (the
-log-derivative ratio T_f = f''/f') and its monotonicity sign, which is
-enough to evaluate the Schwarzian S_f = f'''/f' - (3/2)(f''/f')^2 and the
-multiplicative path functional built from them: schwarzian_process along
-one recorded path, multiplicative_functional at a node given the integral
-of S_f up to it (the change of measure adds that integral up step by step
-as it walks its paths).
+open domain, its first two derivatives, its pre-Schwarzian T_f = f''/f',
+its Schwarzian S_f = f'''/f' - (3/2)(f''/f')^2 and its monotonicity sign,
+which is enough for the multiplicative path functional built from them:
+schwarzian_process along one recorded path, multiplicative_functional at a
+node given the integral of S_f up to it (the change of measure adds that
+integral up step by step as it walks its paths).
 
-All evaluators are vectorized over numpy arrays. Derivatives and T_f are
-closed form for every constructor (power law, logarithm, Moebius,
-compositions via the exact chain rule); there is no automatic
-differentiation. T_f is the drift of every simulated law, so a map carries
-it in closed form instead of dividing f'' by f' at each step:
-(alpha - 1)/(x - xi) for a power law, -2c/(cx + d) for a Moebius map, zero
-for an affine map, and T_{f o g} = T_f(g) g' + T_g for a composition, which
-is T_g itself when f is affine.
+All evaluators are vectorized over numpy arrays and closed form for every
+constructor (power law, logarithm, Moebius, compositions via the exact
+chain rule); there is no automatic differentiation and no third
+derivative. T_f is the drift of every simulated law and S_f the rate of
+the measure change, so a map carries both: (alpha - 1)/(x - xi) and
+(1 - alpha^2)/(2(x - xi)^2) for a power law, -2c/(cx + d) and zero for a
+Moebius map, T_{f o g} = T_f(g) g' + T_g and S_{f o g} = S_f(g) g'^2 + S_g
+for a composition, which are the inner map's own when f is affine (S_g
+alone when f is Moebius).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,8 +43,9 @@ class SmoothMap:
     Fields
     ------
     domain : (lo, hi) open interval in the extended reals
-    eval, d1, d2, d3 : vectorized evaluators for f, f', f'', f'''
+    eval, d1, d2 : vectorized evaluators for f, f', f''
     pre : vectorized evaluator for the pre-Schwarzian T_f = f''/f'
+    schw : vectorized evaluator for the Schwarzian S_f = T_f' - T_f^2/2
     sign : +1 for increasing, -1 for decreasing
     descriptor : JSON-friendly construction record (used for hashing/serialization)
     """
@@ -53,8 +54,8 @@ class SmoothMap:
     eval: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
     pre: Callable[[np.ndarray], np.ndarray]
+    schw: Callable[[np.ndarray], np.ndarray]
     sign: int
     descriptor: dict = field(default_factory=dict)
 
@@ -80,8 +81,8 @@ class SmoothMap:
 
 def _fd_cross_check(m: SmoothMap) -> None:
     # Probe a handful of interior points; compare analytic d1 against a
-    # central difference of eval (and d2 against a difference of d1), and
-    # the closed-form T_f against d2/d1.
+    # central difference of eval (and d2 against a difference of d1), the
+    # closed-form T_f against d2/d1 and S_f against T_f' - T_f^2/2.
     lo, hi = m.domain
     a = lo if np.isfinite(lo) else -1.0
     b = hi if np.isfinite(hi) else max(a + 2.0, 3.0)
@@ -95,15 +96,18 @@ def _fd_cross_check(m: SmoothMap) -> None:
     d2 = m.d2(pts)
     if np.any(np.abs(d2 - fd2) > FD_TOL * (1.0 + np.abs(d2))):
         raise DomainError(f"second-derivative cross-check failed for map {m.descriptor}")
-    t = d2 / d1
-    if np.any(np.abs(m.pre(pts) - t) > PRE_TOL * (1.0 + np.abs(t))):
+    t, pre = d2 / d1, m.pre(pts)
+    if np.any(np.abs(pre - t) > PRE_TOL * (1.0 + np.abs(t))):
         raise DomainError(f"pre-Schwarzian cross-check failed for map {m.descriptor}")
+    fds = (m.pre(pts + eps) - m.pre(pts - eps)) / (2 * eps) - 0.5 * pre * pre
+    if np.any(np.abs(m.schw(pts) - fds) > FD_TOL * (1.0 + np.abs(fds))):
+        raise DomainError(f"Schwarzian cross-check failed for map {m.descriptor}")
     if np.any(m.sign * d1 <= 0):
         raise DomainError(f"monotonicity sign violated for map {m.descriptor}")
 
 
 def _flat(x) -> np.ndarray:
-    """T_f of an affine map: zero everywhere."""
+    """T_f of an affine map and S_f of a Moebius map: zero everywhere."""
     return np.zeros(np.shape(x))
 
 
@@ -111,19 +115,24 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
     """f(x) = (x - xi)^alpha on (xi, inf); alpha = 0 means f(x) = log(x - xi).
 
     Closed forms: T_f(x) = (alpha-1)/(x-xi), S_f(x) = (1-alpha^2)/(2(x-xi)^2).
-    alpha = 1 is affine, so its T_f is _flat, as for an affine Moebius map.
+    Both hold for the logarithm at alpha = 0. alpha = 1 is affine, so its
+    T_f and S_f are _flat; alpha = -1 is Moebius, so its S_f is _flat.
     """
-    a = float(alpha)
-    xi = float(xi)
+    a, xi = float(alpha), float(xi)
+
+    def pre(x):
+        return (a - 1) / (np.asarray(x, dtype=float) - xi)
+
+    def schw(x):
+        return (1 - a * a) / (2 * (np.asarray(x, dtype=float) - xi) ** 2)
+
     if a == 0.0:
         m = SmoothMap(
             domain=(xi, np.inf),
             eval=lambda x: np.log(np.asarray(x, dtype=float) - xi),
             d1=lambda x: 1.0 / (np.asarray(x, dtype=float) - xi),
             d2=lambda x: -1.0 / (np.asarray(x, dtype=float) - xi) ** 2,
-            d3=lambda x: 2.0 / (np.asarray(x, dtype=float) - xi) ** 3,
-            pre=lambda x: -1.0 / (np.asarray(x, dtype=float) - xi),
-            sign=1,
+            pre=pre, schw=schw, sign=1,
             descriptor={"kind": "log", "xi": xi},
         )
     else:
@@ -132,9 +141,8 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
             eval=lambda x: (np.asarray(x, dtype=float) - xi) ** a,
             d1=lambda x: a * (np.asarray(x, dtype=float) - xi) ** (a - 1),
             d2=lambda x: a * (a - 1) * (np.asarray(x, dtype=float) - xi) ** (a - 2),
-            d3=lambda x: a * (a - 1) * (a - 2) * (np.asarray(x, dtype=float) - xi) ** (a - 3),
-            pre=_flat if a == 1.0 else
-            lambda x: (a - 1) / (np.asarray(x, dtype=float) - xi),
+            pre=_flat if a == 1.0 else pre,
+            schw=_flat if abs(a) == 1.0 else schw,
             sign=1 if a > 0 else -1,
             descriptor={"kind": "power_law", "alpha": a, "xi": xi},
         )
@@ -157,10 +165,7 @@ def mobius_map(coeffs: tuple) -> SmoothMap:
     det = a * d - b * c
     if det == 0.0:
         raise DomainError("mobius map requires ad - bc != 0")
-    if c == 0.0:
-        dom = (-np.inf, np.inf)
-    else:
-        dom = (-d / c, np.inf)
+    dom = (-np.inf, np.inf) if c == 0.0 else (-d / c, np.inf)
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -174,17 +179,13 @@ def mobius_map(coeffs: tuple) -> SmoothMap:
         x = np.asarray(x, dtype=float)
         return -2 * c * det / (c * x + d) ** 3
 
-    def ev3(x):
-        x = np.asarray(x, dtype=float)
-        return 6 * c * c * det / (c * x + d) ** 4
-
     def pre(x):
         x = np.asarray(x, dtype=float)
         return -2 * c / (c * x + d)
 
     m = SmoothMap(
-        domain=dom, eval=ev, d1=ev1, d2=ev2, d3=ev3,
-        pre=_flat if c == 0.0 else pre,
+        domain=dom, eval=ev, d1=ev1, d2=ev2,
+        pre=_flat if c == 0.0 else pre, schw=_flat,
         sign=1 if det > 0 else -1,
         descriptor={"kind": "mobius", "a": a, "b": b, "c": c, "d": d},
     )
@@ -203,17 +204,16 @@ def affine_map(slope: float, intercept: float,
     m = mobius_map((float(slope), float(intercept), 0.0, 1.0))
     if domain is None:
         return m
-    return SmoothMap(domain=(float(domain[0]), float(domain[1])),
-                     eval=m.eval, d1=m.d1, d2=m.d2, d3=m.d3, pre=m.pre,
-                     sign=m.sign,
-                     descriptor=dict(m.descriptor, domain=list(domain)))
+    return replace(m, domain=(float(domain[0]), float(domain[1])),
+                   descriptor=dict(m.descriptor, domain=list(domain)))
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer after inner, derivatives via the exact chain rule to third order.
+    """outer after inner, derivatives via the exact chain rule.
 
-    T_{outer o inner} = T_outer(inner) inner' + T_inner, which is inner's own
-    T_f evaluator when outer is affine.
+    T_{outer o inner} = T_outer(inner) inner' + T_inner and
+    S_{outer o inner} = S_outer(inner) inner'^2 + S_inner, which are inner's
+    own evaluators when outer is affine (S_inner when outer is Moebius).
 
     The range of inner must lie in the domain of outer; this is spot-checked
     at construction on interior probe points.
@@ -222,8 +222,7 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     a = lo if np.isfinite(lo) else min(hi, 0.0) - 2.0 if np.isfinite(hi) else -2.0
     b = hi if np.isfinite(hi) else max(a + 2.0, 3.0)
     probes = a + (b - a) * np.linspace(0.02, 0.98, 9)
-    vals = inner.eval(probes)
-    if not np.all(outer.contains(vals)):
+    if not np.all(outer.contains(inner.eval(probes))):
         raise DomainError(
             f"range of inner map {inner.descriptor} escapes domain of outer {outer.descriptor}"
         )
@@ -238,16 +237,16 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
         u, u1, u2 = inner.eval(x), inner.d1(x), inner.d2(x)
         return outer.d2(u) * u1 ** 2 + outer.d1(u) * u2
 
-    def ev3(x):
-        u, u1, u2, u3 = inner.eval(x), inner.d1(x), inner.d2(x), inner.d3(x)
-        return (outer.d3(u) * u1 ** 3 + 3 * outer.d2(u) * u1 * u2 + outer.d1(u) * u3)
-
     def pre(x):
         return outer.pre(inner.eval(x)) * inner.d1(x) + inner.pre(x)
 
+    def schw(x):
+        return outer.schw(inner.eval(x)) * inner.d1(x) ** 2 + inner.schw(x)
+
     m = SmoothMap(
-        domain=inner.domain, eval=ev, d1=ev1, d2=ev2, d3=ev3,
+        domain=inner.domain, eval=ev, d1=ev1, d2=ev2,
         pre=inner.pre if outer.pre is _flat else pre,
+        schw=inner.schw if outer.schw is _flat else schw,
         sign=outer.sign * inner.sign,
         descriptor={"kind": "compose", "outer": outer.descriptor, "inner": inner.descriptor},
     )
@@ -282,16 +281,12 @@ def from_descriptor(desc: dict) -> SmoothMap:
 
 def pre_schwarzian(f: SmoothMap, x) -> np.ndarray:
     """T_f(x) = f''(x)/f'(x)."""
-    x = f.require(x)
-    return f.pre(x)
+    return f.pre(f.require(x))
 
 
 def schwarzian(f: SmoothMap, x) -> np.ndarray:
     """S_f(x) = f'''/f' - (3/2)(f''/f')^2."""
-    x = f.require(x)
-    d1 = f.d1(x)
-    t = f.d2(x) / d1
-    return f.d3(x) / d1 - 1.5 * t * t
+    return f.schw(f.require(x))
 
 
 def schwarzian_process(f: SmoothMap, path) -> np.ndarray:

@@ -109,6 +109,28 @@ def test_resolve_convergence_sequence():
         resolve_config(raw, {})
 
 
+@pytest.mark.parametrize("ladder", [None, [0.3, 0.1]])
+def test_convergence_ladder_above_x0_names_its_key(tmp_path, capsys, ladder):
+    # the default ladder starts at 0.4 and [0.3, 0.1] at 0.3, both above
+    # x0 = 0.2: every rung j needs 0 < j <= x0
+    model = {"sigma": SIG2, "x0": 0.2, "j0": 0.2, "T": 1.0}
+    extra = {} if ladder is None else {"convergence": {"j_sequence": ladder}}
+    cfgp = write_config(tmp_path, model=model, **extra)
+    assert main(["convergence", "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert "config key convergence.j_sequence: rungs " in err
+    assert "must not exceed model.x0=0.2" in err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+    if ladder is None:  # the default ladder matters to convergence alone
+        assert "(the default)" in err
+        assert main(["theta", "--config", str(cfgp)]) == 0
+        assert "convergence" not in json.loads(
+            (tmp_path / "out" / "resolved_config.json").read_text())
+    else:
+        with pytest.raises(ConfigError, match="convergence.j_sequence"):
+            resolve_config(json.loads(cfgp.read_text()), {})
+
+
 def test_valid_configs_keep_their_hash():
     # every CSV header carries the digest, so a valid config must keep it
     readme = {
@@ -556,6 +578,29 @@ def test_price_rejects_non_numeric_theta_cell(tmp_path):
     cfgp.write_text(json.dumps(cfg))
     assert main(["price", "--config", str(cfgp), "--out",
                  str(tmp_path / "out2")]) == 2
+
+
+@pytest.mark.parametrize("bad, why", [
+    ("nan", "non-finite entries in theta table"),
+    ("swap", "taus must be strictly increasing")])
+def test_pinned_theta_table_failing_its_checks_names_its_file(
+        tmp_path, capsys, bad, why):
+    cfgp = write_config(tmp_path)
+    assert main(["theta", "--config", str(cfgp)]) == 0
+    table = tmp_path / "out" / "theta.csv"
+    rows = table.read_text().splitlines()
+    if bad == "nan":
+        rows[3] = rows[3].split(",", 1)[0] + ",nan," + rows[3].split(",")[2]
+    else:
+        rows[2], rows[3] = rows[3], rows[2]
+    table.write_text("\n".join(rows) + "\n")
+    cfg = json.loads(cfgp.read_text())
+    cfg["numerics"]["theta_table"] = str(table)
+    cfgp.write_text(json.dumps(cfg))
+    assert main(["price", "--config", str(cfgp), "--out",
+                 str(tmp_path / "out2")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {table}: {why}" in err
 
 
 def _assert_runtimes_name_every_solve(meta, schemes, levels):

@@ -646,7 +646,8 @@ def test_crank_nicolson_close_to_implicit():
 def test_value_at_rejects_points_outside_the_solution():
     sol = solve(SIG2, FWD, 1.0, NaiveDirichletScheme(cap=10.0),
                 times=TimeGrid.uniform(1.0, 32))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"y=11\.0 outside the space grid "
+                       r"\[0\.0, 10\.0\]"):
         sol.value_at(0.0, 11.0)
     with pytest.raises(DomainError):
         sol.value_at(2.0, 1.0)

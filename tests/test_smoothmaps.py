@@ -90,13 +90,12 @@ def test_affine_pre_schwarzian_zero():
 
 
 def test_derivatives_match_finite_differences():
-    # spot-check d1..d3 of a nontrivial composition against central FD
+    # spot-check d1 and d2 of a nontrivial composition against central FD
     f = compose(mobius_map((1.0, 0.5, 0.3, 1.2)), power_law_map(1.7))
     for x in (0.7, 1.3, 2.9):
         eps = 1e-5 * (1 + abs(x))
         assert f.d1(x) == pytest.approx(fd(f, x, eps), rel=1e-4)
         assert f.d2(x) == pytest.approx(fd(f.d1, x, eps), rel=1e-4)
-        assert f.d3(x) == pytest.approx(fd(f.d2, x, eps), rel=1e-3)
 
 
 def test_compose_rejects_range_mismatch():
@@ -156,11 +155,25 @@ def test_pre_matches_d2_over_d1(name):
     np.testing.assert_allclose(f.pre(x), f.d2(x) / f.d1(x), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("name", sorted(PRE_MAPS))
+def test_schw_matches_central_difference_of_pre(name):
+    # S_f = T_f' - T_f^2 / 2, with T_f' by central difference of the
+    # closed-form pre: an independent check of every closed-form schw
+    f = PRE_MAPS[name]()
+    x = _interior(f)
+    eps = 1e-5 * (1 + np.abs(x))
+    want = fd(f.pre, x, eps) - 0.5 * f.pre(x) ** 2
+    np.testing.assert_allclose(f.schw(x), want, rtol=1e-6, atol=1e-6)
+
+
 def test_compose_affine_outer_keeps_inner_pre_bitwise():
     x = np.array([0.3, 0.9, 1.7, 3.1])
     for g in (power_law_map(-1.0), power_law_map(1.7), reciprocal_map(), log_map()):
         for outer in (affine_map(2.5, -1.0), affine_map(1.0, 0.0, domain=(-100.0, 100.0))):
             np.testing.assert_array_equal(compose(outer, g).pre(x), g.pre(x))
+        # a Moebius outer map has S = 0, so the composition keeps S_g's bits
+        for outer in (affine_map(2.5, -1.0), mobius_map((1.0, 2.0, 0.5, 3.0))):
+            np.testing.assert_array_equal(compose(outer, g).schw(x), g.schw(x))
 
 
 @pytest.mark.parametrize("name", ["power_1.7", "log", "reciprocal",
@@ -170,6 +183,16 @@ def test_fd_cross_check_rejects_a_wrong_pre(name):
     _fd_cross_check(f)
     bad = dataclasses.replace(f, pre=lambda x: 1.01 * f.pre(x))
     with pytest.raises(DomainError, match="pre-Schwarzian"):
+        _fd_cross_check(bad)
+
+
+@pytest.mark.parametrize("name", ["power_1.7", "log", "nested_compose",
+                                  "shift", "sigma_power"])
+def test_fd_cross_check_rejects_a_wrong_schwarzian(name):
+    f = PRE_MAPS[name]()
+    _fd_cross_check(f)
+    bad = dataclasses.replace(f, schw=lambda x: 1.01 * f.schw(x))
+    with pytest.raises(DomainError, match="Schwarzian cross-check"):
         _fd_cross_check(bad)
 
 
