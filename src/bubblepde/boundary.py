@@ -5,6 +5,7 @@ claim, and the contact/no-contact decomposition of its value.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .pathlab import TimeGrid, reflected_ensemble
+from .pathlab import ReflectedPass, TimeGrid, reflected_ensemble
 from .smoothmaps import SmoothMap
 
 
@@ -231,8 +232,21 @@ def estimate_theta(f: SmoothMap, j: float, taus, payoff: PayoffSpec, n_paths: in
 
     One ensemble serves every tau (common random numbers): paths are recorded
     at each tau node of a shared time grid.  The tau=0 value is the exact
-    anchor h(f(j)) with zero standard error.
+    anchor h(f(j)) with zero standard error.  theta_pass splits it into its
+    pass and its reduction.
     """
+    spec, table_of = theta_pass(f, j, taus, payoff, n_paths, grid_resolution,
+                                seed)
+    return table_of(reflected_ensemble(f, spec.chi0, spec.l0, spec.grid,
+                                       n_paths, seed, spec.record))
+
+
+def theta_pass(f: SmoothMap, j: float, taus, payoff: PayoffSpec, n_paths: int,
+               grid_resolution: int, seed: int):
+    """estimate_theta in two parts: (its reflected pass, the reduction
+    table_of), so that estimate_theta is table_of of the pass's outputs
+    over n_paths paths of seed.  The arguments are checked here, before any
+    path runs."""
     taus = np.unique(np.concatenate([[0.0], np.asarray(taus, dtype=float)]))
     if np.any(taus < 0):
         raise DomainError("tau values must be nonnegative")
@@ -255,8 +269,13 @@ def estimate_theta(f: SmoothMap, j: float, taus, payoff: PayoffSpec, n_paths: in
     for r, t in zip(rec, taus):
         if abs(grid.nodes[r] - t) > 1e-12 * max(1.0, t):
             raise DomainError(f"tau={t} missing from the simulation grid")
-    values, _, _ = reflected_ensemble(f, 0.0, j, grid, n_paths, seed, rec)
+    return (ReflectedPass(0.0, j, grid, rec),
+            functools.partial(_theta_table, f, j, taus, payoff, n_paths, seed))
 
+
+def _theta_table(f, j, taus, payoff, n_paths, seed, outputs) -> ThetaTable:
+    """The ThetaTable of estimate_theta from its pass's outputs."""
+    values = outputs[0]
     theta, stderr = np.empty(len(taus)), np.empty(len(taus))
     theta[0], stderr[0] = float(payoff(float(f(j)))), 0.0
     for k in range(1, len(taus)):
@@ -275,19 +294,36 @@ def price_and_decompose(f: SmoothMap, x0: float, j0: float, T: float,
                         payoff: PayoffSpec, n_paths: int, grid_resolution: int,
                         seed: int):
     """price_fundraiser_mc and decompose_phi_psi from one reflected pass
-    from (x0 - j0, j0) on a uniform grid.
+    from (x0 - j0, j0) on a uniform grid.  price_pass splits it into its
+    pass and its reduction.
 
     Returns ((price, stderr), (phi, psi, (phi_stderr, psi_stderr))).
     """
+    spec, split = price_pass(f, x0, j0, T, payoff, grid_resolution)
+    return split(reflected_ensemble(f, spec.chi0, spec.l0, spec.grid, n_paths,
+                                    seed, spec.record))
+
+
+def price_pass(f: SmoothMap, x0: float, j0: float, T: float,
+               payoff: PayoffSpec, grid_resolution: int):
+    """price_and_decompose in two parts: (its reflected pass, the reduction
+    split), so that price_and_decompose is split of the pass's outputs over
+    its paths.  The arguments are checked here, before any path runs."""
     if not (0 < j0 <= x0):
         raise DomainError("need 0 < j0 <= x0")
     lo, _ = f.domain
     if not lo < j0:
         raise DomainError(f"floor j0={j0} outside the domain of the map")
     grid = TimeGrid.uniform(T, grid_resolution)
-    values, contact, _ = reflected_ensemble(f, x0 - j0, j0, grid, n_paths,
-                                            seed, [grid.n_steps])
-    if x0 == j0:
+    return (ReflectedPass(x0 - j0, j0, grid, [grid.n_steps]),
+            functools.partial(_price_split, f, payoff, x0 == j0))
+
+
+def _price_split(f, payoff, at_floor: bool, outputs):
+    """price_and_decompose's estimates from its pass's outputs; a start at
+    the floor counts as contact."""
+    values, contact, _ = outputs
+    if at_floor:
         contact = np.ones_like(contact)
     h = payoff(f(values[:, 0]))
     phi, phi_se = _mean_se(np.where(contact, 0.0, h))

@@ -10,6 +10,7 @@ identical resolved configs produce byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -21,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import closedform as cf
-from .boundary import PayoffSpec, ThetaTable, estimate_theta, \
-    price_and_decompose
+from .boundary import PayoffSpec, ThetaTable, estimate_theta, price_pass, \
+    theta_pass
 from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
 from .pathlab import TimeGrid, _run_shares, _worker_count, \
-    bessel_dual_ensemble, drifted_ensemble, reflected_ensemble, \
-    wiener_ensemble
+    bessel_dual_ensemble, drifted_ensemble, read_plan, reflected_ensemble, \
+    reflected_passes, wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
     TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, f_from_sigma, \
     solve_start, stencil
@@ -295,29 +296,40 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 # Subcommand bodies.
 
+def _load_theta(cfg: dict, f, payoff: PayoffSpec, j: float, pinned):
+    """The Theta table saved at `pinned`, after checking that it belongs to
+    this (f, j, payoff) and covers T."""
+    table = ThetaTable.load(pinned)
+    want = {"map": f.descriptor, "j": j, "payoff": payoff.descriptor}
+    got = {"map": table.map_descriptor, "j": table.j,
+           "payoff": table.payoff_descriptor}
+    if json.dumps(want, sort_keys=True) != json.dumps(got, sort_keys=True):
+        # a side file written before tables recorded their payoff has
+        # none, and such a table may belong to any payoff
+        raise ConfigError(
+            f"theta table {pinned} was built for (map, j, payoff)={got}, "
+            f"this run needs {want}")
+    T = cfg["model"]["T"]
+    if not table.covers(T):
+        raise ConfigError(
+            f"theta table covers tau <= {table.taus[-1]}, need {T}")
+    return table
+
+
+def _theta_taus(cfg: dict) -> np.ndarray:
+    """The tau nodes of an estimated Theta table."""
+    return TimeGrid.clustered(cfg["model"]["T"],
+                              cfg["numerics"]["theta_taus"] - 1).nodes
+
+
 def _make_theta(cfg: dict, f, payoff: PayoffSpec, j: float, target: Path,
                 pinned):
     """The Theta table of (f, j, payoff): loaded from the file `pinned` when
-    given, after checking that it belongs to this (f, j, payoff) and covers
-    T, otherwise estimated and saved to `target`."""
-    model, num = cfg["model"], cfg["numerics"]
+    given (_load_theta), otherwise estimated and saved to `target`."""
     if pinned:
-        table = ThetaTable.load(pinned)
-        want = {"map": f.descriptor, "j": j, "payoff": payoff.descriptor}
-        got = {"map": table.map_descriptor, "j": table.j,
-               "payoff": table.payoff_descriptor}
-        if json.dumps(want, sort_keys=True) != json.dumps(got, sort_keys=True):
-            # a side file written before tables recorded their payoff has
-            # none, and such a table may belong to any payoff
-            raise ConfigError(
-                f"theta table {pinned} was built for (map, j, payoff)={got}, "
-                f"this run needs {want}")
-        if not table.covers(model["T"]):
-            raise ConfigError(
-                f"theta table covers tau <= {table.taus[-1]}, need {model['T']}")
-        return table
-    taus = TimeGrid.clustered(model["T"], num["theta_taus"] - 1).nodes
-    table = estimate_theta(f, j, taus, payoff, num["theta_paths"],
+        return _load_theta(cfg, f, payoff, j, pinned)
+    num = cfg["numerics"]
+    table = estimate_theta(f, j, _theta_taus(cfg), payoff, num["theta_paths"],
                            num["theta_time_steps"], num["seed"])
     table.save(target)
     return table
@@ -336,26 +348,92 @@ def _solve_level(cfg: dict, payoff: PayoffSpec, schemes, m: int, steps: int):
     return list(zip(grids, rows))
 
 
-def price_at_floor(cfg: dict, f, payoff: PayoffSpec, j: float,
-                   theta_path: Path, pinned):
-    """The fundraiser prices at floor j: ((mc, mc_se), (phi, psi, (phi_se,
-    psi_se)), pde_value), the last anchored on the Theta table _make_theta
-    loads from `pinned` or saves to `theta_path`, None without model.sigma.
-    The PDE runs on numerics.time_steps steps, the Monte Carlo pass on at
-    most _MC_TIME_STEPS of them."""
+@contextlib.contextmanager
+def _timed(stages: dict, name: str):
+    """Add the wall time of the block to stages[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - t0
+
+
+def _run_passes(f, seed: int, jobs, stages: dict):
+    """Each job (label, n_paths, pass, reduce) of jobs run and reduced:
+    (reduce of its pass's outputs over paths 0 ... n_paths - 1 of seed, in
+    job order; the stream reads that ran, each as its path and step counts
+    and the labels of its passes).  The passes of equal path count run as
+    one reflected_passes call, in which they share reads as read_plan
+    allows."""
+    by_paths = {}
+    for i, (_, n_paths, _, _) in enumerate(jobs):
+        by_paths.setdefault(n_paths, []).append(i)
+    outputs, reads = [None] * len(jobs), []
+    with _timed(stages, "passes"):
+        for n_paths, idx in by_paths.items():
+            passes = [jobs[i][2] for i in idx]
+            for i, out in zip(idx, reflected_passes(f, passes, n_paths,
+                                                    seed)):
+                outputs[i] = out
+            reads += [{"paths": n_paths,
+                       "steps": max(passes[r].grid.n_steps for r in read),
+                       "passes": [jobs[idx[r]][0] for r in read]}
+                      for read in read_plan(passes)]
+    with _timed(stages, "reduce"):
+        results = [job[3](out) for job, out in zip(jobs, outputs)]
+    return results, reads
+
+
+def price_at_floors(cfg: dict, f, payoff: PayoffSpec, floors, stages: dict):
+    """The fundraiser prices at each (j, theta_path, pinned) of floors:
+    ([((mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value), ...] in floor
+    order, the stream reads of _run_passes).  pde_value is anchored on the
+    Theta table at j that _load_theta loads from `pinned` or that is
+    estimated and saved to `theta_path`; it is None without model.sigma.
+
+    Every floor's reflected passes -- the Monte Carlo pass, on at most
+    _MC_TIME_STEPS of numerics.time_steps steps, and the Theta pass of a
+    table not pinned -- are set up and checked before any runs; then they
+    all run through one _run_passes, so passes of one path count share
+    their reads of the path streams.  The PDEs of all floors step as one
+    stacked system on numerics.time_steps steps.  stages accumulates the
+    wall time of the passes, the reductions, the PDE and the table
+    writes."""
     model, num = cfg["model"], cfg["numerics"]
     x0, T = model["x0"], model["T"]
-    mc, split = price_and_decompose(f, x0, j, T, payoff, num["paths"],
-                                    min(num["time_steps"], _MC_TIME_STEPS),
-                                    num["seed"])
-    pde_value = None
-    if "sigma" in model:
-        table = _make_theta(cfg, f, payoff, j, theta_path, pinned)
-        (grid, row), = _solve_level(cfg, payoff,
-                                    [FundraiserScheme(j=j, theta=table)],
-                                    num["space_nodes"], num["time_steps"])
-        pde_value = grid.interp(row, float(f(x0)))
-    return mc, split, pde_value
+    jobs, loaded = [], []
+    for j, _, pinned in floors:
+        jobs.append((f"mc j={j!r}", num["paths"], *price_pass(
+            f, x0, j, T, payoff, min(num["time_steps"], _MC_TIME_STEPS))))
+        table = None
+        if "sigma" in model and pinned:
+            table = _load_theta(cfg, f, payoff, j, pinned)
+        elif "sigma" in model:
+            jobs.append((f"theta j={j!r}", num["theta_paths"], *theta_pass(
+                f, j, _theta_taus(cfg), payoff, num["theta_paths"],
+                num["theta_time_steps"], num["seed"])))
+        loaded.append(table)
+    results, reads = _run_passes(f, num["seed"], jobs, stages)
+
+    done = iter(results)
+    prices, schemes = [], []
+    for (j, theta_path, _), table in zip(floors, loaded):
+        prices.append(next(done))
+        if "sigma" not in model:
+            continue
+        if table is None:
+            table = next(done)
+            with _timed(stages, "write"):
+                table.save(theta_path)
+        schemes.append(FundraiserScheme(j=j, theta=table))
+    pde_values = [None] * len(floors)
+    if schemes:
+        with _timed(stages, "pde"):
+            solved = _solve_level(cfg, payoff, schemes, num["space_nodes"],
+                                  num["time_steps"])
+        pde_values = [grid.interp(row, float(f(x0))) for grid, row in solved]
+    return ([(mc, split, pde) for (mc, split), pde in zip(prices, pde_values)],
+            reads)
 
 
 def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
@@ -379,9 +457,11 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     model = cfg["model"]
     x0, j0, T = model["x0"], model["j0"], model["T"]
 
-    (mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value = price_at_floor(
-        cfg, f, payoff, j0, out / "theta.csv",
-        cfg["numerics"].get("theta_table"))
+    stages = {}
+    [((mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value)], reads = \
+        price_at_floors(cfg, f, payoff, [(j0, out / "theta.csv",
+                                          cfg["numerics"].get("theta_table"))],
+                        stages)
     inv_oracle, fund_oracle = _oracles(_model_kind(f), payoff, x0, j0, T)
 
     rows = [
@@ -392,10 +472,9 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
         f"phi,{_fmt(phi)},{_fmt(phi_se)}",
         f"psi,{_fmt(psi)},{_fmt(psi_se)}",
     ]
-    _write_csv(out / "report.csv", digest, "quantity,value,stderr", rows)
-    (out / "report.meta.json").write_text(json.dumps(
-        {"config_hash": digest, "runtime_s": time.perf_counter() - t_start},
-        indent=2) + "\n")
+    with _timed(stages, "write"):
+        _write_csv(out / "report.csv", digest, "quantity,value,stderr", rows)
+    _write_meta(out / "report.meta.json", digest, t_start, stages, reads)
 
     print(f"fundraiser MC price   {mc:.6f} +- {mc_se:.6f}")
     if pde_value is not None:
@@ -408,6 +487,18 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     print(f"psi (floor contact)    {psi:.6f} +- {psi_se:.6f}")
     print(f"report -> {out / 'report.csv'}")
     return 0
+
+
+def _write_meta(path: Path, digest: str, t_start: float, stages: dict,
+                reads) -> None:
+    """The side file of price and convergence: the config hash, the run's
+    wall time since t_start, the seconds of each stage of price_at_floors
+    (the path passes, their reductions, the PDE and the CSV and table
+    writes) and its stream reads."""
+    path.write_text(json.dumps(
+        {"config_hash": digest, "runtime_s": time.perf_counter() - t_start,
+         "stages_s": stages, "reads": reads},
+        indent=2, sort_keys=True) + "\n")
 
 
 def _level_sizes(num: dict):
@@ -536,6 +627,13 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
 
 def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
                     digest: str) -> int:
+    # the scipy modules the prices call, loaded before the clock starts, as
+    # in run_price
+    import scipy.integrate
+    import scipy.interpolate
+    import scipy.linalg.lapack
+
+    t_start = time.perf_counter()
     model = cfg["model"]
     x0, T = model["x0"], model["T"]
     kind = _model_kind(f)
@@ -543,12 +641,14 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
         "j_sequence", [0.4, 0.2, 0.1, 0.05, 0.02])
     _check_ladder(js, x0, "" if "convergence" in cfg else " (the default)")
 
+    # tables are per-j here, so a pinned numerics.theta_table never applies
+    stages = {}
+    priced, reads = price_at_floors(
+        cfg, f, payoff, [(j, out / f"theta_j{j!r}.csv", None) for j in js],
+        stages)
     rows = []
     prev = None
-    for j in js:
-        # tables are per-j here, so a pinned numerics.theta_table never applies
-        (mc, mc_se), _, pde_value = price_at_floor(
-            cfg, f, payoff, j, out / f"theta_j{j!r}.csv", None)
+    for j, ((mc, mc_se), _, pde_value) in zip(js, priced):
         _, fund_oracle = _oracles(kind, payoff, x0, j, T)
         ref = pde_value if pde_value is not None else mc
         diff = None if prev is None else ref - prev
@@ -557,8 +657,11 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
         rows.append((j, mc, mc_se, pde_value, diff, fund_oracle, gap))
 
     body = [",".join(_fmt(c) for c in row) for row in rows]
-    _write_csv(out / "convergence.csv", digest,
-               "j,mc_price,mc_stderr,pde_price,diff,oracle,oracle_gap", body)
+    with _timed(stages, "write"):
+        _write_csv(out / "convergence.csv", digest,
+                   "j,mc_price,mc_stderr,pde_price,diff,oracle,oracle_gap",
+                   body)
+    _write_meta(out / "convergence.meta.json", digest, t_start, stages, reads)
     for j, mc, se, pv, diff, orc, gap in rows:
         extras = "".join(f"  {name}={v:.6f}" for name, v in
                          (("pde", pv), ("oracle", orc)) if v is not None)

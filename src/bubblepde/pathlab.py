@@ -8,7 +8,11 @@ walk is absorbed when the bridge crosses an edge, and the dual's running
 maximum takes the bridge maximum.
 Each law has one vectorized ensemble runner: it runs paths first_index ...
 first_index + n_paths - 1 and keeps the nodes it is asked to record, so a
-single path is a one-path call.
+single path is a one-path call.  The reflected law's runner,
+reflected_passes, steps several passes -- each a start, a grid and the
+nodes it records -- over the paths of one seed side by side, on as few reads
+of their streams as the layout below allows (read_plan);
+reflected_ensemble is its one-pass call.
 
 Reproducibility contract: every path index i owns a counter-based stream
 keyed by (master seed, i) -- numpy Philox -- so path i is bit-identical no
@@ -28,7 +32,12 @@ draws and the layout are those of the per-path streams.  In a stream's last
 segment nothing follows the uniforms, so a path's uniforms there are drawn
 only when a kernel first reads one of them: a path that never comes near
 its floor, its edge or its running maximum in that segment draws none, and
-the bits it does draw are the same.
+the bits it does draw are the same.  So the bridge-layout read of n steps is
+a prefix of the read of N > n steps exactly when n is a multiple of
+_SEGMENT: its segments are the longer read's first ones, and the uniforms
+it would draw on first use are that read's uniforms of the same segment.
+Reflected passes of one seed and path range whose step counts allow it step
+on one read, each with the bits it gets alone.
 
 Large ensembles run as contiguous path shares in forked workers, one per CPU
 of the process's affinity mask: the caller runs the first share and joins
@@ -374,12 +383,14 @@ def _run_shares(works, labels):
 
 
 def _join(outs):
-    """The shares' outputs joined along axis 0, array by array; an output
-    that is None in the shares stays None."""
-    if not isinstance(outs[0], tuple):
-        return np.concatenate(outs)
-    return tuple(None if parts[0] is None else np.concatenate(parts)
-                 for parts in zip(*outs))
+    """The shares' outputs joined along axis 0, array by array, through
+    lists and tuples of arrays; an output that is None in the shares stays
+    None."""
+    if outs[0] is None:
+        return None
+    if isinstance(outs[0], (list, tuple)):
+        return type(outs[0])(_join(parts) for parts in zip(*outs))
+    return np.concatenate(outs)
 
 
 def _run_path_shares(work, first: int, n_paths: int, shares: int):
@@ -589,7 +600,41 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
     return values, alive_all
 
 
-@_path_shares
+@dataclass(frozen=True)
+class ReflectedPass:
+    """One pass of the reflected kernel over an ensemble: its start, chi0
+    above the floor level l0, its grid and the nodes it records (with floors,
+    the floor level at them too)."""
+
+    chi0: float
+    l0: float
+    grid: TimeGrid
+    record: object
+    floors: bool = False
+
+
+def read_plan(passes) -> list[list[int]]:
+    """The stream reads that run the reflected passes: lists of indices into
+    passes, longest read first, each in increasing order.  A pass of n steps
+    steps on the draws of a read of N >= n steps exactly when its own read
+    would be a prefix of that read, which is when n == N or n is a multiple
+    of _SEGMENT (module docstring): then its segments are the read's first
+    segments, and its last segment's uniforms, drawn on first use, are the
+    read's uniforms of that segment.  Each pass joins the longest read it
+    fits; one that fits none starts its own."""
+    reads = []
+    for i in sorted(range(len(passes)),
+                    key=lambda i: -passes[i].grid.n_steps):
+        n = passes[i].grid.n_steps
+        shared = [read for read in reads
+                  if n == passes[read[0]].grid.n_steps or n % _SEGMENT == 0]
+        if shared:
+            shared[0].append(i)
+        else:
+            reads.append([i])
+    return [sorted(read) for read in reads]
+
+
 def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
                        n_paths: int, seed: int, record, first_index: int = 0,
                        floors: bool = False):
@@ -616,56 +661,109 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     values[p, k] = X at node record[k], contact[p] True when any reflection
     increment occurred (dl > 0) up to the horizon, counting dips below the
     floor between nodes, and, with floors, levels[p, k] = the floor level l
-    at node record[k] (None without floors).
+    at node record[k] (None without floors).  It is the one-pass call of
+    reflected_passes.
     """
-    lo, hi = f.domain
-    if not lo < l0:
-        raise DomainError(f"floor {l0} outside the domain of f")
-    if not chi0 >= 0:
-        raise DomainError(f"start {chi0} below the floor: need chi0 >= 0")
-    edge = hi < np.inf
-    flat = f.pre is _flat
-    rec = _record(record, grid)
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    reach = _BRIDGE_REACH * dt
-    values = np.empty((n_paths, len(rec)))
-    levels = np.empty((n_paths, len(rec))) if floors else None
-    contact = np.zeros(n_paths, dtype=bool)
-    for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
-                                          grid.n_steps, rec, bridge=True):
-        chi = np.full(rows.stop - rows.start, float(chi0))
-        lev = np.full(len(chi), float(l0))
-        hit = np.zeros(len(chi), dtype=bool)
-        if k0 is not None:
-            values[rows, k0] = chi + lev
-            if floors:
-                levels[rows, k0] = lev
-        for n, z, u, k in steps:
-            if flat:
-                prop = chi + sqdt[n] * z
-            else:
-                prop = chi + -0.5 * f.pre(chi + lev) * dt[n] + sqdt[n] * z
-            near = chi * prop < reach[n]
-            if edge:
-                live = chi + lev < hi
-                prop = np.where(live, prop, chi)
-                near &= live
-            near = np.flatnonzero(near)
-            if near.size:
-                p = prop[near]
-                dl = np.maximum(-_bridge_min(chi[near], p, u(near), dt[n]),
-                                0.0)
-                prop[near] = p + dl
-                lev[near] += dl
-                hit[near[dl > 0]] = True
-            chi = prop
-            if k is not None:
-                values[rows, k] = chi + lev
-                if floors:
-                    levels[rows, k] = lev
-        contact[rows] = hit
-    return values, contact, levels
+    return reflected_passes(f, [ReflectedPass(chi0, l0, grid, record, floors)],
+                            n_paths, seed, first_index)[0]
+
+
+@_path_shares
+def reflected_passes(f: SmoothMap, passes, n_paths: int, seed: int,
+                     first_index: int = 0) -> list:
+    """Several passes of the reflected kernel (reflected_ensemble) under one
+    map, over paths first_index ... first_index + n_paths - 1 of one seed:
+    passes is a list of ReflectedPass.  The passes step side by side on the
+    draws of as few stream reads as read_plan allows, and each gets the bits
+    it gets alone: path i reads the same stream in every pass (common random
+    numbers).  Returns the list of each pass's (values, contact, levels),
+    as reflected_ensemble returns them.
+    """
+    lo = f.domain[0]
+    walks = []
+    for spec in passes:
+        if not lo < spec.l0:
+            raise DomainError(f"floor {spec.l0} outside the domain of f")
+        if not spec.chi0 >= 0:
+            raise DomainError(f"start {spec.chi0} below the floor: need "
+                              f"chi0 >= 0")
+        walks.append(_ReflectedWalk(f, spec, n_paths))
+    for read in read_plan(passes):
+        group = sorted((walks[i] for i in read), key=lambda w: -w.n_steps)
+        for rows, _, _, steps in _path_steps(seed, first_index, n_paths,
+                                             group[0].n_steps, (),
+                                             bridge=True):
+            for walk in group:
+                walk.start(rows)
+            for n, z, u, _ in steps:
+                for walk in group:
+                    if n >= walk.n_steps:
+                        break  # this walk and the shorter ones after it
+                    walk.step(n, z, u)
+            for walk in group:
+                walk.contact[rows] = walk.hit
+    return [(w.values, w.contact, w.levels) for w in walks]
+
+
+class _ReflectedWalk:
+    """One pass of reflected_passes: its outputs, its step arithmetic, and
+    the state (chi, lev, hit) of the paths of the block it is stepping."""
+
+    def __init__(self, f: SmoothMap, spec: ReflectedPass, n_paths: int):
+        self.f, self.chi0, self.l0 = f, float(spec.chi0), float(spec.l0)
+        self.hi = f.domain[1]
+        self.edge = self.hi < np.inf
+        self.flat = f.pre is _flat
+        rec = _record(spec.record, spec.grid)
+        self.at = {int(node): k for k, node in enumerate(rec)}
+        self.n_steps = spec.grid.n_steps
+        self.dt = spec.grid.dt
+        self.sqdt = np.sqrt(self.dt)
+        self.reach = _BRIDGE_REACH * self.dt
+        self.values = np.empty((n_paths, len(rec)))
+        self.levels = np.empty((n_paths, len(rec))) if spec.floors else None
+        self.contact = np.zeros(n_paths, dtype=bool)
+
+    def start(self, rows: slice) -> None:
+        """Put the paths of the block rows at the start."""
+        self.rows = rows
+        self.chi = np.full(rows.stop - rows.start, self.chi0)
+        self.lev = np.full(len(self.chi), self.l0)
+        self.hit = np.zeros(len(self.chi), dtype=bool)
+        self._keep(self.at.get(0))
+
+    def _keep(self, k) -> None:
+        """Record the block's X, and with floors l, in output column k
+        (none when k is None)."""
+        if k is not None:
+            self.values[self.rows, k] = self.chi + self.lev
+            if self.levels is not None:
+                self.levels[self.rows, k] = self.lev
+
+    def step(self, n: int, z: np.ndarray, u) -> None:
+        """Step n of reflected_ensemble on the normals z and the uniforms'
+        accessor u of _path_steps."""
+        chi, lev = self.chi, self.lev
+        if self.flat:
+            prop = chi + self.sqdt[n] * z
+        else:
+            prop = chi + -0.5 * self.f.pre(chi + lev) * self.dt[n] \
+                + self.sqdt[n] * z
+        near = chi * prop < self.reach[n]
+        if self.edge:
+            live = chi + lev < self.hi
+            prop = np.where(live, prop, chi)
+            near &= live
+        near = np.flatnonzero(near)
+        if near.size:
+            p = prop[near]
+            dl = np.maximum(-_bridge_min(chi[near], p, u(near), self.dt[n]),
+                            0.0)
+            prop[near] = p + dl
+            lev[near] += dl
+            self.hit[near[dl > 0]] = True
+        self.chi = prop
+        self._keep(self.at.get(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import functools
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bubblepde import (ConfigError, DomainError, NumericsError, PayoffSpec,
-                       ThetaTable, cli, f_from_sigma, pathlab, pdesolve,
-                       price_and_decompose)
+                       ThetaTable, cli, estimate_theta, f_from_sigma, pathlab,
+                       pdesolve, price_and_decompose)
 from bubblepde.cli import config_hash, main, resolve_config
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
@@ -870,6 +871,115 @@ def test_price_compare_and_convergence_agree(tmp_path):
     assert not (outs["convergence"] / "theta.csv").exists()
 
 
+# the tiny numerics with both reflected passes on 96 steps, so that price's
+# Monte Carlo and Theta passes share one read of the path streams; with
+# 300 paths in the Monte Carlo pass they read apart
+SHARED_NUMERICS = dict(TINY_NUMERICS, theta_time_steps=96)
+APART_NUMERICS = dict(SHARED_NUMERICS, paths=300)
+LADDER = [0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize("command, numerics, reads", [
+    ("price", SHARED_NUMERICS, 1),
+    ("convergence", SHARED_NUMERICS, 1),
+    ("price", APART_NUMERICS, 2),
+    ("convergence", APART_NUMERICS, 2),
+    ("price", TINY_NUMERICS, 2),
+], ids=["price", "convergence", "price-paths-apart",
+        "convergence-paths-apart", "price-steps-apart"])
+def test_passes_of_one_seed_share_one_read(tmp_path, monkeypatch, command,
+                                           numerics, reads):
+    # the passes of one path count share a read when their step counts
+    # allow it (96 and 48 steps do not); the side file names each read
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 1)
+    steps, path_steps = [], pathlab._path_steps
+    monkeypatch.setattr(pathlab, "_path_steps", lambda *a, **k: (
+        steps.append(a[2:4]) or path_steps(*a, **k)))
+    cfgp = write_config(tmp_path, numerics=numerics,
+                        convergence={"j_sequence": LADDER})
+    assert main([command, "--config", str(cfgp)]) == 0
+    assert len(steps) == reads
+    meta = json.loads((tmp_path / "out" / (
+        "report.meta.json" if command == "price"
+        else "convergence.meta.json")).read_text())
+    assert meta["config_hash"] == config_hash(
+        resolve_config(json.loads(cfgp.read_text()), {}))
+    assert meta["runtime_s"] > 0
+    assert set(meta["stages_s"]) == {"passes", "reduce", "pde", "write"}
+    assert [(read["paths"], read["steps"]) for read in meta["reads"]] == steps
+    js = [0.25] if command == "price" else LADDER
+    labels = [label for read in meta["reads"] for label in read["passes"]]
+    assert sorted(labels) == sorted(f"{kind} j={j!r}" for j in js
+                                    for kind in ("mc", "theta"))
+
+
+def _separate_prices(cfgp, j, theta_path):
+    """price's values at floor j from its own price_and_decompose and
+    estimate_theta calls and a solve of its own; the table is saved to
+    theta_path."""
+    cfg, f, payoff = cli._resolve(json.loads(cfgp.read_text()), {})
+    model, num = cfg["model"], cfg["numerics"]
+    T = model["T"]
+    mc, split = price_and_decompose(f, model["x0"], j, T, payoff,
+                                    num["paths"], min(num["time_steps"], 512),
+                                    num["seed"])
+    table = estimate_theta(
+        f, j, pathlab.TimeGrid.clustered(T, num["theta_taus"] - 1).nodes,
+        payoff, num["theta_paths"], num["theta_time_steps"], num["seed"])
+    table.save(theta_path)
+    scheme = pdesolve.FundraiserScheme(j=j, theta=table)
+    sol = pdesolve.solve(model["sigma"], payoff, T, scheme,
+                         grid=scheme.grid(num["space_nodes"]),
+                         times=pathlab.TimeGrid.uniform(T, num["time_steps"]))
+    return mc, split, sol.grid.interp(sol.values[0], float(f(model["x0"])))
+
+
+@pytest.mark.parametrize("numerics", [SHARED_NUMERICS, APART_NUMERICS],
+                         ids=["shared", "apart"])
+def test_price_and_convergence_bodies_equal_separate_passes(tmp_path,
+                                                            numerics):
+    cfgp = write_config(tmp_path, numerics=numerics,
+                        convergence={"j_sequence": LADDER})
+    digest = config_hash(resolve_config(json.loads(cfgp.read_text()), {}))
+    sep = tmp_path / "separate"
+    sep.mkdir()
+    fmt, oracles = cli._fmt, functools.partial(cli._oracles, "recip",
+                                               PayoffSpec.forward(), 1.0)
+
+    assert main(["price", "--config", str(cfgp), "--out",
+                 str(tmp_path / "price")]) == 0
+    (mc, mc_se), (phi, psi, (phi_se, psi_se)), pde = _separate_prices(
+        cfgp, 0.25, sep / "theta.csv")
+    investor, fundraiser = oracles(0.25, 1.0)
+    assert (tmp_path / "price" / "report.csv").read_text() == "\n".join([
+        f"# config_hash: {digest}", "quantity,value,stderr",
+        f"mc_price,{fmt(mc)},{fmt(mc_se)}", f"pde_price,{fmt(pde)},",
+        f"oracle_investor,{fmt(investor)},",
+        f"oracle_fundraiser,{fmt(fundraiser)},",
+        f"phi,{fmt(phi)},{fmt(phi_se)}", f"psi,{fmt(psi)},{fmt(psi_se)}",
+        ""])
+    assert (tmp_path / "price" / "theta.csv").read_bytes() \
+        == (sep / "theta.csv").read_bytes()
+
+    assert main(["convergence", "--config", str(cfgp), "--out",
+                 str(tmp_path / "convergence")]) == 0
+    lines = [f"# config_hash: {digest}",
+             "j,mc_price,mc_stderr,pde_price,diff,oracle,oracle_gap"]
+    prev = None
+    for j in LADDER:
+        table = f"theta_j{j!r}.csv"
+        (mc, mc_se), _, pde = _separate_prices(cfgp, j, sep / table)
+        oracle = oracles(j, 1.0)[1]
+        lines.append(",".join(fmt(c) for c in (
+            j, mc, mc_se, pde, None if prev is None else pde - prev, oracle,
+            pde - oracle)))
+        prev = pde
+        assert (tmp_path / "convergence" / table).read_bytes() \
+            == (sep / table).read_bytes()
+    assert (tmp_path / "convergence" / "convergence.csv").read_text() \
+        == "\n".join(lines + [""])
+
+
 _SIMULATE_RUNNERS = {"wiener": "wiener_ensemble",
                      "bessel3": "bessel_dual_ensemble",
                      "drifted": "drifted_ensemble",
@@ -1079,7 +1189,8 @@ else:
 """
 
 
-@pytest.mark.parametrize("command", ["price", "compare-schemes", "measure"])
+@pytest.mark.parametrize("command", ["price", "compare-schemes", "convergence",
+                                     "measure"])
 def test_scipy_loads_before_the_clock_and_the_fork(tmp_path, command):
     arg = "measure" if command == "measure" else json.dumps(
         [command, "--config", str(write_config(tmp_path))])

@@ -16,13 +16,16 @@ from bubblepde import (DomainError, affine_map, f_from_sigma, pathlab,
                        power_law_map, reciprocal_map, smoothmaps)
 from bubblepde.pathlab import (
     PathBundle,
+    ReflectedPass,
     TimeGrid,
     bessel_dual_ensemble,
     change_of_measure_expectation,
     drifted_ensemble,
     future_infimum,
     path_stream,
+    read_plan,
     reflected_ensemble,
+    reflected_passes,
     wiener_ensemble,
 )
 from bubblepde.smoothmaps import (compose, log_map, schwarzian_process,
@@ -621,6 +624,87 @@ def test_live_thread_keeps_the_ensemble_in_process(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# several reflected passes on one read of the streams
+
+_SIGMA_Y2 = f_from_sigma({"kind": "power", "coefficient": 1.0,
+                          "exponent": 2.0})
+# (map, passes, the read plan): price's uniform 512-step pass beside the
+# clustered 768-step Theta pass, which shares its read, and a 300-step pass,
+# which must read alone; and the band's finite upper edge
+_PASS_CASES = [
+    (_SIGMA_Y2,
+     [ReflectedPass(0.75, 0.25, TimeGrid.uniform(1.0, 512), [512]),
+      ReflectedPass(0.0, 0.25, TimeGrid.clustered(1.0, 768),
+                    range(0, 769, 24), floors=True),
+      ReflectedPass(0.0, 0.1, TimeGrid.uniform(1.0, 300), [300, 0, 150]),
+      ReflectedPass(0.2, 0.3, TimeGrid.uniform(0.5, 768), [768],
+                    floors=True)],
+     [[0, 1, 3], [2]]),
+    (_BAND,
+     [ReflectedPass(0.5, 0.5, TimeGrid.uniform(1.0, 1024), range(1025),
+                    floors=True),
+      ReflectedPass(0.1, 0.5, TimeGrid.clustered(1.0, 512), [512])],
+     [[0, 1]]),
+]
+
+
+def test_read_plan_follows_the_prefix_rule():
+    seg = pathlab._SEGMENT
+    plan = [ReflectedPass(0.0, 0.5, TimeGrid.uniform(1.0, n), [n])
+            for n in (96, 2 * seg, seg + 40, 96, seg, 40)]
+    # 2 seg and seg read a prefix of the longest read; 96 and 40 do not
+    assert read_plan(plan) == [[1, 4], [2], [0, 3], [5]]
+    assert read_plan([]) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_reflected_passes_equal_one_pass_calls(monkeypatch, workers):
+    # blocks of two paths, so that seven paths make up to three shares,
+    # from a first index past 0
+    monkeypatch.setattr(pathlab, "_BLOCK", 2)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 1)
+    n, first = 7, 5
+    want = [[reflected_ensemble(f, p.chi0, p.l0, p.grid, n, SEED, p.record,
+                                first, floors=p.floors) for p in passes]
+            for f, passes, _ in _PASS_CASES]
+    assert not want[0][0][1].all() and want[0][1][1].all()
+    assert (want[1][0][0] >= 1.2).any()  # a path held at the upper edge
+    reads, forks = [], []
+    path_steps, fork_share = pathlab._path_steps, pathlab._fork_share
+    monkeypatch.setattr(pathlab, "_path_steps", lambda *a, **k: (
+        reads.append(a[3]) or path_steps(*a, **k)))
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: forks.append(work) or fork_share(work))
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
+    for (f, passes, plan), outs in zip(_PASS_CASES, want):
+        assert read_plan(passes) == plan
+        reads.clear()
+        got = reflected_passes(f, passes, n, SEED, first)
+        assert len(got) == len(outs)
+        for a, b in zip(got, outs):
+            assert len(a) == 3
+            for x, y in zip(a, b):
+                assert (x is None and y is None) or np.array_equal(x, y)
+        # the caller's reads, of its share: one per planned read
+        assert reads == [max(passes[i].grid.n_steps for i in read)
+                         for read in plan]
+    assert len(forks) == (workers - 1) * len(_PASS_CASES)
+
+
+def test_reflected_passes_check_every_pass_before_any_runs(monkeypatch):
+    grid = TimeGrid.uniform(1.0, 4)
+    monkeypatch.setattr(pathlab, "_path_steps",
+                        lambda *a, **k: pytest.fail("a read ran"))
+    good = ReflectedPass(0.0, 0.5, grid, [4])
+    for chi0, l0, node, match in ((-1e-9, 0.5, 4, "below the floor"),
+                                  (0.0, -0.5, 4, "outside the domain"),
+                                  (0.0, 0.5, 5, "outside the grid")):
+        bad = ReflectedPass(chi0, l0, grid, [node])
+        with pytest.raises(DomainError, match=match):
+            reflected_passes(reciprocal_map(), [good, bad], 2, SEED)
 
 
 # Values of paths 7 and 8 (seed SEED, 1061 steps on [0, 1]) at nodes 0, 511,
