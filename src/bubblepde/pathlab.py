@@ -1,11 +1,13 @@
 """Seeded path simulation: Wiener, Bessel-3 via the max-dual construction,
-drifted unit-diffusion SDEs absorbed at their domain edge, and the reflected
-(floor-constrained) SDE; plus path functionals and the change of measure,
-which walks Wiener paths to their first node outside a band.  The Bessel-3,
-drifted and reflected laws sample each step's Brownian bridge, not only its
-end nodes: the reflected scheme reflects on the bridge minimum, the drifted
-walk is absorbed when the bridge crosses an edge, and the dual's running
-maximum takes the bridge maximum.
+drifted unit-diffusion SDEs absorbed at their lower domain edge, and the
+reflected (floor-constrained) SDE; plus path functionals and the change of
+measure, which walks Wiener paths to their first node outside a band.  The
+Bessel-3, drifted and reflected laws sample each step's Brownian bridge, not
+only its end nodes: the reflected scheme reflects on the bridge minimum, the
+drifted walk is absorbed when the bridge falls to the edge, and the dual's
+running maximum takes the bridge maximum.  The drifted and reflected runners
+step the paper's markets, whose domains are unbounded above, and refuse a map
+with a finite upper edge.
 Each law has one vectorized ensemble runner: it runs paths first_index ...
 first_index + n_paths - 1 and keeps the nodes it is asked to record, so a
 single path is a one-path call.  The reflected law's runner,
@@ -69,7 +71,7 @@ from .errors import DomainError
 from .smoothmaps import (SmoothMap, _flat, multiplicative_functional,
                          schwarzian)
 
-# Relative guard keeping unreflected simulations off a finite domain edge.
+# Relative guard keeping the drifted walk off a finite lower domain edge.
 EDGE_GUARD = 1e-12
 # Ensemble runners process paths in blocks of _BLOCK paths and draw one
 # stream segment of a block at a time into one reused buffer; the block size
@@ -178,12 +180,15 @@ def _record(record, grid: TimeGrid) -> np.ndarray:
     return rec
 
 
-def _guarded(domain):
-    """The domain pulled in by EDGE_GUARD at each finite edge."""
-    lo, hi = domain
-    lo_g = lo + EDGE_GUARD * (1 + abs(lo)) if np.isfinite(lo) else -np.inf
-    hi_g = hi - EDGE_GUARD * (1 + abs(hi)) if np.isfinite(hi) else np.inf
-    return lo_g, hi_g
+def _require_unbounded_above(f: SmoothMap) -> None:
+    """Refuse a map whose domain has a finite upper edge.  The paper's
+    markets live on domains unbounded above, and the drifted and reflected
+    kernels have no rule for a path that reaches such an edge."""
+    hi = f.domain[1]
+    if hi < np.inf:
+        raise DomainError(f"the domain of f {f.descriptor} has the finite "
+                          f"upper edge {hi:.6g}: the path kernels need a "
+                          f"domain unbounded above")
 
 
 # Each thread's generators for _path_steps, kept for the life of the process;
@@ -532,37 +537,36 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
 @_path_shares
 def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
                      seed: int, record, first_index: int = 0):
-    """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbed at the domain
-    edge: X_n = X_{n-1} - 1/2 T_f(X_{n-1}) dt_n + sqrt(dt_n) xi_n, the drift
-    frozen at the start of the step (and skipped for an affine f, whose
-    T_f = 0 adds -0.0, which changes no bit).
+    """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbed at the lower
+    domain edge: X_n = X_{n-1} - 1/2 T_f(X_{n-1}) dt_n + sqrt(dt_n) xi_n, the
+    drift frozen at the start of the step (and skipped for an affine f, whose
+    T_f = 0 adds -0.0, which changes no bit).  The domain of f must be
+    unbounded above, as every market map's is (DomainError otherwise).
 
-    A path is absorbed when its proposal exits the (guarded) domain, or when
-    the step's Brownian bridge from X_{n-1} to the proposal crosses a finite
-    (guarded) edge in between: its minimum, sampled with the step's uniform
-    U as in the reflected kernel, falls to the lower edge, or its maximum
-    rises to the upper one.  Given the nodes a and b away from the edge,
-    that happens with probability exp(-2 a b / dt_n).  The bridge is sampled
+    A path is absorbed when its proposal falls to the lower edge, pulled in
+    by EDGE_GUARD, or when the step's Brownian bridge from X_{n-1} to the
+    proposal falls to it in between: its minimum, sampled with the step's
+    uniform U as in the reflected kernel, reaches the edge.  Given the nodes
+    a and b above the edge, that happens with probability exp(-2 a b / dt_n),
+    so the scheme is exact in law for frozen drift.  The bridge is sampled
     only where it can reach the edge, a b < 18.5 dt_n.  An absorbed path is
-    parked at the edge it crossed from that node on -- the stopped process,
-    not an error.  A block stops stepping once all its paths are parked.
-    Each finite edge is tested with the same U, so with one finite edge the
-    scheme is exact in law for frozen drift; a step near both edges of a band
-    narrower than 2 sqrt(18.5 dt) undercounts a double crossing.
+    parked at the edge from that node on -- the stopped process, not an
+    error.  A block stops stepping once all its paths are parked.  On a
+    domain unbounded below no path is absorbed.
 
     Returns (values, alive): values[p, k] = X at node record[k] of path
     first_index + p, alive[p] False when the path was absorbed.
     """
     if not f.contains(x0):
         raise DomainError("x0 outside the domain of f")
+    _require_unbounded_above(f)
     rec = _record(record, grid)
     dt = grid.dt
     sqdt = np.sqrt(dt)
     reach = _BRIDGE_REACH * dt
-    lo_g, hi_g = _guarded(f.domain)
+    lo = f.domain[0]
+    lo_g = lo + EDGE_GUARD * (1 + abs(lo)) if np.isfinite(lo) else -np.inf
     flat = f.pre is _flat
-    # (edge, side) per finite edge: side * (X - edge) > 0 inside the domain
-    edges = [(e, s) for e, s in ((lo_g, 1.0), (hi_g, -1.0)) if np.isfinite(e)]
     values = np.empty((n_paths, len(rec)))
     alive_all = np.ones(n_paths, dtype=bool)
     for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
@@ -576,19 +580,18 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
                 prop = X + sqdt[n] * z
             else:
                 prop = X + -0.5 * f.pre(X) * dt[n] + sqdt[n] * z
-            X_new = np.where(alive, np.clip(prop, lo_g, hi_g), X)
-            alive &= (lo_g < prop) & (prop < hi_g)
-            for edge, side in edges:
-                near = np.flatnonzero(
-                    alive & ((X - edge) * (prop - edge) < reach[n]))
-                if near.size:
-                    # the bridge of the distance to the edge falls to 0
-                    low = _bridge_min(side * (X[near] - edge),
-                                      side * (prop[near] - edge), u(near),
-                                      dt[n])
-                    out = near[low <= 0]
-                    X_new[out] = edge
-                    alive[out] = False
+            X_new = np.where(alive, np.maximum(prop, lo_g), X)
+            alive &= lo_g < prop
+            # with no lower edge, lo_g = -inf puts no path near it
+            near = np.flatnonzero(
+                alive & ((X - lo_g) * (prop - lo_g) < reach[n]))
+            if near.size:
+                # the bridge of the height above the edge falls to 0
+                low = _bridge_min(X[near] - lo_g, prop[near] - lo_g, u(near),
+                                  dt[n])
+                out = near[low <= 0]
+                X_new[out] = lo_g
+                alive[out] = False
             X = X_new
             if k is not None:
                 values[rows, k] = X
@@ -654,8 +657,7 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
     whenever the path dips below it between two nodes, not only at them;
     without drift the scheme is exact in law (Asmussen, Glynn & Pitman 1995).
     m is computed only where it can be negative, chi * chi^ < 18.5 dt;
-    elsewhere dl = 0 for every U.  With a finite upper domain edge hi, a
-    path stays where it is from its first node at or above hi.
+    elsewhere dl = 0 for every U.
 
     Returns (values, contact, levels) for paths first_index + p:
     values[p, k] = X at node record[k], contact[p] True when any reflection
@@ -677,8 +679,10 @@ def reflected_passes(f: SmoothMap, passes, n_paths: int, seed: int,
     draws of as few stream reads as read_plan allows, and each gets the bits
     it gets alone: path i reads the same stream in every pass (common random
     numbers).  Returns the list of each pass's (values, contact, levels),
-    as reflected_ensemble returns them.
+    as reflected_ensemble returns them.  The domain of f must be unbounded
+    above, as in drifted_ensemble.
     """
+    _require_unbounded_above(f)
     lo = f.domain[0]
     walks = []
     for spec in passes:
@@ -711,8 +715,6 @@ class _ReflectedWalk:
 
     def __init__(self, f: SmoothMap, spec: ReflectedPass, n_paths: int):
         self.f, self.chi0, self.l0 = f, float(spec.chi0), float(spec.l0)
-        self.hi = f.domain[1]
-        self.edge = self.hi < np.inf
         self.flat = f.pre is _flat
         rec = _record(spec.record, spec.grid)
         self.at = {int(node): k for k, node in enumerate(rec)}
@@ -749,12 +751,7 @@ class _ReflectedWalk:
         else:
             prop = chi + -0.5 * self.f.pre(chi + lev) * self.dt[n] \
                 + self.sqdt[n] * z
-        near = chi * prop < self.reach[n]
-        if self.edge:
-            live = chi + lev < self.hi
-            prop = np.where(live, prop, chi)
-            near &= live
-        near = np.flatnonzero(near)
+        near = np.flatnonzero(chi * prop < self.reach[n])
         if near.size:
             p = prop[near]
             dl = np.maximum(-_bridge_min(chi[near], p, u(near), self.dt[n]),

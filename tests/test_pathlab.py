@@ -3,6 +3,7 @@ invariants, the reflection/dual couplings, and the path functionals."""
 
 import collections
 import dataclasses
+import functools
 import os
 import pickle
 import sys
@@ -28,13 +29,10 @@ from bubblepde.pathlab import (
     reflected_passes,
     wiener_ensemble,
 )
-from bubblepde.smoothmaps import (compose, log_map, schwarzian_process,
-                                   shift_map)
+from bubblepde.smoothmaps import (compose, from_descriptor, log_map,
+                                   schwarzian_process, shift_map)
 
 SEED = 424242
-# an affine map with one finite edge, above; and a band with two
-_UPPER_EDGE = affine_map(1.0, 0.0, domain=(-np.inf, 1.2))
-_BAND = affine_map(1.0, 0.0, domain=(0.0, 1.2))
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +148,58 @@ def test_skorokhod_stays_above_floor():
     np.testing.assert_array_equal(contact, J[:, -1] > 0.5)
     assert contact.any()
 
-    # a finite upper domain edge: a path stays where it is from its first
-    # node at or above the edge
-    edge = affine_map(1.0, 0.0, domain=(0.0, 1.2))
-    grid = TimeGrid.uniform(1.0, 64)
-    X, _, J = reflected_ensemble(edge, 0.5, 0.5, grid, 8, SEED, range(65),
-                                 floors=True)
-    held = 0
-    for x, j in zip(X, J):
-        over = np.flatnonzero(x >= 1.2)
-        if over.size:
-            held += 1
-            assert np.all(x[over[0]:] == x[-1])
-            assert np.all(j[over[0]:] == j[-1])
-    assert held
-
 
 def test_reflected_ensemble_rejects_a_start_below_the_floor():
     grid = TimeGrid.uniform(1.0, 4)
     for chi0 in (-1e-9, np.nan):
         with pytest.raises(DomainError, match="below the floor"):
             reflected_ensemble(reciprocal_map(), chi0, 0.5, grid, 2, SEED, [4])
+
+
+# every kind of map a config can build: each kind from_descriptor takes, and
+# f_from_sigma's power maps
+_CONFIG_MAPS = {
+    "power_law": lambda: from_descriptor({"kind": "power_law", "alpha": -1.0}),
+    "power_law_shifted": lambda: from_descriptor(
+        {"kind": "power_law", "alpha": 0.5, "xi": -0.5}),
+    "log": lambda: from_descriptor({"kind": "log", "xi": 0.2}),
+    "mobius_affine": lambda: from_descriptor(
+        {"kind": "mobius", "a": 2.0, "b": 1.0, "c": 0.0, "d": 1.0}),
+    "mobius_c_positive": lambda: from_descriptor(
+        {"kind": "mobius", "a": 1.0, "b": 0.5, "c": 0.3, "d": 1.2}),
+    "mobius_c_negative": lambda: from_descriptor(
+        {"kind": "mobius", "a": 1.0, "b": 0.0, "c": -1.0, "d": 1.0}),
+    "reciprocal": lambda: from_descriptor({"kind": "reciprocal"}),
+    "compose": lambda: from_descriptor(
+        {"kind": "compose", "outer": {"kind": "reciprocal"},
+         "inner": {"kind": "power_law", "alpha": 2.0}}),
+    **{f"sigma_p{p:g}": functools.partial(
+        f_from_sigma, {"kind": "power", "coefficient": 0.7, "exponent": p})
+       for p in (1.5, 2.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("make", _CONFIG_MAPS.values(), ids=_CONFIG_MAPS)
+def test_every_config_map_is_unbounded_above(make):
+    # the drifted and reflected kernels refuse a finite upper edge, so no
+    # map a config can build may have one
+    assert make().domain[1] == np.inf
+
+
+@pytest.mark.parametrize("lo", [0.0, -np.inf], ids=["band", "upper_edge"])
+def test_kernels_refuse_a_finite_upper_edge_before_any_read(monkeypatch, lo):
+    f = affine_map(1.0, 0.0, domain=(lo, 1.2))
+    grid = TimeGrid.uniform(1.0, 4)
+    monkeypatch.setattr(pathlab, "_path_steps",
+                        lambda *a, **k: pytest.fail("a stream was read"))
+    for run in (
+            lambda: reflected_ensemble(f, 0.1, 0.5, grid, 2, SEED, [4]),
+            lambda: reflected_passes(
+                f, [ReflectedPass(0.1, 0.5, grid, [4])], 2, SEED),
+            lambda: drifted_ensemble(f, 0.5, grid, 2, SEED, [4])):
+        with pytest.raises(DomainError, match="upper edge 1.2") as info:
+            run()
+        assert str(f.descriptor) in str(info.value)
 
 
 @pytest.mark.parametrize("f", [
@@ -204,7 +233,7 @@ def test_affine_maps_skip_the_zero_drift_bit_for_bit():
     grid = TimeGrid.uniform(1.0, pathlab._SEGMENT + 88)
     every = range(grid.n_steps + 1)
     for f in (power_law_map(1.0), power_law_map(1.0, -0.5),
-              affine_map(2.0, 1.0), _UPPER_EDGE, _BAND):
+              affine_map(2.0, 1.0)):
         assert f.pre is smoothmaps._flat
         stepped = dataclasses.replace(f, pre=lambda x: smoothmaps._flat(x))
         for run in (
@@ -227,7 +256,7 @@ def test_ensemble_partition_independence(monkeypatch):
     # path long enough for three stream segments, run whole, in blocks of
     # two paths and one path at a time, for every runner and every layout
     # (the random-floor dual reads its floor's uniform first; the drifted
-    # walks from 0.3 and the edged maps are absorbed on bridges)
+    # walk from 0.3 is absorbed on bridges)
     grid = TimeGrid.uniform(1.0, 2 * pathlab._SEGMENT + 37)
     rec = [pathlab._SEGMENT - 1, grid.n_steps]
     bm = power_law_map(1.0)
@@ -239,12 +268,9 @@ def test_ensemble_partition_independence(monkeypatch):
         lambda n, i=0: bessel_dual_ensemble(1.0, grid, n, SEED, rec, 0.5, i),
         lambda n, i=0: drifted_ensemble(f, 1.0, grid, n, SEED, rec, i),
         lambda n, i=0: drifted_ensemble(bm, 0.3, grid, n, SEED, rec, i),
-        lambda n, i=0: drifted_ensemble(_UPPER_EDGE, 1.0, grid, n, SEED, rec,
-                                        i),
-        lambda n, i=0: drifted_ensemble(_BAND, 0.6, grid, n, SEED, rec, i),
     ]
     whole = [run(3) for run in runs]
-    assert not whole[5][1].all() and not whole[6][1].all()
+    assert not whole[5][1].all()
     monkeypatch.setattr(pathlab, "_BLOCK", 2)
     for run, outs in zip(runs, whole):
         for a, b in zip(outs, run(9)):
@@ -633,7 +659,8 @@ _SIGMA_Y2 = f_from_sigma({"kind": "power", "coefficient": 1.0,
                           "exponent": 2.0})
 # (map, passes, the read plan): price's uniform 512-step pass beside the
 # clustered 768-step Theta pass, which shares its read, and a 300-step pass,
-# which must read alone; and the band's finite upper edge
+# which must read alone; and two passes on one two-segment read of the
+# Brownian map, whose drift is skipped
 _PASS_CASES = [
     (_SIGMA_Y2,
      [ReflectedPass(0.75, 0.25, TimeGrid.uniform(1.0, 512), [512]),
@@ -643,7 +670,7 @@ _PASS_CASES = [
       ReflectedPass(0.2, 0.3, TimeGrid.uniform(0.5, 768), [768],
                     floors=True)],
      [[0, 1, 3], [2]]),
-    (_BAND,
+    (power_law_map(1.0),
      [ReflectedPass(0.5, 0.5, TimeGrid.uniform(1.0, 1024), range(1025),
                     floors=True),
       ReflectedPass(0.1, 0.5, TimeGrid.clustered(1.0, 512), [512])],
@@ -671,7 +698,6 @@ def test_reflected_passes_equal_one_pass_calls(monkeypatch, workers):
                                 first, floors=p.floors) for p in passes]
             for f, passes, _ in _PASS_CASES]
     assert not want[0][0][1].all() and want[0][1][1].all()
-    assert (want[1][0][0] >= 1.2).any()  # a path held at the upper edge
     reads, forks = [], []
     path_steps, fork_share = pathlab._path_steps, pathlab._fork_share
     monkeypatch.setattr(pathlab, "_path_steps", lambda *a, **k: (
@@ -740,12 +766,6 @@ _PINNED = {
          [1.0, 1.1282761874549194, 1.183735246011692, 1.2139515929895843,
           1.5982919765879586]],
         [True, True]],
-    "drifted_upper_edge": [
-        [[1.0, 1.1999999999978, 1.1999999999978, 1.1999999999978,
-          1.1999999999978],
-         [1.0, 0.6333332068943717, 0.6879569140723928, 0.7173770466332702,
-          0.687697686162326]],
-        [False, True]],
     "reflected": [
         [[0.3, 1.0455611906358833, 1.0396033849899595, 1.035230661191916,
           2.297478493960657],
@@ -772,8 +792,6 @@ def test_runner_values_are_pinned():
         "dual_random_floor": bessel_dual_ensemble(0.2, grid, 2, SEED, rec,
                                                   None, 7),
         "drifted": drifted_ensemble(f, 1.0, grid, 2, SEED, rec, 7),
-        "drifted_upper_edge": drifted_ensemble(_UPPER_EDGE, 1.0, grid, 2,
-                                               SEED, rec, 7),
         "reflected": reflected_ensemble(f, 0.0, 0.3, grid, 2, SEED, rec, 7,
                                         floors=True),
     }
@@ -812,25 +830,20 @@ def _dual_reference(x0, j0, grid, seed, i):
 def _drifted_reference(f, x0, grid, seed, i):
     """X of path i of drifted_ensemble at every node, whether it survived,
     and whether a bridge (not a node) absorbed it, one scalar step at a time
-    from a new path_stream: every step samples the bridge at each finite
+    from a new path_stream: every step samples the bridge at a finite lower
     edge, near it or not."""
     _, z, u = _fresh_stream_draws(seed, i, grid.n_steps, True, False)
-    lo, hi = f.domain
-    guard = pathlab.EDGE_GUARD
-    lo_g = lo + guard * (1 + abs(lo)) if np.isfinite(lo) else lo
-    hi_g = hi - guard * (1 + abs(hi)) if np.isfinite(hi) else hi
+    lo = f.domain[0]
+    lo_g = lo + pathlab.EDGE_GUARD * (1 + abs(lo)) if np.isfinite(lo) else lo
     X, alive, bridged, xs = x0, True, False, [x0]
     for dt, zn, un in zip(grid.dt, z, u):
         if alive:
             prop = X - 0.5 * f.pre(np.array([X]))[0] * dt + np.sqrt(dt) * zn
-            if not lo_g < prop < hi_g:
-                X, alive = min(max(prop, lo_g), hi_g), False
+            if not lo_g < prop:
+                X, alive = lo_g, False
             elif np.isfinite(lo_g) and _bridge_low(X - lo_g, prop - lo_g,
                                                    un, dt) <= 0:
                 X, alive, bridged = lo_g, False, True
-            elif np.isfinite(hi_g) and _bridge_low(hi_g - X, hi_g - prop,
-                                                   un, dt) <= 0:
-                X, alive, bridged = hi_g, False, True
             else:
                 X = prop
         xs.append(X)
@@ -838,8 +851,8 @@ def _drifted_reference(f, x0, grid, seed, i):
 
 
 def test_drifted_and_dual_runners_match_scalar_references():
-    # the pinned rows, and more paths of maps that absorb at a lower edge,
-    # an upper edge and both, on the three-segment grid; the references
+    # the pinned rows, and more paths of a map that absorbs at its lower edge
+    # and one with no edge, on the three-segment grid; the references
     # sample every step's bridge, so they also check that the runners' near
     # filters skip only bridges that cannot reach their level
     grid = TimeGrid.uniform(1.0, 1061)
@@ -850,18 +863,15 @@ def test_drifted_and_dual_runners_match_scalar_references():
         for k, want in enumerate(_PINNED[name]):
             np.testing.assert_array_equal(
                 [ref[k][rec] for ref in refs], want, err_msg=name)
-    drifted = {"drifted": (reciprocal_map(), 1.0),
-               "drifted_upper_edge": (_UPPER_EDGE, 1.0)}
-    for name, (f, x0) in drifted.items():
-        refs = [_drifted_reference(f, x0, grid, SEED, i) for i in (7, 8)]
-        np.testing.assert_array_equal([ref[0][rec] for ref in refs],
-                                      _PINNED[name][0], err_msg=name)
-        assert [ref[1] for ref in refs] == _PINNED[name][1]
+    refs = [_drifted_reference(reciprocal_map(), 1.0, grid, SEED, i)
+            for i in (7, 8)]
+    np.testing.assert_array_equal([ref[0][rec] for ref in refs],
+                                  _PINNED["drifted"][0])
+    assert [ref[1] for ref in refs] == _PINNED["drifted"][1]
 
     every = range(grid.n_steps + 1)
     bridged = 0
-    for f, x0 in [(power_law_map(1.0), 0.3), (_UPPER_EDGE, 1.0),
-                  (_BAND, 0.6)]:
+    for f, x0 in [(power_law_map(1.0), 0.3), (affine_map(1.0, 0.0), 1.0)]:
         X, alive = drifted_ensemble(f, x0, grid, 12, SEED, every)
         for i in range(12):
             want, survived, by_bridge = _drifted_reference(f, x0, grid, SEED,
