@@ -42,21 +42,21 @@ Reflected passes of one seed and path range whose step counts allow it step
 on one read, each with the bits it gets alone.
 
 Large ensembles run as contiguous path shares in forked workers, one per CPU
-of the process's affinity mask: the caller runs the first share and joins
-the others' arrays in path order.  Below two blocks of paths, without
-os.fork, or while other threads run, a runner works in process.  Since each
-path reads only its own stream, no output depends on the share count.  One
-helper, _run_shares, forks, collects and reaps the workers, and raises a
-worker's exception in the caller; the measure change's shares and the
-compare-schemes solves run through it too.  A worker pickles its
-outcome into a pipe, and the caller unpickles it straight from the pipe as
-it arrives, with no joined copy of the bytes.
+of the process's affinity mask, through one helper, _shared.  Each runner and
+the measure change check their arguments in the caller before any share
+forks, and hand _shared a per-share kernel; the caller runs the first share
+and joins the others' arrays in path order.  Below two blocks of paths,
+without os.fork, or while other threads run, the paths run in process.
+Since each path reads only its own stream, no output depends on the share
+count.  _run_shares forks, collects and reaps the workers, and raises a
+worker's exception in the caller; the compare-schemes solves use it too.  A
+worker pickles its outcome into a pipe, and the caller unpickles it straight
+from the pipe as it arrives, with no joined copy of the bytes.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import operator
 import os
 import pickle
@@ -398,48 +398,23 @@ def _join(outs):
     return np.concatenate(outs)
 
 
-def _run_path_shares(work, first: int, n_paths: int, shares: int):
-    """work(first_index, n) for each of shares contiguous shares of the paths
-    first ... first + n_paths - 1, through _run_shares; the results in path
-    order."""
+def _shared(work, first_index, n_paths, rows=None):
+    """work(first, n) over the paths first_index ... first_index + n_paths - 1
+    as contiguous shares, one per worker and at most one per rows paths
+    (_BLOCK when None), through _run_shares: the caller runs the first share
+    and each other share runs in a forked child.  The outputs are joined in
+    path order (_join).  Callers check their arguments before calling."""
+    # Python ints, so that no share offset overflows a numpy integer
+    first, n_paths = operator.index(first_index), operator.index(n_paths)
+    shares = _worker_count(n_paths // (_BLOCK if rows is None else rows))
+    if shares < 2:
+        return work(first, n_paths)
     cuts = [n_paths * k // shares for k in range(shares + 1)]
-    return _run_shares(
+    return _join(_run_shares(
         [functools.partial(work, first + cuts[k], cuts[k + 1] - cuts[k])
          for k in range(shares)],
         [f"the share of paths {first + cuts[k]} ... "
-         f"{first + cuts[k + 1] - 1}" for k in range(shares)])
-
-
-def _path_shares(runner):
-    """Wrap an ensemble runner so that its paths first_index ...
-    first_index + n_paths - 1 run as contiguous shares, one per worker and
-    at most one per full block of paths, through _run_path_shares: the
-    caller runs the first share itself, and each other share runs in a
-    forked child, through runner with that share's first_index and n_paths.
-    The outputs are joined along axis 0, in path order.  A child runs the
-    unwrapped runner, so it never forks again."""
-    sig = inspect.signature(runner)
-
-    @functools.wraps(runner)
-    def run(*args, **kwargs):
-        call = sig.bind(*args, **kwargs)
-        call.apply_defaults()
-        # Python ints, so that no share offset overflows a numpy integer
-        first = call.arguments["first_index"] = operator.index(
-            call.arguments["first_index"])
-        n_paths = operator.index(call.arguments["n_paths"])
-        shares = _worker_count(n_paths // _BLOCK)
-        if shares < 2:
-            return runner(*call.args, **call.kwargs)
-
-        def share(first_index, n):
-            call.arguments["first_index"] = first_index
-            call.arguments["n_paths"] = n
-            return runner(*call.args, **call.kwargs)
-
-        return _join(_run_path_shares(share, first, n_paths, shares))
-
-    return run
+         f"{first + cuts[k + 1] - 1}" for k in range(shares)]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +429,6 @@ def _bridge_min(x, y, u, dt):
     return 0.5 * (x + y - np.sqrt(d * d - 2.0 * dt * np.log1p(-u)))
 
 
-@_path_shares
 def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
                     record, first_index: int = 0) -> np.ndarray:
     """Driftless unit-variance walks X_n = X_{n-1} + sqrt(dt_n) xi_n from x0.
@@ -462,7 +436,13 @@ def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     Returns values[p, k] = X at node record[k] of path first_index + p
     (record sorted and deduplicated).
     """
-    rec = _record(record, grid)
+    work = functools.partial(_wiener_share, x0, grid, seed,
+                             _record(record, grid))
+    return _shared(work, first_index, n_paths)
+
+
+def _wiener_share(x0, grid, seed, rec, first_index, n_paths):
+    """wiener_ensemble's share of paths, at the checked record rec."""
     sqdt = np.sqrt(grid.dt)
     values = np.empty((n_paths, len(rec)))
     for rows, _, k0, steps in _path_steps(seed, first_index, n_paths,
@@ -477,7 +457,6 @@ def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     return values
 
 
-@_path_shares
 def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
                          record, j0: Optional[float] = None,
                          first_index: int = 0):
@@ -504,7 +483,13 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     """
     if j0 is not None and not (0 < j0 <= x0):
         raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0")
-    rec = _record(record, grid)
+    work = functools.partial(_dual_share, x0, grid, seed,
+                             _record(record, grid), j0)
+    return _shared(work, first_index, n_paths)
+
+
+def _dual_share(x0, grid, seed, rec, j0, first_index, n_paths):
+    """bessel_dual_ensemble's share of paths, at the checked record rec."""
     dt = grid.dt
     sqdt = np.sqrt(dt)
     reach = _BRIDGE_REACH * dt
@@ -534,7 +519,6 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     return values, jstars
 
 
-@_path_shares
 def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
                      seed: int, record, first_index: int = 0):
     """Euler-Maruyama for dX = -1/2 T_f(X) dt + dB, absorbed at the lower
@@ -560,7 +544,13 @@ def drifted_ensemble(f: SmoothMap, x0: float, grid: TimeGrid, n_paths: int,
     if not f.contains(x0):
         raise DomainError("x0 outside the domain of f")
     _require_unbounded_above(f)
-    rec = _record(record, grid)
+    work = functools.partial(_drifted_share, f, x0, grid, seed,
+                             _record(record, grid))
+    return _shared(work, first_index, n_paths)
+
+
+def _drifted_share(f, x0, grid, seed, rec, first_index, n_paths):
+    """drifted_ensemble's share of paths, at the checked record rec."""
     dt = grid.dt
     sqdt = np.sqrt(dt)
     reach = _BRIDGE_REACH * dt
@@ -670,7 +660,6 @@ def reflected_ensemble(f: SmoothMap, chi0: float, l0: float, grid: TimeGrid,
                             n_paths, seed, first_index)[0]
 
 
-@_path_shares
 def reflected_passes(f: SmoothMap, passes, n_paths: int, seed: int,
                      first_index: int = 0) -> list:
     """Several passes of the reflected kernel (reflected_ensemble) under one
@@ -684,14 +673,22 @@ def reflected_passes(f: SmoothMap, passes, n_paths: int, seed: int,
     """
     _require_unbounded_above(f)
     lo = f.domain[0]
-    walks = []
+    recs = []
     for spec in passes:
         if not lo < spec.l0:
             raise DomainError(f"floor {spec.l0} outside the domain of f")
         if not spec.chi0 >= 0:
             raise DomainError(f"start {spec.chi0} below the floor: need "
                               f"chi0 >= 0")
-        walks.append(_ReflectedWalk(f, spec, n_paths))
+        recs.append(_record(spec.record, spec.grid))
+    work = functools.partial(_reflected_share, f, passes, recs, seed)
+    return _shared(work, first_index, n_paths)
+
+
+def _reflected_share(f, passes, recs, seed, first_index, n_paths):
+    """reflected_passes' share of paths, at the passes' checked records."""
+    walks = [_ReflectedWalk(f, spec, rec, n_paths)
+             for spec, rec in zip(passes, recs)]
     for read in read_plan(passes):
         group = sorted((walks[i] for i in read), key=lambda w: -w.n_steps)
         for rows, _, _, steps in _path_steps(seed, first_index, n_paths,
@@ -711,12 +708,12 @@ def reflected_passes(f: SmoothMap, passes, n_paths: int, seed: int,
 
 class _ReflectedWalk:
     """One pass of reflected_passes: its outputs, its step arithmetic, and
-    the state (chi, lev, hit) of the paths of the block it is stepping."""
+    the state (chi, lev, hit) of the paths of the block it is stepping.  rec
+    is the pass's record as the caller checked it (_record)."""
 
-    def __init__(self, f: SmoothMap, spec: ReflectedPass, n_paths: int):
+    def __init__(self, f: SmoothMap, spec: ReflectedPass, rec, n_paths: int):
         self.f, self.chi0, self.l0 = f, float(spec.chi0), float(spec.l0)
         self.flat = f.pre is _flat
-        rec = _record(spec.record, spec.grid)
         self.at = {int(node): k for k, node in enumerate(rec)}
         self.n_steps = spec.grid.n_steps
         self.dt = spec.grid.dt
@@ -783,8 +780,7 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable, x0: float,
     is); a path that never leaves stops at T.  payoff maps an array of
     stopped values to their payoffs (a scalar broadcasts).  The paths'
     weighted payoffs run as contiguous shares of at least _WEIGHT_ROWS
-    paths, one per CPU (_run_path_shares), joined in path order before the
-    mean.
+    paths, one per CPU (_shared), joined in path order before the mean.
 
     Returns (estimate, stderr) over the n_paths ensemble.
     """
@@ -794,8 +790,7 @@ def change_of_measure_expectation(s: SmoothMap, payoff: Callable, x0: float,
         raise DomainError("x0 must start inside the band")
     work = functools.partial(_weighted_payoffs, s, payoff, x0, grid, seed,
                              band)
-    vals = np.concatenate(_run_path_shares(
-        work, 0, n_paths, _worker_count(n_paths // _WEIGHT_ROWS)))
+    vals = _shared(work, 0, n_paths, _WEIGHT_ROWS)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_paths))
 
 

@@ -202,6 +202,49 @@ def test_kernels_refuse_a_finite_upper_edge_before_any_read(monkeypatch, lo):
         assert str(f.descriptor) in str(info.value)
 
 
+def test_refused_calls_fork_nothing(monkeypatch):
+    # blocks of two paths and two workers, so that seven paths would run as
+    # two shares: each refusal is raised in the caller before any share
+    # forks, with the message of a one-process call
+    grid = TimeGrid.uniform(1.0, 4)
+    bounded = affine_map(1.0, 0.0, domain=(0.0, 1.2))
+    f = reciprocal_map()
+    refused = {
+        "reflected_upper_edge": lambda: reflected_ensemble(
+            bounded, 0.1, 0.5, grid, 7, SEED, [4]),
+        "drifted_upper_edge": lambda: drifted_ensemble(
+            bounded, 0.5, grid, 7, SEED, [4]),
+        "drifted_x0": lambda: drifted_ensemble(f, -1.0, grid, 7, SEED, [4]),
+        "reflected_chi0": lambda: reflected_ensemble(
+            f, -1.0, 0.5, grid, 7, SEED, [4]),
+        "reflected_floor": lambda: reflected_ensemble(
+            f, 0.0, -0.5, grid, 7, SEED, [4]),
+        "reflected_record": lambda: reflected_ensemble(
+            f, 0.0, 0.5, grid, 7, SEED, [5]),
+        "dual_j0": lambda: bessel_dual_ensemble(1.0, grid, 7, SEED, [4], 1.5),
+        "wiener_record": lambda: wiener_ensemble(1.0, grid, 7, SEED, [5]),
+    }
+    monkeypatch.setattr(pathlab, "_BLOCK", 2)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 1)
+    alone = {}
+    for name, run in refused.items():
+        with pytest.raises(DomainError) as info:
+            run()
+        alone[name] = str(info.value)
+
+    def no_fork(work):
+        raise AssertionError("a share forked")
+
+    monkeypatch.setattr(pathlab, "_fork_share", no_fork)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 2)
+    with pytest.raises(AssertionError, match="a share forked"):
+        wiener_ensemble(1.0, grid, 7, SEED, [4])  # a good call forks
+    for name, run in refused.items():
+        with pytest.raises(DomainError) as info:
+            run()
+        assert str(info.value) == alone[name], name
+
+
 @pytest.mark.parametrize("f", [
     f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 2.0}),
     reciprocal_map(),
