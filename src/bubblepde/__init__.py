@@ -59,7 +59,6 @@ from .closedform import (
     forward_bm_investor,
     forward_recip_bessel_fundraiser,
     forward_recip_bessel_investor,
-    integrate,
     norm_cdf,
     norm_pdf,
     theta_recip_bessel_forward,

@@ -139,19 +139,26 @@ class ThetaTable:
 
     def interpolator(self):
         """Monotone piecewise-cubic interpolant of tau -> Theta; querying
-        outside [0, max tau] raises (extrapolation is forbidden)."""
-        from scipy.interpolate import PchipInterpolator
+        outside [0, max tau] raises (extrapolation is forbidden).
 
-        pchip = PchipInterpolator(self.taus, self.theta, extrapolate=False)
-        hi = self.taus[-1]
+        The cubic is the PCHIP of Fritsch & Butland (1984), built and
+        evaluated in the same floating-point steps as scipy's
+        PchipInterpolator, so its values carry the same bits."""
+        x = self.taus
+        c0, c1, c2, c3 = _pchip_coefficients(x, self.theta)
+        hi = x[-1]
         grace = hi * (1 + 1e-12) + 1e-15  # tolerate roundoff at the top edge
 
         def theta_of(tau):
             t = np.asarray(tau, dtype=float)
             t = np.where((t > hi) & (t <= grace), hi, t)
-            out = pchip(t)
-            if np.any(np.isnan(out)):
+            if not np.all((t >= x[0]) & (t <= hi)):
                 raise DomainError("Theta queried outside its tabulated range")
+            # interval i with x[i] <= t < x[i+1], closed at the top edge
+            i = np.minimum(np.searchsorted(x, t, side="right") - 1, len(x) - 2)
+            s = t - x[i]
+            ss = s * s
+            out = c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
             return float(out) if out.ndim == 0 else out
 
         return theta_of
@@ -212,6 +219,46 @@ class ThetaTable:
                        payoff_descriptor=payoff_descriptor)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray):
+    """Coefficients (c0, c1, c2, c3) of the PCHIP through (x, y), so that
+    on [x[i], x[i+1]] it is c3 + c2 s + c1 s^2 + c0 s^3 with s = t - x[i].
+
+    Interior slopes are the Fritsch-Butland weighted harmonic mean of the
+    neighbouring secants, zero where these change sign or vanish; the end
+    slopes are the one-sided three-point estimates, limited to keep the
+    shape; two nodes give the straight line.  Each expression is scipy's,
+    in its order, as a test checks bit for bit."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        d = np.zeros_like(y)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    # scipy sums the cubic from 0.0, which turns a value -0.0 into 0.0
+    return t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1]
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, set to zero where its sign differs
+    from the end secant's and capped at 3 m0 where the secants change
+    sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _floor_grid(horizon: float, taus: np.ndarray, grid_resolution: int) -> TimeGrid:

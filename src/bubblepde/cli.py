@@ -449,9 +449,8 @@ def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
 def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     # the scipy modules a price calls, loaded before the clock starts, so
     # that runtime_s times the pricing, not the import
-    import scipy.integrate
-    import scipy.interpolate
     import scipy.linalg.lapack
+    import scipy.special
 
     t_start = time.perf_counter()
     model = cfg["model"]
@@ -574,9 +573,8 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
              for lev, (m, steps) in enumerate(_level_sizes(num))]
     loads = _balance([m * steps for _, _, m, steps in tasks],
                      _worker_count(len(tasks)))
-    # the scipy modules the solves call, loaded once before the workers
+    # the scipy module the solves call, loaded once before the workers
     # fork, and outside the timed solves
-    import scipy.interpolate
     import scipy.linalg.lapack
 
     def solve_load(load):
@@ -629,9 +627,8 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
                     digest: str) -> int:
     # the scipy modules the prices call, loaded before the clock starts, as
     # in run_price
-    import scipy.integrate
-    import scipy.interpolate
     import scipy.linalg.lapack
+    import scipy.special
 
     t_start = time.perf_counter()
     model = cfg["model"]

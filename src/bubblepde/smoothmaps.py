@@ -301,8 +301,6 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     Returns an array aligned to the path's grid nodes, possibly shorter when
     truncated.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     X = np.asarray(path.X, dtype=float)
     inside = np.atleast_1d(f.contains(X))
     if not inside[0]:
@@ -310,8 +308,9 @@ def schwarzian_process(f: SmoothMap, path) -> np.ndarray:
     if not np.all(inside):
         n = int(np.argmin(inside))  # first exit node
         X = X[:n]
-    integral = cumulative_trapezoid(schwarzian(f, X), path.grid.nodes[: len(X)],
-                                    initial=0)
+    t, S = path.grid.nodes[: len(X)], schwarzian(f, X)
+    # scipy's cumulative_trapezoid, in its order of operations
+    integral = np.concatenate([[0.0], np.cumsum(np.diff(t) * (S[1:] + S[:-1]) / 2.0)])
     out = multiplicative_functional(f, X[0], X, integral)
     out[0] = 1.0
     return out

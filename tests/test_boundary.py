@@ -159,6 +159,35 @@ def test_interpolator_range():
         th(1.2)
 
 
+def test_interpolator_is_scipys_pchip_bit_for_bit():
+    # scipy is the reference here only; the package builds the PCHIP itself
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(26)
+    for trial in range(300):
+        n = int(rng.integers(2, 41))
+        taus = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+        theta = [np.cumsum(rng.exponential(1.0, n)),  # increasing
+                 rng.normal(size=n),  # sign changes
+                 np.round(rng.normal(size=n))][trial % 3]  # flat segments, zeros
+        table = ThetaTable(j=0.5, taus=taus, theta=theta, stderr=np.zeros(n),
+                           n_paths=1, seed=0)
+        mid = taus[:-1] + rng.uniform(0.0, 1.0, n - 1) * np.diff(taus)
+        q = np.concatenate([taus, mid, rng.uniform(0.0, taus[-1], 20)])
+        ours = table.interpolator()(q)
+        ref = PchipInterpolator(taus, theta, extrapolate=False)(q)
+        np.testing.assert_array_equal(ours.view(np.int64), ref.view(np.int64))
+        # scalars, the top edge and its roundoff grace
+        th = table.interpolator()
+        assert th(taus[-1]) == ref[n - 1]
+        assert th(taus[-1] * (1 + 1e-13)) == ref[n - 1]
+        for bad in (-1e-300, taus[-1] * 1.01, np.nan):
+            with pytest.raises(DomainError):
+                th(bad)
+        with pytest.raises(DomainError):
+            th(np.array([0.0, taus[-1] * 1.01]))
+
+
 def test_table_save_load_round_trip(tmp_path):
     t = _tiny_table()
     p = tmp_path / "theta.csv"

@@ -1138,6 +1138,25 @@ def test_import_loads_no_scipy():
     assert _scipy_loaded_after() == []
 
 
+# the public scipy subpackages each command loads: the PCHIP of Θ, the
+# oracle integral and the Schwarzian's trapezoid are numpy, so no command
+# loads scipy.interpolate or scipy.integrate, nor what those pull in
+@pytest.mark.parametrize("command, subpackages", [
+    ("price", ["linalg", "special"]),
+    ("convergence", ["linalg", "special"]),
+    ("compare-schemes", ["linalg"]),
+    ("oracle", ["special"]),
+])
+def test_each_command_loads_only_the_scipy_it_calls(tmp_path, command,
+                                                    subpackages):
+    loaded = _scipy_loaded_after([command, "--config",
+                                  str(write_config(tmp_path))])
+    # a subpackage is loaded when a module inside it is (scipy.version and
+    # scipy.__config__ are plain modules, scipy._lib a private package)
+    names = {m.split(".")[1] for m in loaded if m.count(".") >= 2}
+    assert sorted(n for n in names if not n.startswith("_")) == subpackages
+
+
 def test_theta_and_simulate_load_no_scipy(tmp_path):
     argvs = [["theta", "--config", str(write_config(tmp_path)), "--out",
               str(tmp_path / "theta")]]
@@ -1208,3 +1227,26 @@ def test_python_dash_m_runs_the_command(tmp_path):
     proc = _fresh_python("-m", "bubblepde", "oracle", "--config",
                          str(tmp_path / "missing.json"))
     assert proc.returncode == 2 and "config error" in proc.stderr
+
+
+def test_oracle_at_a_tiny_floor(tmp_path):
+    # j0 = 1e-6 puts the integrand's pole 1e-6 below the lower limit, so
+    # the integrand falls by 1e12 within the first 1e-3 of its range
+    import mpmath
+
+    cfgp = write_config(tmp_path, model={"sigma": SIG2, "x0": 1.0,
+                                         "j0": 1e-6, "T": 1.0})
+    proc = _fresh_python("-m", "bubblepde", "oracle", "--config", str(cfgp))
+    assert proc.returncode == 0, proc.stderr
+    values = {row[0]: float(row[4])
+              for row in _body(tmp_path / "out" / "oracle.csv")}
+    mpmath.mp.dps = 30
+    x, j = mpmath.mpf(1), mpmath.mpf("1e-6")
+    d = x - j
+    integral = mpmath.quad(lambda s: (j / (s + j)) ** 2 * mpmath.npdf(d + s),
+                           [0, j, 10 * j, 1, mpmath.inf])
+    want = {"forward_recip_bessel_investor": mpmath.erf(x / mpmath.sqrt(2)),
+            "forward_recip_bessel_fundraiser":
+                mpmath.erf(d / mpmath.sqrt(2)) + 2 * integral}
+    for case, value in want.items():
+        assert abs(values[case] - float(value)) <= 1e-12 * float(value), case

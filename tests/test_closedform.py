@@ -13,14 +13,12 @@ import scipy.special
 
 from bubblepde import (
     DomainError,
-    NumericsError,
     bond_bm,
     delta_bm_fundraiser,
     forward_bm_fundraiser,
     forward_bm_investor,
     forward_recip_bessel_fundraiser,
     forward_recip_bessel_investor,
-    integrate,
     norm_cdf,
     norm_pdf,
     theta_recip_bessel_forward,
@@ -69,17 +67,6 @@ def test_norm_cdf_known_points():
 def test_norm_pdf():
     assert norm_pdf(0.0) == pytest.approx(1 / np.sqrt(2 * np.pi), abs=1e-15)
     assert norm_pdf(2.0) == pytest.approx(np.exp(-2.0) / np.sqrt(2 * np.pi), rel=1e-14)
-
-
-def test_integrate_reports_achieved_error():
-    val, err = integrate(lambda r: np.exp(-r * r / 2), 0.0, np.inf)
-    assert val == pytest.approx(np.sqrt(np.pi / 2), rel=1e-10)
-    assert err < 1e-9
-
-
-def test_integrate_raises_on_divergence():
-    with pytest.raises(NumericsError):
-        integrate(lambda r: 1.0 / (1.0 + r), 0.0, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +128,56 @@ def test_forward_recip_bessel_fundraiser_vanishing_floor_limit():
     # (the r-integral carries a j^2 factor and the first term's d -> x/sqrt(T))
     assert forward_recip_bessel_fundraiser(1.0, 1e-8, 1.0) \
         == pytest.approx(forward_recip_bessel_investor(1.0, 1.0), abs=1e-6)
+
+
+def _mp_central_mass(d):
+    return mpmath.erf(mpmath.mpf(d) / mpmath.sqrt(2))
+
+
+def _mp_recip_fundraiser(x, j, T):
+    """The fundraiser forward in mpmath: erf(d/sqrt 2)/x + (2/x) int_0^inf
+    (a/(s+a))^2 phi(d+s) ds, a = j/sqrt(T), d = (x-j)/sqrt(T)."""
+    x, j, T = map(mpmath.mpf, (x, j, T))
+    a, d = j / mpmath.sqrt(T), (x - j) / mpmath.sqrt(T)
+
+    def integrand(s):
+        return (a / (s + a)) ** 2 * mpmath.npdf(d + s)
+
+    cuts = sorted({mpmath.mpf(0), a, 10 * a, mpmath.mpf(1), max(d, 1) + 1})
+    integral = mpmath.quad(integrand, [*cuts, mpmath.inf])
+    return _mp_central_mass(d) / x + 2 * integral / x
+
+
+@pytest.mark.parametrize("x, T", [(1e-3, 1e4), (1e-4, 1.0), (1e-5, 0.5)])
+def test_central_mass_keeps_its_digits_at_small_d(x, T):
+    # N(d) - N(-d) at d = x/sqrt(T) << 1 cancels as a difference of CDFs
+    mpmath.mp.dps = 30
+    d = x / np.sqrt(T)
+    want = _mp_central_mass(d)
+    assert bond_bm(x, T) == pytest.approx(float(want), rel=1e-15)
+    assert forward_recip_bessel_investor(x, T) \
+        == pytest.approx(float(want / mpmath.mpf(x)), rel=1e-15)
+    # the fundraiser's first term: a tiny floor under a small spot
+    j = x * 1e-6
+    assert forward_recip_bessel_fundraiser(x, j, T) \
+        == pytest.approx(float(_mp_recip_fundraiser(x, j, T)), rel=1e-14)
+
+
+def test_recip_bessel_forms_agree_with_mpmath_on_the_grid():
+    mpmath.mp.dps = 30
+    worst = 0.0
+    for x in (0.3, 1.0, 2.0, 5.0):
+        for ratio in (1e-4, 1e-3, 0.02, 0.25, 0.7, 1.0):
+            j = ratio * x
+            for T in (0.01, 0.25, 1.0, 4.0):
+                # theta is the fundraiser form started at the floor x = j
+                for got, want in (
+                        (forward_recip_bessel_fundraiser(x, j, T),
+                         _mp_recip_fundraiser(x, j, T)),
+                        (theta_recip_bessel_forward(T, j),
+                         _mp_recip_fundraiser(j, j, T))):
+                    worst = max(worst, abs(got - float(want)) / float(want))
+    assert worst < 1e-13
 
 
 def test_theta_small_floor_approaches_investor_start():

@@ -22,7 +22,7 @@ from bubblepde import (
     shift_map,
 )
 from bubblepde.pathlab import PathBundle, TimeGrid, wiener_ensemble
-from bubblepde.smoothmaps import _fd_cross_check
+from bubblepde.smoothmaps import _fd_cross_check, multiplicative_functional
 
 RNG = np.random.default_rng(991)
 
@@ -281,6 +281,22 @@ def test_process_power_law_closed_form():
         0.5 * (1 / X[:-1] ** 2 + 1 / X[1:] ** 2) * np.diff(t))))
     ref = (X[0] / X) ** ((alpha - 1) / 2) * np.exp((1 - alpha ** 2) / 8 * integ)
     np.testing.assert_allclose(s, ref, rtol=1e-12)
+
+
+def test_process_integral_is_scipys_cumulative_trapezoid_bitwise():
+    # scipy is the reference here only
+    from scipy.integrate import cumulative_trapezoid
+
+    f = power_law_map(1.7)
+    grid = TimeGrid.clustered(0.5, 300)
+    X = wiener_ensemble(3.0, grid, 1, 5, range(301))[0]
+    p = PathBundle(grid=grid, X=X, seed=5, path_index=0)
+    s = schwarzian_process(f, p)
+    X, t = p.X[: len(s)], grid.nodes[: len(s)]
+    integral = cumulative_trapezoid(schwarzian(f, X), t, initial=0)
+    ref = multiplicative_functional(f, X[0], X, integral)
+    ref[0] = 1.0
+    np.testing.assert_array_equal(s.view(np.int64), ref.view(np.int64))
 
 
 def test_process_constant_path():
