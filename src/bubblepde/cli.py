@@ -94,7 +94,10 @@ def _known(sec: dict, path: str, keys) -> None:
 
 def _build(path: str, build, desc):
     """build(desc), with a malformed descriptor reported as a ConfigError
-    naming the config key path."""
+    naming the config key path, after _check_values of a descriptor
+    object."""
+    if isinstance(desc, dict):
+        _check_values(path, desc)
     try:
         return build(desc)
     except ConfigError as exc:
@@ -121,6 +124,18 @@ def _number(sec: dict, path: str, key, default=None, positive=False,
     if positive and val <= 0:
         _fail(f"{path}.{key}", f"must be positive, got {val!r}")
     return int(val) if integer else float(val)
+
+
+def _check_values(path: str, desc: dict) -> None:
+    """_number of every value of desc but its kind, within its lists and
+    its nested objects, each named by its full key path."""
+    for key, val in desc.items():
+        if isinstance(val, list):
+            val = dict(enumerate(val))
+        if isinstance(val, dict):
+            _check_values(f"{path}.{key}", val)
+        elif key != "kind":
+            _number(desc, path, key)
 
 
 def _check_ladder(js: list, x0: float, note: str = "") -> None:
@@ -437,10 +452,12 @@ def price_at_floors(cfg: dict, f, payoff: PayoffSpec, floors, stages: dict):
 
 
 def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
+    pinned = cfg["numerics"].get("theta_table")
     table = _make_theta(cfg, f, payoff, cfg["model"]["j0"], out / "theta.csv",
-                        cfg["numerics"].get("theta_table"))
+                        pinned)
+    where = f"read from {pinned}" if pinned else f"-> {out / 'theta.csv'}"
     print(f"theta table: {len(table.taus)} tau nodes on [0, {table.taus[-1]}], "
-          f"j={table.j}, {table.n_paths} paths -> {out / 'theta.csv'}")
+          f"j={table.j}, {table.n_paths} paths {where}")
     print(f"  anchor theta(0)={float(table.theta[0])!r}, "
           f"theta(T)={table.theta[-1]:.6f} +- {table.stderr[-1]:.6f}")
     return 0

@@ -140,10 +140,10 @@ def forward_recip_bessel_fundraiser(x: float, j: float, T: float) -> float:
 
 
 def theta_recip_bessel_forward(tau: float, j: float) -> float:
-    """Boundary value of the forward payoff at the floor: the x=j case above.
+    """Boundary value of the forward payoff at the floor: the x=j case above,
+    forward_recip_bessel_fundraiser(j, j, tau), and 1/j at tau = 0.
 
-    Theta(tau, j) = (2/j) int_0^inf (a/(r+a))^2 phi(r) dr, a = j/sqrt(tau);
-    equals 1/j at tau = 0.
+    Theta(tau, j) = (2/j) int_0^inf (a/(r+a))^2 phi(r) dr, a = j/sqrt(tau).
     """
     if j <= 0:
         raise DomainError("theta_recip_bessel_forward needs j > 0")
@@ -151,7 +151,7 @@ def theta_recip_bessel_forward(tau: float, j: float) -> float:
         raise DomainError("theta_recip_bessel_forward needs tau >= 0")
     if tau == 0:
         return 1.0 / j
-    return float(2.0 * _recip_bessel_integral(j / np.sqrt(tau), 0.0) / j)
+    return forward_recip_bessel_fundraiser(j, j, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,8 @@ _DT_REFACTOR = 1e-12
 class Scheme:
     """The boundary-scheme protocol the solver reads.  Each scheme has a
     `kind` name, a `cap` (the top node y_M), `convection` and `neumann`
-    flags, the `grid` and `rows` hooks below, and its own `corner_defect`."""
+    flags, and the `grid` and `rows` hooks below; corner_defect reads its
+    boundary off the same rows."""
 
     convection = False  # True: solve the convection form for w = v / y
     neumann = False  # True: the cap row is v_M - v_{M-1} = top datum
@@ -194,10 +195,11 @@ class Scheme:
     def rows(self, payoff: PayoffSpec, y: np.ndarray, T: float,
              times: TimeGrid) -> tuple:
         """Boundary data on nodes y over times: (terminal datum, bottom
-        value, top-row datum of each step k -- the step that solves for time
-        node k).  Here the payoff itself, payoff(0) and a zero top datum."""
+        value, top-row datum at each time node -- the step that solves for
+        node k takes entry k, and the last is the datum at maturity).  Here
+        the payoff itself, payoff(0) and a zero top datum."""
         return (np.asarray(payoff(y), dtype=float), float(payoff(0.0)),
-                np.zeros(times.n_steps))
+                np.zeros(len(times.nodes)))
 
 
 @dataclass(frozen=True)
@@ -235,10 +237,9 @@ class FundraiserScheme(Scheme):
             raise ConfigError(
                 f"theta table covers tau up to {self.theta.taus[-1]}, need {T}")
         v, bottom, _ = super().rows(payoff, y, T, times)
-        return v, bottom, self.theta.interpolator()(T - times.nodes[:-1])
-
-    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
-        return abs(float(payoff(self.cap)) - float(self.theta.theta[0]))
+        # a time grid may end within roundoff past T: its last tau is 0
+        taus = np.maximum(T - times.nodes, 0.0)
+        return v, bottom, self.theta.interpolator()(taus)
 
 
 @dataclass(frozen=True)
@@ -266,12 +267,6 @@ class NeumannCapScheme(_TruncatedScheme):
     kind = "neumann_cap"
     neumann = True
 
-    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
-        """The payoff's one-sided slope at the cap against the zero the
-        Neumann row imposes."""
-        h = np.asarray(payoff(y[-2:]), dtype=float)
-        return abs(h[1] - h[0]) / (y[-1] - y[-2])
-
 
 @dataclass(frozen=True)
 class TaperedTerminalScheme(_TruncatedScheme):
@@ -283,9 +278,6 @@ class TaperedTerminalScheme(_TruncatedScheme):
     def rows(self, payoff, y, T, times):
         _, bottom, zero = super().rows(payoff, y, T, times)
         return _taper(payoff, self.n, y), bottom, zero
-
-    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
-        return abs(float(_taper(payoff, self.n, np.array([self.cap]))[0]) - 0.0)
 
 
 @dataclass(frozen=True)
@@ -303,10 +295,7 @@ class TransformedCauchyScheme(_TruncatedScheme):
         if not np.all(np.isfinite(v)) or v.max() > 1e12:
             raise ConfigError(
                 "transformed scheme needs payoff(y)/y bounded near 0")
-        return v, 0.0, np.zeros(times.n_steps)
-
-    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
-        return abs(float(payoff(self.cap)) / self.cap - 0.0)
+        return v, 0.0, np.zeros(len(times.nodes))
 
 
 @dataclass(frozen=True)
@@ -324,10 +313,7 @@ class NaiveDirichletScheme(Scheme):
 
     def rows(self, payoff, y, T, times):
         v, bottom, _ = super().rows(payoff, y, T, times)
-        return v, bottom, np.full(times.n_steps, float(payoff(self.cap)))
-
-    def corner_defect(self, payoff: PayoffSpec, y: np.ndarray) -> float:
-        return abs(float(payoff(self.cap)) - float(payoff(self.cap)))
+        return v, bottom, np.full(len(times.nodes), float(payoff(self.cap)))
 
 
 @dataclass(frozen=True)
@@ -376,10 +362,10 @@ def _require_finite(what: str, vals: np.ndarray, y: np.ndarray,
 @dataclass(frozen=True)
 class _Block:
     """One (scheme, grid) problem of a march, past every check solve makes:
-    its terminal datum v, bottom value, top-row datum of each step, interior
-    stencil rows (a, b, c) and their symmetric form (see _symmetric): which
-    interior rows are live, the scale of each and the symmetric coupling of
-    each pair of neighbours."""
+    its terminal datum v, bottom value, top-row datum at each time node,
+    interior stencil rows (a, b, c) and their symmetric form (see
+    _symmetric): which interior rows are live, the scale of each and the
+    symmetric coupling of each pair of neighbours."""
 
     scheme: Scheme
     grid: SpaceGrid
@@ -453,7 +439,8 @@ class _Stack:
     symmetric operator D L D^-1 (a Neumann cap row folded into the last
     diagonal entry, a 0 across each junction and each break), the nodes
     that hold a datum (bottom and dead rows) with their data, each block's
-    top node and the Neumann ones among them, each top-row datum, and what
+    top node and the Neumann ones among them, each top-row datum at the
+    time nodes the steps solve for (all but maturity), and what
     the neighbours that are not unknowns add to each step's rhs: `src[k]`
     at the unknowns `src_rows`."""
 
@@ -493,7 +480,7 @@ class _Stack:
         v = np.concatenate([blk.v for blk in blocks])
         held = v.copy()
         held[bottoms] = [blk.bottom for blk in blocks]
-        top = np.column_stack([blk.top for blk in blocks])
+        top = np.column_stack([blk.top[:-1] for blk in blocks])
         is_top = np.zeros(n_nodes, dtype=bool)
         is_top[tops] = True
         cols = np.flatnonzero(live)
@@ -742,9 +729,17 @@ def solve_start(sigma, payoff: PayoffSpec, T: float, pairs, times: TimeGrid,
 
 def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
                   grid: Optional[SpaceGrid] = None) -> float:
-    """Mismatch between the terminal datum and the boundary condition at the
-    space-time corner (t = T, y = cap): the instability driver of the
-    truncation schemes, zero by construction for the floor-anchored scheme."""
+    """Mismatch between the terminal datum and the boundary datum at the
+    space-time corner (t = T, y = cap), both read off the rows the solver
+    steps: |v_M - datum| under a Dirichlet cap row, and the one-sided slope
+    |v_M - v_{M-1} - datum| / (y_M - y_{M-1}) under a Neumann one.  The
+    instability driver of the truncation schemes, zero by construction for
+    the floor-anchored scheme.  A payoff or table the scheme refuses raises
+    the ConfigError solve raises."""
     if grid is None:
         grid = scheme.grid(_DEFAULT_M)
-    return scheme.corner_defect(payoff, grid.nodes)
+    y = grid.nodes
+    v, _, top = scheme.rows(payoff, y, T, TimeGrid.uniform(T, 1))
+    if scheme.neumann:
+        return float(abs(v[-1] - v[-2] - top[-1]) / (y[-1] - y[-2]))
+    return float(abs(v[-1] - top[-1]))

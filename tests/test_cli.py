@@ -164,18 +164,38 @@ MODEL = {"x0": 1.0, "j0": 0.25, "T": 1.0}
 
 
 @pytest.mark.parametrize("key, section, value", [
-    ("payoff", "payoff", {"kind": "call", "strike": "abc"}),
-    ("payoff", "payoff", {"kind": "call", "strike": None}),
+    ("payoff.strike", "payoff", {"kind": "call", "strike": "abc"}),
+    ("payoff.strike", "payoff", {"kind": "call", "strike": None}),
     ("payoff", "payoff", {"kind": "call", "strike": [1]}),
-    ("payoff", "payoff", {"kind": "table", "nodes": [0.0, 1.0], "values": "x"}),
-    ("model.sigma", "model", dict(MODEL, sigma=dict(SIG2, exponent="x"))),
+    ("payoff.values", "payoff",
+     {"kind": "table", "nodes": [0.0, 1.0], "values": "x"}),
+    ("model.sigma.exponent", "model", dict(MODEL, sigma=dict(SIG2, exponent="x"))),
     ("model.sigma", "model", dict(MODEL, sigma={"kind": "exp", "rate": 1.0})),
     ("model.sigma", "model", dict(MODEL, sigma="y**2")),
     ("model.f", "model", dict(MODEL, f={"kind": "power_law"})),
     ("model.f", "model", dict(MODEL, f={"kind": "no_such_map"})),
+    # values each builder would have taken through float() or as a number
+    ("payoff.strike", "payoff", {"kind": "call", "strike": True}),
+    ("payoff.strike", "payoff", {"kind": "call", "strike": "1.5"}),
+    ("payoff.nodes.0", "payoff",
+     {"kind": "table", "nodes": ["0", "2"], "values": [0.0, 1.0]}),
+    ("payoff.values.0", "payoff",
+     {"kind": "table", "nodes": [0.0, 2.0], "values": [False, True]}),
+    ("model.sigma.coefficient", "model",
+     dict(MODEL, sigma=dict(SIG2, coefficient="1"))),
+    ("model.sigma.exponent", "model", dict(MODEL, sigma=dict(SIG2, exponent="2"))),
+    ("model.f.alpha", "model",
+     dict(MODEL, f={"kind": "power_law", "alpha": "-1"})),
+    ("model.f.alpha", "model", dict(MODEL, f={"kind": "power_law", "alpha": True})),
+    ("model.f.outer.alpha", "model",
+     dict(MODEL, f={"kind": "compose", "inner": BM_F,
+                    "outer": {"kind": "power_law", "alpha": "-1"}})),
 ], ids=["strike-abc", "strike-null", "strike-list", "table-values",
         "sigma-exponent", "sigma-not-power", "sigma-not-a-descriptor",
-        "f-missing-alpha", "f-unknown-kind"])
+        "f-missing-alpha", "f-unknown-kind", "strike-bool", "strike-string",
+        "table-string-nodes", "table-bool-values", "sigma-string-coefficient",
+        "sigma-string-exponent", "f-string-alpha", "f-bool-alpha",
+        "f-nested-string-alpha"])
 def test_malformed_descriptor_value_is_a_config_error(tmp_path, key, section,
                                                       value):
     cfgp = write_config(tmp_path, **{section: value})
@@ -397,6 +417,22 @@ def test_theta_subcommand_writes_table(tmp_path):
     body = table.read_text()
     assert body.splitlines()[0] == "tau,theta,stderr"
     assert "np.float" not in body
+
+
+def test_theta_with_a_pinned_table_names_the_file_it_read(tmp_path, capsys):
+    cfgp = write_config(tmp_path)
+    assert main(["theta", "--config", str(cfgp)]) == 0
+    pinned = tmp_path / "out" / "theta.csv"
+    cfg = json.loads(cfgp.read_text())
+    cfg["numerics"]["theta_table"] = str(pinned)
+    cfgp.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    out2 = tmp_path / "out2"
+    assert main(["theta", "--config", str(cfgp), "--out", str(out2)]) == 0
+    said = capsys.readouterr().out
+    assert f"paths read from {pinned}\n" in said
+    assert str(out2) not in said
+    assert sorted(p.name for p in out2.iterdir()) == ["resolved_config.json"]
 
 
 def test_price_accepts_pinned_theta_table(tmp_path):
@@ -1035,19 +1071,21 @@ def test_simulate_kinds(tmp_path, monkeypatch, kind):
         assert any(r.startswith("Jstar_T_mean,") for r in summary)
 
 
-@pytest.mark.parametrize("payoff", [
-    {"kind": "table", "nodes": [0, 2, 8], "values": [0, float("nan"), 8]},
-    {"kind": "table", "nodes": [0, 2, float("inf")], "values": [0, 1, 8]},
-    {"kind": "call", "strike": float("inf")}],
+@pytest.mark.parametrize("payoff, key", [
+    ({"kind": "table", "nodes": [0, 2, 8], "values": [0, float("nan"), 8]},
+     "payoff.values.1"),
+    ({"kind": "table", "nodes": [0, 2, float("inf")], "values": [0, 1, 8]},
+     "payoff.nodes.2"),
+    ({"kind": "call", "strike": float("inf")}, "payoff.strike")],
     ids=["nan-value", "inf-node", "inf-strike"])
-def test_non_finite_payoff_names_its_key(tmp_path, capsys, payoff):
+def test_non_finite_payoff_names_its_key(tmp_path, capsys, payoff, key):
     # json reads NaN and Infinity; such a payoff used to pass resolution,
     # after which price failed naming no key and oracle exited 0
     cfgp = write_config(tmp_path, payoff=payoff)
     for command in ("price", "oracle"):
         assert main([command, "--config", str(cfgp)]) == 2
         err = capsys.readouterr().err
-        assert "config key payoff: " in err and "finite" in err, err
+        assert f"config key {key}: " in err and "finite" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -23,7 +23,8 @@ from bubblepde import (
     norm_pdf,
     theta_recip_bessel_forward,
 )
-from bubblepde.closedform import ORACLES, erfc, oracle_value
+from bubblepde.closedform import ORACLES, _recip_bessel_integral, erfc, \
+    oracle_value
 
 
 def erfc_continued_fraction(x, terms=120):
@@ -116,11 +117,15 @@ def test_forward_recip_bessel_investor_pinned_value():
 
 
 def test_forward_recip_bessel_fundraiser_at_floor_matches_theta():
-    # starting exactly at the floor, the fundraiser price IS the boundary function
-    for j, T in ((0.5, 1.0), (0.25, 1.0), (1.0, 0.5)):
-        a = forward_recip_bessel_fundraiser(j, j, T)
-        b = theta_recip_bessel_forward(T, j)
-        assert a == pytest.approx(b, rel=1e-9)
+    # starting exactly at the floor, the fundraiser price IS the boundary
+    # function, bit for bit; the reference is Theta's own integral form
+    for tau in (1e-6, 1e-3, 0.01, 0.05, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0):
+        for j in (1e-4, 1e-3, 0.02, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0):
+            a = j / np.sqrt(tau)
+            want = float(2.0 * _recip_bessel_integral(a, 0.0) / j)
+            got = theta_recip_bessel_forward(tau, j)
+            assert got.hex() == want.hex(), (tau, j)
+            assert forward_recip_bessel_fundraiser(j, j, tau).hex() == want.hex()
 
 
 def test_forward_recip_bessel_fundraiser_vanishing_floor_limit():

@@ -669,3 +669,76 @@ def test_corner_defect_by_scheme():
     assert corner_defect(SIG2, FWD, 1.0, TransformedCauchyScheme(n=10.0)) \
         == pytest.approx(1.0, rel=1e-6)
     assert corner_defect(SIG2, FWD, 1.0, NaiveDirichletScheme(cap=10.0)) == 0.0
+
+
+def _reference_corner_defect(scheme, payoff, y):
+    """The corner defect as each scheme once stated it in a formula of its
+    own, beside the rows the solver steps: the reference those rows must
+    reproduce bit for bit."""
+    cap = scheme.cap
+    if scheme.kind == "fundraiser":
+        return abs(float(payoff(cap)) - float(scheme.theta.theta[0]))
+    if scheme.kind == "neumann_cap":
+        h = np.asarray(payoff(y[-2:]), dtype=float)
+        return abs(h[1] - h[0]) / (y[-1] - y[-2])
+    if scheme.kind == "tapered_terminal":
+        return abs(float(_taper(payoff, scheme.n, np.array([cap]))[0]) - 0.0)
+    if scheme.kind == "transformed_cauchy":
+        return abs(float(payoff(cap)) / cap - 0.0)
+    return abs(float(payoff(cap)) - float(payoff(cap)))
+
+
+def _pinned_table(j, theta0):
+    """A hand-made Theta table of the reciprocal map at floor j whose value
+    at tau = 0 is theta0."""
+    return ThetaTable(j=j, taus=np.array([0.0, 0.25, 1.0]),
+                      theta=np.array([theta0, 5.5, 4.0]),
+                      stderr=np.zeros(3), n_paths=1, seed=0,
+                      map_descriptor=reciprocal_map().descriptor)
+
+
+def _hand_grid(scheme):
+    """Geometric nodes halving down from the cap, with a y = 0 node for
+    the schemes whose domain is [0, cap]."""
+    nodes = scheme.cap * 2.0 ** -np.arange(24, -1, -1)
+    if scheme.kind != "fundraiser":
+        nodes = np.concatenate([[0.0], nodes])
+    return SpaceGrid(nodes)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0])
+@pytest.mark.parametrize("payoff", [
+    FWD, PayoffSpec.bond(), PayoffSpec.call(5.0), PayoffSpec.call(20.0),
+    PayoffSpec.from_table([0.0, 2.0, 8.0, 12.0], [0.0, 1.5, 3.0, 3.5])],
+    ids=["forward", "bond", "call-half-cap", "call-twice-cap", "table"])
+def test_corner_defect_equals_the_per_scheme_formulas_bitwise(payoff, T):
+    # theta(0) = 7.25 against the forward's 10 makes the floor-anchored
+    # defect nonzero too
+    for scheme in _every_scheme(_pinned_table(0.1, 7.25)):  # cap 10
+        for grid in (scheme.grid(800), _hand_grid(scheme)):
+            got = corner_defect(SIG2, payoff, T, scheme, grid=grid)
+            want = _reference_corner_defect(scheme, payoff, grid.nodes)
+            assert got.hex() == float(want).hex(), (scheme.kind, grid.m)
+
+
+@pytest.mark.parametrize("scheme, payoff, grid", [
+    (FundraiserScheme(j=0.1, theta=_pinned_table(0.1, 10.0)), FWD, None),
+    # payoff(y)/y = 1/y passes 1e12 at the first node above 0
+    (TransformedCauchyScheme(n=10.0), PayoffSpec.bond(),
+     SpaceGrid(np.concatenate([[0.0], 10.0 * 2.0 ** -np.arange(46, -1, -1)]))),
+], ids=["theta-table-short-of-T", "transformed-unbounded-ratio"])
+def test_corner_defect_raises_the_config_error_of_solve(scheme, payoff, grid):
+    with pytest.raises(ConfigError) as solved:
+        solve(SIG2, payoff, 2.0, scheme, grid=grid,
+              times=TimeGrid.uniform(2.0, 8))
+    with pytest.raises(ConfigError) as defect:
+        corner_defect(SIG2, payoff, 2.0, scheme, grid=grid)
+    assert str(defect.value) == str(solved.value)
+
+
+def test_fundraiser_solves_on_a_time_grid_ending_past_T_by_roundoff():
+    # the top-row datum at maturity is Theta at tau = 0, not at T - t_N < 0
+    scheme = FundraiserScheme(j=0.1, theta=_pinned_table(0.1, 10.0))
+    times = TimeGrid(np.linspace(0.0, 1.0 + 1e-13, 9))
+    sol = solve(SIG2, FWD, 1.0, scheme, grid=scheme.grid(40), times=times)
+    assert np.all(np.isfinite(sol.values))
