@@ -61,7 +61,19 @@ _MC_TIME_STEPS = 512
 
 _SECTIONS = ("model", "payoff", "numerics", "output", "convergence", "simulate")
 _MODEL_KEYS = ("sigma", "f", "x0", "j0", "T")
-_PAYOFF_KEYS = {"call": ("kind", "strike"), "table": ("kind", "nodes", "values")}
+# the keys each descriptor kind takes besides "kind", by the descriptor's
+# config key: a table's nodes and values are lists of numbers, a
+# composition's outer and inner are map descriptors, and every other value
+# is a number
+_MAP_KEYS = {"power_law": ("alpha", "xi"), "log": ("xi",),
+             "mobius": ("a", "b", "c", "d"), "reciprocal": (),
+             "compose": ("outer", "inner")}
+_DESCRIPTOR_KEYS = {
+    "model.sigma": {"power": ("coefficient", "exponent")},
+    "model.f": _MAP_KEYS,
+    "payoff": {"bond": (), "forward": (), "call": ("strike",),
+               "table": ("nodes", "values")},
+}
 
 # what building a payoff or a map raises on a malformed descriptor value
 _MALFORMED = (KeyError, ValueError, TypeError, OverflowError)
@@ -97,7 +109,7 @@ def _build(path: str, build, desc):
     naming the config key path, after _check_values of a descriptor
     object."""
     if isinstance(desc, dict):
-        _check_values(path, desc)
+        _check_values(path, desc, _DESCRIPTOR_KEYS[path])
     try:
         return build(desc)
     except ConfigError as exc:
@@ -126,14 +138,27 @@ def _number(sec: dict, path: str, key, default=None, positive=False,
     return int(val) if integer else float(val)
 
 
-def _check_values(path: str, desc: dict) -> None:
-    """_number of every value of desc but its kind, within its lists and
-    its nested objects, each named by its full key path."""
+def _check_values(path: str, desc: dict, kinds: dict) -> None:
+    """Every key of the descriptor desc one that its kind takes in kinds,
+    and every value but its kind a number, a list of numbers or a map
+    descriptor as kinds says, each named by its full key path.  A kind that
+    kinds lacks is left to _build's build call, which refuses it."""
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        return
+    _known(desc, path, ("kind", *kinds[kind]))
     for key, val in desc.items():
-        if isinstance(val, list):
-            val = dict(enumerate(val))
-        if isinstance(val, dict):
-            _check_values(f"{path}.{key}", val)
+        if key in ("outer", "inner"):
+            if not isinstance(val, dict):
+                _fail(f"{path}.{key}", "must be a map descriptor object")
+            _check_values(f"{path}.{key}", val, _MAP_KEYS)
+        elif key in ("nodes", "values"):
+            if not isinstance(val, list):
+                _fail(f"{path}.{key}",
+                      f"expected a list of numbers, got {val!r}")
+            entries = dict(enumerate(val))
+            for i in entries:
+                _number(entries, f"{path}.{key}", i)
         elif key != "kind":
             _number(desc, path, key)
 
@@ -177,7 +202,6 @@ def _resolve(raw: dict, overrides: dict):
 
     payoff_desc = _section(raw, "payoff")
     payoff = _build("payoff", PayoffSpec.from_descriptor, payoff_desc)
-    _known(payoff_desc, "payoff", _PAYOFF_KEYS.get(payoff.kind, ("kind",)))
 
     numerics = dict(_NUMERIC_DEFAULTS)
     numerics.update(_section(raw, "numerics", required=False))
@@ -264,39 +288,6 @@ def _load_config(path_str: str, overrides: dict):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _resolve(raw, overrides)
-
-
-def _model_kind(f) -> str:
-    """Classify the map by values: 'recip' (f = 1/x), 'bm' (f = x), or
-    'other'.  Value-based so every descriptor spelling is recognized."""
-    probes = np.array([0.31, 1.1, 3.7])
-    try:
-        vals = np.asarray(f(probes), dtype=float)
-    except Exception:
-        return "other"
-    if np.max(np.abs(vals * probes - 1.0)) < 1e-9:
-        return "recip"
-    if np.max(np.abs(vals - probes)) < 1e-9:
-        return "bm"
-    return "other"
-
-
-def _oracle_kinds(payoff: PayoffSpec) -> tuple[str, ...]:
-    """The ORACLES payoff kinds that belong to a payoff, its price's kind
-    first: a call struck at 0 is the forward, and the forward's delta goes
-    with the forward."""
-    if payoff.kind == "forward" or (payoff.kind == "call"
-                                    and payoff.strike == 0.0):
-        return ("forward", "forward_delta")
-    return (payoff.kind,)
-
-
-def _oracles(kind: str, payoff: PayoffSpec, x0, j0, T):
-    """(investor, fundraiser) closed-form references from the oracle table,
-    None when no formula applies to this model/payoff pair."""
-    payoff_kind = _oracle_kinds(payoff)[0]
-    return tuple(cf.oracle_value(kind, payoff_kind, side, x0, j0, T)
-                 for side in ("investor", "fundraiser"))
 
 
 def _write_csv(path: Path, digest: str, header: str, rows: list[str]) -> None:
@@ -478,7 +469,9 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
         price_at_floors(cfg, f, payoff, [(j0, out / "theta.csv",
                                           cfg["numerics"].get("theta_table"))],
                         stages)
-    inv_oracle, fund_oracle = _oracles(_model_kind(f), payoff, x0, j0, T)
+    oracle = {side: form(x0, j0, T)
+              for _, side, form in cf.oracle_rows(f, payoff)}
+    inv_oracle, fund_oracle = oracle.get("investor"), oracle.get("fundraiser")
 
     rows = [
         f"mc_price,{_fmt(mc)},{_fmt(mc_se)}",
@@ -650,7 +643,8 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
     t_start = time.perf_counter()
     model = cfg["model"]
     x0, T = model["x0"], model["T"]
-    kind = _model_kind(f)
+    fund_form = {side: form for _, side, form
+                 in cf.oracle_rows(f, payoff)}.get("fundraiser")
     js = cfg.get("convergence", {}).get(
         "j_sequence", [0.4, 0.2, 0.1, 0.05, 0.02])
     _check_ladder(js, x0, "" if "convergence" in cfg else " (the default)")
@@ -663,7 +657,7 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
     rows = []
     prev = None
     for j, ((mc, mc_se), _, pde_value) in zip(js, priced):
-        _, fund_oracle = _oracles(kind, payoff, x0, j, T)
+        fund_oracle = None if fund_form is None else fund_form(x0, j, T)
         ref = pde_value if pde_value is not None else mc
         diff = None if prev is None else ref - prev
         gap = None if fund_oracle is None else ref - fund_oracle
@@ -739,10 +733,8 @@ def run_simulate(cfg: dict, f, payoff: PayoffSpec, out: Path,
 def run_oracle(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     model = cfg["model"]
     x0, j0, T = model["x0"], model["j0"], model["T"]
-    market, kinds = _model_kind(f), _oracle_kinds(payoff)
     rows = [f"{case},{_fmt(x0)},{_fmt(j0)},{_fmt(T)},{_fmt(form(x0, j0, T))}"
-            for (row_market, kind, _side), (case, form) in cf.ORACLES.items()
-            if row_market == market and kind in kinds]
+            for case, _side, form in cf.oracle_rows(f, payoff)]
     if rows:
         print("\n".join(["case,x,j,T,value", *rows]))
     else:

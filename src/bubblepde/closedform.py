@@ -3,8 +3,8 @@
 Normal CDF/PDF and the closed-form bond/forward prices of the two solvable
 benchmark markets (driftless unit map and reciprocal-Bessel map).  The
 closed forms are also rows of one table, ORACLES, keyed by (market, payoff
-kind, investor/fundraiser), which both the `oracle` subcommand and the
-price reports read.
+kind, side); oracle_rows picks the rows that apply to a map and a payoff,
+and both the `oracle` subcommand and the price reports read them.
 
 The normal CDF is computed from scipy's complementary error function; the
 test suite checks it against a continued-fraction reference and mpmath.
@@ -155,13 +155,14 @@ def theta_recip_bessel_forward(tau: float, j: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The oracle table: (market, payoff kind, investor/fundraiser) -> (case name,
-# closed form of (x, j, T)).  Market "bm" is the price map y = x, "recip" the
-# reciprocal-Bessel map y = 1/x, and "other" any other map.  Each closed form
-# looks its function up by name when called, so wrapping a module function (as
-# a profiler does) covers the table.  The bond pays 1 wherever no price path
-# is absorbed: the reflected (fundraiser) path never is, in any market, nor
-# is the Bessel-3 path behind y = 1/x.
+# The oracle table: (market, payoff kind, side) -> (case name, closed form of
+# (x, j, T)).  Market "bm" is the price map y = x, "recip" the
+# reciprocal-Bessel map y = 1/x, and "other" any other map; the side is the
+# investor's or the fundraiser's price, or the fundraiser's spot delta.  Each
+# closed form looks its function up by name when called, so wrapping a module
+# function (as a profiler does) covers the table.  The bond pays 1 wherever no
+# price path is absorbed: the reflected (fundraiser) path never is, in any
+# market, nor is the Bessel-3 path behind y = 1/x.
 
 def _par(x, j, T) -> float:
     return 1.0
@@ -174,7 +175,7 @@ ORACLES = {
         ("forward_bm_investor", lambda x, j, T: forward_bm_investor(x, T)),
     ("bm", "forward", "fundraiser"):
         ("forward_bm_fundraiser", lambda x, j, T: forward_bm_fundraiser(x, j, T)),
-    ("bm", "forward_delta", "fundraiser"):
+    ("bm", "forward", "fundraiser_delta"):
         ("delta_bm_fundraiser", lambda x, j, T: delta_bm_fundraiser(x, j, T)),
     ("recip", "bond", "investor"): ("bond_recip_bessel_investor", _par),
     ("recip", "bond", "fundraiser"): ("bond_recip_bessel_fundraiser", _par),
@@ -187,10 +188,31 @@ ORACLES = {
     ("other", "bond", "fundraiser"): ("bond_fundraiser", _par),
 }
 
+# the maps y = x and y = 1/x of the solvable markets are both defined on
+# (0, inf), so a map is told from them by its values here
+_PROBES = np.array([0.31, 1.1, 3.7])
 
-def oracle_value(market: str, payoff_kind: str, side: str, x: float,
-                 j: float, T: float) -> float | None:
-    """The closed form of ORACLES[market, payoff kind, side] at (x, j, T),
-    None when no formula applies."""
-    row = ORACLES.get((market, payoff_kind, side))
-    return None if row is None else row[1](x, j, T)
+
+def _market(f) -> str:
+    """The ORACLES market of the map f, told by its values at _PROBES, so
+    that every descriptor spelling is recognized; a map whose domain misses
+    a probe is 'other' and is not evaluated."""
+    if not np.all(f.contains(_PROBES)):
+        return "other"
+    vals = f(_PROBES)
+    if np.max(np.abs(vals * _PROBES - 1.0)) < 1e-9:
+        return "recip"
+    if np.max(np.abs(vals - _PROBES)) < 1e-9:
+        return "bm"
+    return "other"
+
+
+def oracle_rows(f, payoff) -> list:
+    """The ORACLES rows that price `payoff` in the market of the map f, as
+    (case, side, form) in table order: a call struck at 0 is the forward."""
+    kind = "forward" if payoff.kind == "call" and payoff.strike == 0.0 \
+        else payoff.kind
+    market = _market(f)
+    return [(case, side, form)
+            for (row_market, row_kind, side), (case, form) in ORACLES.items()
+            if (row_market, row_kind) == (market, kind)]

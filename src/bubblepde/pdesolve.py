@@ -582,14 +582,25 @@ def stencil(sigma, scheme: Scheme, grid: SpaceGrid):
     return a, b, c
 
 
+def _check_corners(T: float, pairs) -> None:
+    """The checks of solve that the corner (t = T, y = cap) of each
+    (scheme, grid) of pairs needs: T > 0 and the grid ending at the cap."""
+    if T <= 0:
+        raise ConfigError("T must be positive")
+    for scheme, grid in pairs:
+        top, cap = grid.nodes[-1], scheme.cap
+        if abs(top - cap) > 1e-9 * max(1.0, cap):
+            raise ConfigError(
+                f"grid must end at the scheme cap {cap}, got {top}")
+
+
 def _setup(sigma, payoff: PayoffSpec, T: float, pairs,
            times: Optional[TimeGrid], theta_weight: float):
     """Every check solve makes, then (times, a _Block of each (scheme, grid)
     of pairs); times defaults to _DEFAULT_STEPS uniform steps."""
     if not 0.0 <= theta_weight <= 1.0:
         raise ConfigError("theta_weight must lie in [0, 1]")
-    if T <= 0:
-        raise ConfigError("T must be positive")
+    _check_corners(T, pairs)
     s = _sigma_callable(sigma)
     if times is None:
         times = TimeGrid.uniform(T, _DEFAULT_STEPS)
@@ -597,10 +608,7 @@ def _setup(sigma, payoff: PayoffSpec, T: float, pairs,
         raise ConfigError("time grid does not end at T")
     blocks = []
     for scheme, grid in pairs:
-        y, cap = grid.nodes, scheme.cap
-        if abs(y[-1] - cap) > 1e-9 * max(1.0, cap):
-            raise ConfigError(
-                f"grid must end at the scheme cap {cap}, got {y[-1]}")
+        y = grid.nodes
         v, bottom, top = scheme.rows(payoff, y, T, times)
         a, b, c = stencil(s, scheme, grid)
         _require_finite("terminal datum", v, y)
@@ -735,9 +743,11 @@ def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
     |v_M - v_{M-1} - datum| / (y_M - y_{M-1}) under a Neumann one.  The
     instability driver of the truncation schemes, zero by construction for
     the floor-anchored scheme.  A payoff or table the scheme refuses raises
-    the ConfigError solve raises."""
+    the ConfigError solve raises, as do T <= 0 and a grid that does not
+    end at the scheme's cap."""
     if grid is None:
         grid = scheme.grid(_DEFAULT_M)
+    _check_corners(T, [(scheme, grid)])
     y = grid.nodes
     v, _, top = scheme.rows(payoff, y, T, TimeGrid.uniform(T, 1))
     if scheme.neumann:

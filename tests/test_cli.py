@@ -13,7 +13,7 @@ import sys
 import tempfile
 import threading
 import time
-import functools
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -25,6 +25,7 @@ from bubblepde import (ConfigError, DomainError, NumericsError, PayoffSpec,
                        ThetaTable, cli, estimate_theta, f_from_sigma, pathlab,
                        pdesolve, price_and_decompose)
 from bubblepde.cli import config_hash, main, resolve_config
+from bubblepde.closedform import oracle_rows
 
 RECIP_F = {"kind": "mobius", "a": 0.0, "b": 1.0, "c": 1.0, "d": 0.0}
 BM_F = {"kind": "power_law", "alpha": 1.0, "xi": 0.0}
@@ -166,7 +167,7 @@ MODEL = {"x0": 1.0, "j0": 0.25, "T": 1.0}
 @pytest.mark.parametrize("key, section, value", [
     ("payoff.strike", "payoff", {"kind": "call", "strike": "abc"}),
     ("payoff.strike", "payoff", {"kind": "call", "strike": None}),
-    ("payoff", "payoff", {"kind": "call", "strike": [1]}),
+    ("payoff.strike", "payoff", {"kind": "call", "strike": [1]}),
     ("payoff.values", "payoff",
      {"kind": "table", "nodes": [0.0, 1.0], "values": "x"}),
     ("model.sigma.exponent", "model", dict(MODEL, sigma=dict(SIG2, exponent="x"))),
@@ -190,12 +191,20 @@ MODEL = {"x0": 1.0, "j0": 0.25, "T": 1.0}
     ("model.f.outer.alpha", "model",
      dict(MODEL, f={"kind": "compose", "inner": BM_F,
                     "outer": {"kind": "power_law", "alpha": "-1"}})),
+    # lists only under a table's nodes and values, objects only as the
+    # parts of a composition
+    ("payoff.nodes", "payoff", {"kind": "table", "nodes": 1.0,
+                                "values": [0.0, 1.0]}),
+    ("model.f.xi", "model", dict(MODEL, f={"kind": "log", "xi": [0.5]})),
+    ("model.f.inner", "model",
+     dict(MODEL, f={"kind": "compose", "inner": [1.0], "outer": RECIP_F})),
 ], ids=["strike-abc", "strike-null", "strike-list", "table-values",
         "sigma-exponent", "sigma-not-power", "sigma-not-a-descriptor",
         "f-missing-alpha", "f-unknown-kind", "strike-bool", "strike-string",
         "table-string-nodes", "table-bool-values", "sigma-string-coefficient",
         "sigma-string-exponent", "f-string-alpha", "f-bool-alpha",
-        "f-nested-string-alpha"])
+        "f-nested-string-alpha", "table-number-nodes", "f-list-xi",
+        "f-nested-list"])
 def test_malformed_descriptor_value_is_a_config_error(tmp_path, key, section,
                                                       value):
     cfgp = write_config(tmp_path, **{section: value})
@@ -204,10 +213,21 @@ def test_malformed_descriptor_value_is_a_config_error(tmp_path, key, section,
     assert main(["price", "--config", str(cfgp)]) == 2
 
 
-@pytest.mark.parametrize("key", ["numerics.path", "model.typo", "payoff.strik",
-                                 "output.dri", "outptu"])
+# the model.f keys below are set on a composed map
+COMPOSED_MODEL = dict(MODEL, f={"kind": "compose",
+                                "outer": {"kind": "reciprocal"}, "inner": BM_F})
+
+
+@pytest.mark.parametrize("key", [
+    "numerics.path", "model.typo", "payoff.strik", "output.dri", "outptu",
+    # every descriptor, a nested one too: a misspelt coefficient would
+    # otherwise price the coefficient-1 model, and "domain" is a map's
+    # provenance, which no config sets
+    "model.sigma.coeficient", "model.f.domain", "model.f.outer.alpha",
+    "model.f.inner.domain"])
 def test_unknown_config_key_is_rejected(tmp_path, key):
-    raw = json.loads(write_config(tmp_path).read_text())
+    model = {"model": COMPOSED_MODEL} if key.startswith("model.f.") else {}
+    raw = json.loads(write_config(tmp_path, **model).read_text())
     *sections, leaf = key.split(".")
     reduce(getitem, sections, raw)[leaf] = 1
     with pytest.raises(ConfigError, match=f"config key {key}: unknown key"):
@@ -499,6 +519,18 @@ def _config_is_not_utf8(tmp_path):
     return cfgp, str(cfgp)
 
 
+def _config_is_not_json(tmp_path):
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(cfgp.read_text()[:-1])
+    return cfgp, "config is not valid JSON"
+
+
+def _config_root_is_a_list(tmp_path):
+    cfgp = write_config(tmp_path)
+    cfgp.write_text(f"[{cfgp.read_text()}]")
+    return cfgp, "config root must be a JSON object"
+
+
 def _theta_table_is_not_utf8(tmp_path):
     assert main(["theta", "--config", str(write_config(tmp_path))]) == 0
     table = tmp_path / "out" / "theta.csv"
@@ -516,10 +548,13 @@ def _theta_table_is_the_working_directory(tmp_path):
 
 
 @pytest.mark.parametrize("make", [_output_dir_is_a_file, _config_is_a_directory,
-                                  _config_is_not_utf8, _theta_table_is_not_utf8,
+                                  _config_is_not_utf8, _config_is_not_json,
+                                  _config_root_is_a_list,
+                                  _theta_table_is_not_utf8,
                                   _theta_table_is_the_working_directory],
                          ids=["output-dir-is-a-file", "config-is-a-directory",
-                              "config-not-utf8", "theta-table-not-utf8",
+                              "config-not-utf8", "config-not-json",
+                              "config-root-is-a-list", "theta-table-not-utf8",
                               "theta-table-is-dot"])
 def test_unusable_file_fails_closed(tmp_path, capsys, make):
     cfgp, named = make(tmp_path)
@@ -528,6 +563,16 @@ def test_unusable_file_fails_closed(tmp_path, capsys, make):
     err = capsys.readouterr().err
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", [-0.5, 1.5])
+def test_theta_weight_outside_the_unit_interval_is_rejected(tmp_path, capsys,
+                                                            weight):
+    cfgp = write_config(tmp_path,
+                        numerics=dict(TINY_NUMERICS, theta_weight=weight))
+    assert main(["price", "--config", str(cfgp)]) == 2
+    assert (f"config key numerics.theta_weight: must lie in [0, 1], "
+            f"got {weight}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["paths", "theta_paths"])
@@ -979,14 +1024,16 @@ def test_price_and_convergence_bodies_equal_separate_passes(tmp_path,
     digest = config_hash(resolve_config(json.loads(cfgp.read_text()), {}))
     sep = tmp_path / "separate"
     sep.mkdir()
-    fmt, oracles = cli._fmt, functools.partial(cli._oracles, "recip",
-                                               PayoffSpec.forward(), 1.0)
+    fmt = cli._fmt
+    forms = {side: form for _, side, form
+             in oracle_rows(f_from_sigma(SIG2), PayoffSpec.forward())}
 
     assert main(["price", "--config", str(cfgp), "--out",
                  str(tmp_path / "price")]) == 0
     (mc, mc_se), (phi, psi, (phi_se, psi_se)), pde = _separate_prices(
         cfgp, 0.25, sep / "theta.csv")
-    investor, fundraiser = oracles(0.25, 1.0)
+    investor, fundraiser = (forms[side](1.0, 0.25, 1.0)
+                            for side in ("investor", "fundraiser"))
     assert (tmp_path / "price" / "report.csv").read_text() == "\n".join([
         f"# config_hash: {digest}", "quantity,value,stderr",
         f"mc_price,{fmt(mc)},{fmt(mc_se)}", f"pde_price,{fmt(pde)},",
@@ -1005,7 +1052,7 @@ def test_price_and_convergence_bodies_equal_separate_passes(tmp_path,
     for j in LADDER:
         table = f"theta_j{j!r}.csv"
         (mc, mc_se), _, pde = _separate_prices(cfgp, j, sep / table)
-        oracle = oracles(j, 1.0)[1]
+        oracle = forms["fundraiser"](1.0, j, 1.0)
         lines.append(",".join(fmt(c) for c in (
             j, mc, mc_se, pde, None if prev is None else pde - prev, oracle,
             pde - oracle)))
@@ -1124,6 +1171,23 @@ def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, payoff,
         assert out.splitlines() == lines[1:]
     else:
         assert "no closed form applies" in out
+
+
+def test_oracle_and_price_evaluate_the_map_inside_its_domain(tmp_path):
+    # log(x - 0.5) is not defined at the market probe 0.31, so telling the
+    # market must not evaluate it there.  The warnings are recorded, not
+    # raised: a RuntimeWarning raised inside a broad except would hide
+    cfgp = write_config(tmp_path, model={"f": {"kind": "log", "xi": 0.5},
+                                         "x0": 1.0, "j0": 0.75, "T": 1.0},
+                        payoff={"kind": "bond"})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cmd in ("oracle", "price"):
+            assert main([cmd, "--config", str(cfgp), "--out",
+                         str(tmp_path / cmd)]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert _body(tmp_path / "oracle" / "oracle.csv") \
+        == [["bond_fundraiser", "1.0", "0.75", "1.0", "1.0"]]
 
 
 @pytest.mark.parametrize("model", [{"sigma": SIG2}, {"f": BM_F},

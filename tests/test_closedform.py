@@ -6,6 +6,8 @@ Lentz-style continued fraction for the upper tail and mpmath's
 arbitrary-precision erfc.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,18 +15,24 @@ import scipy.special
 
 from bubblepde import (
     DomainError,
+    PayoffSpec,
+    affine_map,
     bond_bm,
     delta_bm_fundraiser,
+    f_from_sigma,
     forward_bm_fundraiser,
     forward_bm_investor,
     forward_recip_bessel_fundraiser,
     forward_recip_bessel_investor,
     norm_cdf,
     norm_pdf,
+    power_law_map,
+    reciprocal_map,
     theta_recip_bessel_forward,
 )
 from bubblepde.closedform import ORACLES, _recip_bessel_integral, erfc, \
-    oracle_value
+    oracle_rows
+from bubblepde.smoothmaps import log_map
 
 
 def erfc_continued_fraction(x, terms=120):
@@ -213,10 +221,58 @@ def test_oracle_table_keeps_its_order_and_closed_forms():
     assert tuple(case for case, _form in ORACLES.values()) == tuple(direct)
     for case, form in ORACLES.values():
         assert form(x, j, T) == direct[case], case
-    assert oracle_value("recip", "forward", "fundraiser", x, j, T) \
-        == direct["forward_recip_bessel_fundraiser"]
+
+    def rows(f, payoff):
+        return [(case, side, form(x, j, T))
+                for case, side, form in oracle_rows(f, payoff)]
+
+    recip_forward = [
+        ("forward_recip_bessel_investor", "investor",
+         direct["forward_recip_bessel_investor"]),
+        ("forward_recip_bessel_fundraiser", "fundraiser",
+         direct["forward_recip_bessel_fundraiser"])]
+    bm_forward = [
+        ("forward_bm_investor", "investor", direct["forward_bm_investor"]),
+        ("forward_bm_fundraiser", "fundraiser", direct["forward_bm_fundraiser"]),
+        ("delta_bm_fundraiser", "fundraiser_delta",
+         direct["delta_bm_fundraiser"])]
+    assert rows(reciprocal_map(), PayoffSpec.forward()) == recip_forward
+    # a call struck at 0 is the forward, the Brownian delta among its rows
+    assert rows(affine_map(1.0, 0.0), PayoffSpec.call(0.0)) == bm_forward
     # the bond pays 1 where no path is absorbed; calls have no row yet
-    assert oracle_value("other", "bond", "fundraiser", x, j, T) == 1.0
-    assert oracle_value("recip", "bond", "investor", x, j, T) == 1.0
-    assert oracle_value("other", "bond", "investor", x, j, T) is None
-    assert oracle_value("bm", "call", "investor", x, j, T) is None
+    assert rows(log_map(), PayoffSpec.bond()) \
+        == [("bond_fundraiser", "fundraiser", 1.0)]
+    assert rows(reciprocal_map(), PayoffSpec.bond()) == [
+        ("bond_recip_bessel_investor", "investor", 1.0),
+        ("bond_recip_bessel_fundraiser", "fundraiser", 1.0)]
+    assert rows(power_law_map(1.0), PayoffSpec.call(0.5)) == []
+    assert rows(reciprocal_map(), PayoffSpec.from_table([0, 1], [0, 1])) == []
+
+
+# the bond's rows in each market: every market has one
+_BOND_CASES = {"recip": ["bond_recip_bessel_investor",
+                         "bond_recip_bessel_fundraiser"],
+               "bm": ["bond_bm", "bond_bm_fundraiser"],
+               "other": ["bond_fundraiser"]}
+
+
+@pytest.mark.parametrize("f, market", [
+    (reciprocal_map(), "recip"),
+    (power_law_map(-1.0), "recip"),
+    (f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 2.0}),
+     "recip"),
+    (power_law_map(1.0), "bm"),
+    (affine_map(1.0, 0.0), "bm"),
+    (f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 1.5}),
+     "other"),
+    (log_map(), "other"),
+    # domains that miss a probe: the map is not evaluated there
+    (log_map(0.5), "other"),
+    (power_law_map(1.0, 0.5), "other"),
+], ids=["reciprocal", "power-minus-one", "sigma-y2", "power-one", "affine",
+        "sigma-y1.5", "log", "log-shifted", "power-one-shifted"])
+def test_oracle_rows_tell_the_market_by_values_inside_the_domain(f, market):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = oracle_rows(f, PayoffSpec.bond())
+    assert [case for case, _side, _form in rows] == _BOND_CASES[market]

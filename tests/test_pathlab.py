@@ -203,9 +203,10 @@ def test_kernels_refuse_a_finite_upper_edge_before_any_read(monkeypatch, lo):
 
 
 def test_refused_calls_fork_nothing(monkeypatch):
-    # blocks of two paths and two workers, so that seven paths would run as
-    # two shares: each refusal is raised in the caller before any share
-    # forks, with the message of a one-process call
+    # blocks of two paths, shares of at least two weighted paths, and two
+    # workers, so that seven paths would run as two shares: each refusal is
+    # raised in the caller before any share forks, with the message of a
+    # one-process call
     grid = TimeGrid.uniform(1.0, 4)
     bounded = affine_map(1.0, 0.0, domain=(0.0, 1.2))
     f = reciprocal_map()
@@ -223,8 +224,11 @@ def test_refused_calls_fork_nothing(monkeypatch):
             f, 0.0, 0.5, grid, 7, SEED, [5]),
         "dual_j0": lambda: bessel_dual_ensemble(1.0, grid, 7, SEED, [4], 1.5),
         "wiener_record": lambda: wiener_ensemble(1.0, grid, 7, SEED, [5]),
+        "measure_x0": lambda: change_of_measure_expectation(
+            f, lambda x: x, 2.0, grid, 7, SEED, (0.5, 1.5)),
     }
     monkeypatch.setattr(pathlab, "_BLOCK", 2)
+    monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 2)
     monkeypatch.setattr(pathlab, "_cpu_count", lambda: 1)
     alone = {}
     for name, run in refused.items():
@@ -1010,6 +1014,15 @@ def test_change_of_measure_matches_per_path_reference(monkeypatch):
         assert got == want
         # some paths leave the band at the first step, some never do
         assert stops.min() == 1 and stops.max() == grid.n_steps
+        # a narrow band: every path of every block leaves before T, so each
+        # block stops stepping once its last path has retired
+        narrow = (0.99, 1.01)
+        got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,
+                                            narrow)
+        want, stops = _measure_reference(s, payoff, 1.0, grid, 20, SEED,
+                                         narrow)
+        assert got == want
+        assert stops.max() < grid.n_steps
 
 
 def test_change_of_measure_supermartingale_bound():

@@ -175,6 +175,8 @@ def test_solve_validates_theta_weight_and_grid():
     bad = SpaceGrid.geometric(1e-4, 5.0, 50)  # cap should be 10
     with pytest.raises(ConfigError):
         solve(SIG2, FWD, 1.0, sch, grid=bad)
+    with pytest.raises(ConfigError, match="time grid does not end at T"):
+        solve(SIG2, FWD, 1.0, sch, times=TimeGrid.uniform(0.5, 8))
 
 
 def test_solve_requires_theta_coverage():
@@ -721,18 +723,26 @@ def test_corner_defect_equals_the_per_scheme_formulas_bitwise(payoff, T):
             assert got.hex() == float(want).hex(), (scheme.kind, grid.m)
 
 
-@pytest.mark.parametrize("scheme, payoff, grid", [
-    (FundraiserScheme(j=0.1, theta=_pinned_table(0.1, 10.0)), FWD, None),
+@pytest.mark.parametrize("scheme, payoff, grid, T", [
+    (FundraiserScheme(j=0.1, theta=_pinned_table(0.1, 10.0)), FWD, None, 2.0),
     # payoff(y)/y = 1/y passes 1e12 at the first node above 0
     (TransformedCauchyScheme(n=10.0), PayoffSpec.bond(),
-     SpaceGrid(np.concatenate([[0.0], 10.0 * 2.0 ** -np.arange(46, -1, -1)]))),
-], ids=["theta-table-short-of-T", "transformed-unbounded-ratio"])
-def test_corner_defect_raises_the_config_error_of_solve(scheme, payoff, grid):
+     SpaceGrid(np.concatenate([[0.0], 10.0 * 2.0 ** -np.arange(46, -1, -1)])),
+     2.0),
+    # a grid ending below the cap, and maturities solve refuses
+    (NeumannCapScheme(n=10.0), FWD,
+     SpaceGrid.geometric_with_zero(1e-4, 5.0, 50), 2.0),
+    (NeumannCapScheme(n=10.0), FWD, None, 0.0),
+    (NeumannCapScheme(n=10.0), FWD, None, -1.0),
+], ids=["theta-table-short-of-T", "transformed-unbounded-ratio",
+        "grid-off-the-cap", "T-zero", "T-negative"])
+def test_corner_defect_raises_the_config_error_of_solve(scheme, payoff, grid,
+                                                        T):
     with pytest.raises(ConfigError) as solved:
-        solve(SIG2, payoff, 2.0, scheme, grid=grid,
-              times=TimeGrid.uniform(2.0, 8))
+        solve(SIG2, payoff, T, scheme, grid=grid,
+              times=TimeGrid.uniform(T, 8) if T > 0 else None)
     with pytest.raises(ConfigError) as defect:
-        corner_defect(SIG2, payoff, 2.0, scheme, grid=grid)
+        corner_defect(SIG2, payoff, T, scheme, grid=grid)
     assert str(defect.value) == str(solved.value)
 
 
