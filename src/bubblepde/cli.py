@@ -163,11 +163,22 @@ def _check_values(path: str, desc: dict, kinds: dict) -> None:
             _number(desc, path, key)
 
 
-def _check_ladder(js: list, x0: float, note: str = "") -> None:
-    """Every rung j of the convergence ladder needs 0 < j <= x0."""
+def _check_floor(path: str, j: float, f) -> None:
+    """A floor j must lie inside the domain of the map f."""
+    if not f.contains(j):
+        lo, hi = f.domain
+        _fail(path, f"floor {j} lies outside the domain ({lo:g}, {hi:g}) "
+                    "of the model's map")
+
+
+def _check_ladder(js: list, x0: float, f, note: str = "") -> None:
+    """Every rung j of the convergence ladder needs 0 < j <= x0 inside the
+    domain of f."""
     if js[0] > x0:
         _fail("convergence.j_sequence",
               f"rungs {js}{note} must not exceed model.x0={x0}")
+    for j in js:
+        _check_floor("convergence.j_sequence", j, f)
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
@@ -199,6 +210,7 @@ def _resolve(raw: dict, overrides: dict):
         f = _build("model.sigma", f_from_sigma, model["sigma"])
     else:
         f = _build("model.f", from_descriptor, model["f"])
+    _check_floor("model.j0", j0, f)
 
     payoff_desc = _section(raw, "payoff")
     payoff = _build("payoff", PayoffSpec.from_descriptor, payoff_desc)
@@ -256,7 +268,7 @@ def _resolve(raw: dict, overrides: dict):
         if any(b >= a for a, b in zip(js, js[1:])):
             _fail("convergence.j_sequence",
                   "must be a decreasing list of positive numbers")
-        _check_ladder(js, x0)
+        _check_ladder(js, x0, f)
         resolved["convergence"] = {"j_sequence": js}
     if raw.get("simulate") is not None:
         sec = _section(raw, "simulate", required=False)
@@ -455,10 +467,9 @@ def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
 
 
 def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
-    # the scipy modules a price calls, loaded before the clock starts, so
+    # the scipy module a price calls, loaded before the clock starts, so
     # that runtime_s times the pricing, not the import
     import scipy.linalg.lapack
-    import scipy.special
 
     t_start = time.perf_counter()
     model = cfg["model"]
@@ -635,10 +646,9 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
 
 def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
                     digest: str) -> int:
-    # the scipy modules the prices call, loaded before the clock starts, as
+    # the scipy module the prices call, loaded before the clock starts, as
     # in run_price
     import scipy.linalg.lapack
-    import scipy.special
 
     t_start = time.perf_counter()
     model = cfg["model"]
@@ -647,7 +657,7 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
                  in cf.oracle_rows(f, payoff)}.get("fundraiser")
     js = cfg.get("convergence", {}).get(
         "j_sequence", [0.4, 0.2, 0.1, 0.05, 0.02])
-    _check_ladder(js, x0, "" if "convergence" in cfg else " (the default)")
+    _check_ladder(js, x0, f, "" if "convergence" in cfg else " (the default)")
 
     # tables are per-j here, so a pinned numerics.theta_table never applies
     stages = {}

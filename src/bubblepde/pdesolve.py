@@ -51,22 +51,20 @@ def _doubling_tail(func: Callable, start: float, n_panels: int = 60,
     """Integrate func over [start, inf) by doubling panels [2^k, 2^k+1)*start
     and classify the tail: returns (converges: bool, partial_sum).
 
+    func takes an array of points.  Each panel is one 16-node Gauss-Legendre
+    rule: a singularity of func at y <= 0 lies at t <= -3 in the panel's
+    [-1, 1] variable, outside the Bernstein ellipse of radius 5.8, so the rule
+    errs by about 5.8^-32 = 1e-24 relative.
+
     The tail is declared convergent when panel increments either fall below
     an absolute floor or keep shrinking geometrically (ratio < ratio_cut);
     constant or growing increments mean divergence.
     """
-    from scipy.integrate import quad
-
-    incs = []
-    lo = start
-    total = 0.0
-    for _ in range(n_panels):
-        hi = 2.0 * lo
-        val, _err = quad(func, lo, hi, limit=200)
-        incs.append(val)
-        total += val
-        lo = hi
-    tail = np.array(incs[-8:])
+    t, w = np.polynomial.legendre.leggauss(16)
+    lo = start * 2.0 ** np.arange(n_panels)
+    incs = 0.5 * lo * (func(lo[:, None] * (1.5 + 0.5 * t)) @ w)
+    total = float(np.sum(incs))
+    tail = incs[-8:]
     floor = 1e-13 * max(1.0, abs(total))
     if tail[-1] < floor:
         return True, total

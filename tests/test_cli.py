@@ -133,6 +133,32 @@ def test_convergence_ladder_above_x0_names_its_key(tmp_path, capsys, ladder):
             resolve_config(json.loads(cfgp.read_text()), {})
 
 
+# log(x - 0.5) lives on (0.5, inf): a floor at or below 0.5 is no floor of
+# that map, whether it is model.j0 or a rung of the ladder, the default one
+# (0.4, 0.2, ...) included
+@pytest.mark.parametrize("command, j0, ladder, key, floor", [
+    ("price", 0.25, None, "model.j0", 0.25),
+    ("convergence", 0.25, None, "model.j0", 0.25),
+    ("simulate", 0.25, None, "model.j0", 0.25),
+    ("oracle", 0.25, None, "model.j0", 0.25),
+    ("convergence", 0.75, None, "convergence.j_sequence", 0.4),
+    ("convergence", 0.75, [0.9, 0.3], "convergence.j_sequence", 0.3),
+], ids=["price", "convergence", "simulate", "oracle", "default-ladder",
+        "ladder"])
+def test_floor_outside_the_map_domain_names_its_key(tmp_path, capsys, command,
+                                                    j0, ladder, key, floor):
+    model = {"f": {"kind": "log", "xi": 0.5}, "x0": 1.0, "j0": j0, "T": 1.0}
+    extra = {} if ladder is None else {"convergence": {"j_sequence": ladder}}
+    cfgp = write_config(tmp_path, model=model, **extra)
+    assert main([command, "--config", str(cfgp)]) == 2
+    assert f"config key {key}: floor {floor} lies outside the domain " \
+           "(0.5, inf) of the model's map" in capsys.readouterr().err
+    if ladder is None and j0 == 0.75:  # the default ladder fails at its run
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+    else:
+        assert not (tmp_path / "out").exists()
+
+
 def test_valid_configs_keep_their_hash():
     # every CSV header carries the digest, so a valid config must keep it
     readme = {
@@ -1156,8 +1182,11 @@ def test_oracle_subcommand(tmp_path, capsys):
      ["bond_recip_bessel_investor", "bond_recip_bessel_fundraiser"]),
     ({"sigma": dict(SIG2, exponent=1.5)}, {"kind": "bond"},
      ["bond_fundraiser"]),
+    # y = x on the whole line: no path is absorbed, so no bond_bm
+    ({"f": {"kind": "mobius", "a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0}},
+     {"kind": "bond"}, ["bond_fundraiser"]),
 ], ids=["sigma-y2", "brownian", "brownian-bond", "sigma-y2-call",
-        "sigma-y1.5", "sigma-y2-bond", "sigma-y1.5-bond"])
+        "sigma-y1.5", "sigma-y2-bond", "sigma-y1.5-bond", "whole-line-bond"])
 def test_oracle_writes_only_the_market_rows(tmp_path, capsys, model, payoff,
                                             cases):
     # rows of the configured market and payoff; a call struck at 0.5 has none
@@ -1240,14 +1269,15 @@ def test_import_loads_no_scipy():
     assert _scipy_loaded_after() == []
 
 
-# the public scipy subpackages each command loads: the PCHIP of Θ, the
-# oracle integral and the Schwarzian's trapezoid are numpy, so no command
-# loads scipy.interpolate or scipy.integrate, nor what those pull in
+# the public scipy subpackages each command loads: LAPACK's tridiagonal
+# solver alone, since the closed forms rest on the C library's erfc and erf
+# and the PCHIP of Θ, the oracle integral and the Schwarzian's trapezoid are
+# numpy
 @pytest.mark.parametrize("command, subpackages", [
-    ("price", ["linalg", "special"]),
-    ("convergence", ["linalg", "special"]),
+    ("price", ["linalg"]),
+    ("convergence", ["linalg"]),
     ("compare-schemes", ["linalg"]),
-    ("oracle", ["special"]),
+    ("oracle", []),
 ])
 def test_each_command_loads_only_the_scipy_it_calls(tmp_path, command,
                                                     subpackages):
@@ -1259,14 +1289,36 @@ def test_each_command_loads_only_the_scipy_it_calls(tmp_path, command,
     assert sorted(n for n in names if not n.startswith("_")) == subpackages
 
 
-def test_theta_and_simulate_load_no_scipy(tmp_path):
-    argvs = [["theta", "--config", str(write_config(tmp_path)), "--out",
-              str(tmp_path / "theta")]]
+# runs each argv given as a JSON argument through main, every closed form of
+# ORACLES and the strict-local-martingale detector with scipy unimportable,
+# then prints the scipy modules the process has loaded
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # an import of scipy or a subpackage now fails
+from bubblepde import cli, closedform, is_strict_local_martingale
+for argv in map(json.loads, sys.argv[1:]):
+    assert cli.main(argv) == 0, argv
+for case, form in closedform.ORACLES.values():
+    assert form(1.3, 0.4, 0.7) > 0, case
+power = {"kind": "power", "coefficient": 1.0}
+assert is_strict_local_martingale(dict(power, exponent=2.0))
+assert not is_strict_local_martingale(dict(power, exponent=1.0))
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if m.split(".")[0] == "scipy" and mod is not None)))
+"""
+
+
+def test_oracle_theta_simulate_and_the_closed_forms_run_without_scipy(
+        tmp_path):
+    argvs = [[cmd, "--config", str(write_config(tmp_path)), "--out",
+              str(tmp_path / cmd)] for cmd in ("oracle", "theta")]
     for kind in ("wiener", "bessel3", "drifted", "skorokhod"):
         (tmp_path / kind).mkdir()
         cfgp = write_config(tmp_path / kind, simulate={"kind": kind})
         argvs.append(["simulate", "--config", str(cfgp)])
-    assert _scipy_loaded_after(*argvs) == []
+    proc = _fresh_python("-c", WITHOUT_SCIPY, *map(json.dumps, argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 # runs argv[1], a JSON argv for main or "measure" for a measure change, on

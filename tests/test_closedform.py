@@ -1,9 +1,11 @@
 """Closed-form benchmark values and the special-function layer.
 
-The normal CDF here is built on scipy.special.erfc (re-exported as
-closedform.erfc); its tests check it against two independent routes: a
-Lentz-style continued fraction for the upper tail and mpmath's
-arbitrary-precision erfc.
+The normal CDF here is built on the C library's erfc (math.erfc, applied
+elementwise as closedform.erfc) and N(d) - N(-d) on its erf (closedform.erf);
+the tests check them against mpmath's arbitrary-precision functions to
+1e-15 relative, and erfc also against a Lentz-style continued fraction for
+the upper tail.  CI runs these tests on Linux and on macOS, since each
+platform brings its own libm.
 """
 
 import warnings
@@ -11,7 +13,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.special
 
 from bubblepde import (
     DomainError,
@@ -30,9 +31,9 @@ from bubblepde import (
     reciprocal_map,
     theta_recip_bessel_forward,
 )
-from bubblepde.closedform import ORACLES, _recip_bessel_integral, erfc, \
-    oracle_rows
-from bubblepde.smoothmaps import log_map
+from bubblepde.closedform import ORACLES, _recip_bessel_integral, erf, \
+    erfc, oracle_rows
+from bubblepde.smoothmaps import log_map, mobius_map
 
 
 def erfc_continued_fraction(x, terms=120):
@@ -47,9 +48,23 @@ def erfc_continued_fraction(x, terms=120):
 # special functions
 
 
-def test_erfc_is_scipys_ufunc():
-    # closedform imports scipy on first use; its erfc is scipy's own
-    assert erfc is scipy.special.erfc
+def test_erfc_and_erf_agree_with_mpmath_to_1e_15_relative():
+    # 1e-15 is 4.5 ulp at worst; below about 2.2e-308 (x > 26.5) erfc is
+    # subnormal and keeps fewer digits, so those points are left out.
+    # scipy.special.erfc fails this on the grid (5.7e-14 at x = 26.26)
+    mpmath.mp.dps = 40
+    xs = np.linspace(-6.0, 27.0, 3301)
+    for ours, theirs in ((erfc, mpmath.erfc), (erf, mpmath.erf)):
+        want = np.array([float(theirs(mpmath.mpf(float(x)))) for x in xs])
+        got = np.array([ours(float(x)) for x in xs])
+        normal = np.abs(want) >= np.finfo(float).tiny
+        rel = np.abs(got[normal] - want[normal]) / np.abs(want[normal])
+        assert np.max(rel) <= 1e-15, (ours.__name__, xs[normal][np.argmax(rel)])
+        assert np.all(got[~normal & (want == 0)] == 0)
+    # arrays go through elementwise, in their shape
+    grid = xs[::300].reshape(4, 3)
+    assert np.array_equal(erfc(grid), np.vectorize(erfc)(grid))
+    assert erfc(grid).shape == (4, 3)
 
 
 def test_erfc_against_continued_fraction():
@@ -238,7 +253,7 @@ def test_oracle_table_keeps_its_order_and_closed_forms():
          direct["delta_bm_fundraiser"])]
     assert rows(reciprocal_map(), PayoffSpec.forward()) == recip_forward
     # a call struck at 0 is the forward, the Brownian delta among its rows
-    assert rows(affine_map(1.0, 0.0), PayoffSpec.call(0.0)) == bm_forward
+    assert rows(power_law_map(1.0), PayoffSpec.call(0.0)) == bm_forward
     # the bond pays 1 where no path is absorbed; calls have no row yet
     assert rows(log_map(), PayoffSpec.bond()) \
         == [("bond_fundraiser", "fundraiser", 1.0)]
@@ -262,7 +277,10 @@ _BOND_CASES = {"recip": ["bond_recip_bessel_investor",
     (f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 2.0}),
      "recip"),
     (power_law_map(1.0), "bm"),
-    (affine_map(1.0, 0.0), "bm"),
+    (affine_map(1.0, 0.0, domain=(0.0, np.inf)), "bm"),
+    # y = x on the whole line: no path is absorbed, so the bond is 1
+    (affine_map(1.0, 0.0), "other"),
+    (mobius_map((1.0, 0.0, 0.0, 1.0)), "other"),
     (f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 1.5}),
      "other"),
     (log_map(), "other"),
@@ -270,7 +288,8 @@ _BOND_CASES = {"recip": ["bond_recip_bessel_investor",
     (log_map(0.5), "other"),
     (power_law_map(1.0, 0.5), "other"),
 ], ids=["reciprocal", "power-minus-one", "sigma-y2", "power-one", "affine",
-        "sigma-y1.5", "log", "log-shifted", "power-one-shifted"])
+        "affine-whole-line", "mobius-whole-line", "sigma-y1.5", "log",
+        "log-shifted", "power-one-shifted"])
 def test_oracle_rows_tell_the_market_by_values_inside_the_domain(f, market):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
