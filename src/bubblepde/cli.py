@@ -25,7 +25,7 @@ from . import closedform as cf
 from .boundary import PayoffSpec, ThetaTable, estimate_theta, price_pass, \
     theta_pass
 from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
-from .pathlab import TimeGrid, _run_shares, _worker_count, \
+from .pathlab import _SEGMENT, TimeGrid, _run_shares, _worker_count, \
     bessel_dual_ensemble, drifted_ensemble, read_plan, reflected_ensemble, \
     reflected_passes, wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
@@ -494,7 +494,8 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     ]
     with _timed(stages, "write"):
         _write_csv(out / "report.csv", digest, "quantity,value,stderr", rows)
-    _write_meta(out / "report.meta.json", digest, t_start, stages, reads)
+    _write_meta(out / "report.meta.json", digest, cfg["numerics"]["seed"],
+                t_start, stages, reads)
 
     print(f"fundraiser MC price   {mc:.6f} +- {mc_se:.6f}")
     if pde_value is not None:
@@ -509,15 +510,20 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     return 0
 
 
-def _write_meta(path: Path, digest: str, t_start: float, stages: dict,
-                reads) -> None:
-    """The side file of price and convergence: the config hash, the run's
-    wall time since t_start, the seconds of each stage of price_at_floors
-    (the path passes, their reductions, the PDE and the CSV and table
-    writes) and its stream reads."""
+def _write_meta(path: Path, digest: str, seed: int, t_start: float,
+                stages: dict, reads) -> None:
+    """The side file of price and convergence: the config hash, the Monte
+    Carlo seed and the stream layout its paths were drawn in (pathlab's
+    docstring), the run's wall time since t_start, the seconds of each
+    stage of price_at_floors (the path passes, their reductions, the PDE and
+    the CSV and table writes) and its stream reads."""
+    stream = {"generator": "Philox", "key": ["seed", "path index"],
+              "segment_steps": _SEGMENT,
+              "segment": ["normals", "bridge uniforms"]}
     path.write_text(json.dumps(
-        {"config_hash": digest, "runtime_s": time.perf_counter() - t_start,
-         "stages_s": stages, "reads": reads},
+        {"config_hash": digest, "seed": seed, "stream": stream,
+         "runtime_s": time.perf_counter() - t_start, "stages_s": stages,
+         "reads": reads},
         indent=2, sort_keys=True) + "\n")
 
 
@@ -679,7 +685,8 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
         _write_csv(out / "convergence.csv", digest,
                    "j,mc_price,mc_stderr,pde_price,diff,oracle,oracle_gap",
                    body)
-    _write_meta(out / "convergence.meta.json", digest, t_start, stages, reads)
+    _write_meta(out / "convergence.meta.json", digest,
+                cfg["numerics"]["seed"], t_start, stages, reads)
     for j, mc, se, pv, diff, orc, gap in rows:
         extras = "".join(f"  {name}={v:.6f}" for name, v in
                          (("pde", pv), ("oracle", orc)) if v is not None)

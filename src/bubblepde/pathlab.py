@@ -73,12 +73,15 @@ from .smoothmaps import (SmoothMap, _flat, multiplicative_functional,
 
 # Relative guard keeping the drifted walk off a finite lower domain edge.
 EDGE_GUARD = 1e-12
-# Ensemble runners process paths in blocks of _BLOCK paths and draw one
-# stream segment of a block at a time into one reused buffer; the block size
-# is an implementation constant, invisible in results thanks to the per-path
-# streams.  _BLOCK also caps each thread's pool of generators (one per path
-# of a block): at 32768 a short-grid run grew the pool to 10 000 generators
-# and the price benchmark's peak RSS by 12 MB.
+# Ensemble runners cut their paths into the fewest blocks of at most _BLOCK
+# paths, of equal size, and draw one stream segment of a block at a time into
+# one reused buffer sized by the largest block; the cut is an implementation
+# detail, invisible in results thanks to the per-path streams.  Every
+# block-step has a fixed cost, so a smaller _BLOCK runs slower; equal blocks
+# keep the fewest block-steps on the smallest buffer (a 10 000-path share
+# runs as 3 x 3 334 rows).  _BLOCK also caps each thread's pool of generators
+# (one per path of a block): at 32768 a short-grid run grew the pool to
+# 10 000 generators and the price benchmark's peak RSS by 12 MB.
 _BLOCK = 4096
 # Steps per segment of the stream layout (see above).  It is part of the
 # layout: changing it changes every reflected path.
@@ -216,16 +219,19 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     """The one reader of the path streams, in the layout of the module
     docstring: each stream is read a segment of _SEGMENT steps at a time,
     its normals and then, with bridge, one uniform per step; with lead, one
-    uniform comes before all of them.  Paths run in blocks of _BLOCK, and one
-    buffer holding a segment of a block's normals and uniforms is reused by
-    every block and segment.  Every law gets the same blocks and buffer;
-    without bridge the uniform half of the buffer is never written.
+    uniform comes before all of them.  The n_paths paths run in the fewest
+    blocks of at most _BLOCK paths, k = ceil(n_paths / _BLOCK), cut as
+    evenly as _shared cuts shares, so the largest block has
+    ceil(n_paths / k) rows; one buffer holding a segment of the largest
+    block's normals and uniforms is reused by every block and segment.
+    Every law gets the same blocks and buffer; without bridge the uniform
+    half of the buffer is never written.
 
     The generators come from the calling thread's pool (_POOL), which is
-    grown with path_stream only when it holds fewer than a block, and are
-    re-keyed (_rekey) for every block, the first included.  While a reader
-    runs, the pool is out of the thread's slot, so a reader started inside
-    another in the same thread builds its own.
+    grown with path_stream only when it holds fewer than the largest block,
+    and are re-keyed (_rekey) for every block, the first included.  While a
+    reader runs, the pool is out of the thread's slot, so a reader started
+    inside another in the same thread builds its own.
 
     Yields (rows, u0, k0, steps) per block: rows slices the block out of the
     ensemble's outputs, u0 holds the leading uniform of each stream (None
@@ -241,7 +247,9 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     at = {int(node): k for k, node in enumerate(rec)}
     seed, first_index = operator.index(seed), operator.index(first_index)
     seg = min(n_steps, _SEGMENT)
-    rows_max = min(_BLOCK, n_paths)
+    blocks = -(-n_paths // _BLOCK)  # none for no paths
+    cuts = [0] + [n_paths * b // blocks for b in range(1, blocks + 1)]
+    rows_max = -(-n_paths // blocks) if blocks else 0
     buf = np.empty(2 * seg * rows_max)  # one allocation, released as one
     zbuf = buf[:seg * rows_max].reshape(seg, rows_max)
     ubuf = buf[seg * rows_max:].reshape(rows_max, seg) if bridge else None
@@ -278,8 +286,7 @@ def _path_steps(seed, first_index, n_paths, n_steps, rec, bridge=False,
     pool = vars(_POOL).pop("gens", [])
     pool.extend(path_stream(0, 0) for _ in range(rows_max - len(pool)))
     try:
-        for start in range(0, n_paths, _BLOCK):
-            stop = min(start + _BLOCK, n_paths)
+        for start, stop in zip(cuts, cuts[1:]):
             gens = pool[:stop - start]
             _rekey(gens, seed, first_index + start)
             u0 = np.array([g.random() for g in gens]) if lead else None
@@ -481,6 +488,9 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     Returns (values, jstars): X and J* at the recorded nodes of paths
     first_index ... first_index + n_paths - 1.
     """
+    if j0 is None and not 0 <= x0 < np.inf:
+        raise DomainError("bessel_dual_ensemble with a random floor needs a "
+                          "finite x0 >= 0")
     if j0 is not None and not (0 < j0 <= x0):
         raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0")
     work = functools.partial(_dual_share, x0, grid, seed,

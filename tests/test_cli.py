@@ -18,6 +18,7 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -1012,6 +1013,12 @@ def test_passes_of_one_seed_share_one_read(tmp_path, monkeypatch, command,
     assert meta["config_hash"] == config_hash(
         resolve_config(json.loads(cfgp.read_text()), {}))
     assert meta["runtime_s"] > 0
+    # how the numbers were drawn: the seed and the stream layout
+    assert meta["seed"] == numerics["seed"]
+    assert meta["stream"] == {"generator": "Philox",
+                              "key": ["seed", "path index"],
+                              "segment_steps": pathlab._SEGMENT,
+                              "segment": ["normals", "bridge uniforms"]}
     assert set(meta["stages_s"]) == {"passes", "reduce", "pde", "write"}
     assert [(read["paths"], read["steps"]) for read in meta["reads"]] == steps
     js = [0.25] if command == "price" else LADDER
@@ -1142,6 +1149,26 @@ def test_simulate_kinds(tmp_path, monkeypatch, kind):
     assert any(r.startswith("X_T_mean,") for r in summary)
     if kind in ("bessel3", "skorokhod"):
         assert any(r.startswith("Jstar_T_mean,") for r in summary)
+
+
+@pytest.mark.parametrize("kind", ["wiener", "bessel3", "drifted", "skorokhod"])
+def test_simulate_dumping_every_path(tmp_path, kind):
+    # dump_paths at and past paths: every path is dumped and the rest of the
+    # ensemble is a call of no paths; the summary is that of the dumps
+    for dump in (5, 8):
+        out = tmp_path / f"dump{dump}"
+        cfgp = write_config(tmp_path, simulate={"kind": kind},
+                            numerics=dict(TINY_NUMERICS, paths=5,
+                                          dump_paths=dump),
+                            output={"dir": str(out)})
+        assert main(["simulate", "--config", str(cfgp)]) == 0
+        dumps = sorted(out.glob("path_*.csv"))
+        assert len(dumps) == 5
+        ends = np.array([float(d.read_text().splitlines()[-1].split(",")[1])
+                         for d in dumps])
+        summary = (out / "ensemble_summary.csv").read_text()
+        assert (f"X_T_mean,{cli._fmt(ends.mean())},"
+                f"{cli._fmt(ends.std(ddof=1) / 5 ** 0.5)}\n") in summary
 
 
 @pytest.mark.parametrize("payoff, key", [

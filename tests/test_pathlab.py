@@ -135,6 +135,14 @@ def test_bessel_dual_rejects_bad_floor():
         bessel_dual_ensemble(1.0, grid, 1, SEED, [4], 1.5)
     with pytest.raises(DomainError):
         bessel_dual_ensemble(1.0, grid, 1, SEED, [4], 0.0)
+    # a random floor is drawn on (0, x0): x0 must be finite and not negative
+    for x0 in (-1.0, -1e-300, np.inf, np.nan):
+        with pytest.raises(DomainError, match="finite x0 >= 0"):
+            bessel_dual_ensemble(x0, grid, 1, SEED, [0, 4])
+    # x0 = 0 is the classical process from 0
+    X, J = bessel_dual_ensemble(0.0, grid, 3, SEED, [0, 4])
+    assert np.all(X[:, 0] == 0.0) and np.all(J[:, 0] == 0.0)
+    assert np.all(X[:, 1] >= J[:, 1])
 
 
 def test_skorokhod_stays_above_floor():
@@ -223,6 +231,8 @@ def test_refused_calls_fork_nothing(monkeypatch):
         "reflected_record": lambda: reflected_ensemble(
             f, 0.0, 0.5, grid, 7, SEED, [5]),
         "dual_j0": lambda: bessel_dual_ensemble(1.0, grid, 7, SEED, [4], 1.5),
+        "dual_random_floor_x0": lambda: bessel_dual_ensemble(
+            -1.0, grid, 7, SEED, [4]),
         "wiener_record": lambda: wiener_ensemble(1.0, grid, 7, SEED, [5]),
         "measure_x0": lambda: change_of_measure_expectation(
             f, lambda x: x, 2.0, grid, 7, SEED, (0.5, 1.5)),
@@ -490,7 +500,9 @@ def test_bridge_uniforms_of_the_last_segment_are_drawn_on_first_use(
 
 def test_stream_pool_holds_at_most_a_block(monkeypatch):
     # one pool per thread, grown to at most _BLOCK streams however short the
-    # grid (blocks of short grids used to hold more), and reused by later calls
+    # grid (blocks of short grids used to hold more), and reused by later
+    # calls; _BLOCK + 5 paths run as two equal blocks, so the pool holds the
+    # larger one's streams
     monkeypatch.setattr(pathlab, "_POOL", threading.local())
     built = []
     stream = pathlab.path_stream
@@ -501,10 +513,80 @@ def test_stream_pool_holds_at_most_a_block(monkeypatch):
     for grid in grids:
         wiener_ensemble(1.0, grid, n, SEED, [grid.n_steps])
         assert len(pathlab._POOL.gens) <= pathlab._BLOCK
-    assert len(built) == pathlab._BLOCK
+    assert len(built) == -(-n // 2)
     for grid in grids:
         wiener_ensemble(1.0, grid, n, SEED, [grid.n_steps])
-    assert len(built) == pathlab._BLOCK
+    assert len(built) == -(-n // 2)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 9, 13])
+def test_paths_run_in_the_fewest_equal_blocks(monkeypatch, n):
+    # blocks of at most four paths: n paths run as ceil(n / 4) contiguous
+    # blocks that cover every path, the largest of ceil(n / blocks) rows,
+    # and a fresh pool grows to exactly that many streams
+    monkeypatch.setattr(pathlab, "_BLOCK", 4)
+    monkeypatch.setattr(pathlab, "_POOL", threading.local())
+    built = []
+    stream = pathlab.path_stream
+    monkeypatch.setattr(pathlab, "path_stream",
+                        lambda *a: built.append(a) or stream(*a))
+    blocks = [rows for rows, _, _, _ in pathlab._path_steps(
+        SEED, 3, n, 5, [5], bridge=True)]
+    k = -(-n // 4)
+    assert len(blocks) == k
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == n
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) == -(-n // k) and max(sizes) - min(sizes) <= 1
+    assert len(built) == len(pathlab._POOL.gens) == max(sizes)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_equal_blocks_keep_the_one_block_bits(monkeypatch, workers):
+    # every runner, cut into blocks of at most four paths and into one or
+    # two shares, gives the bits of a run of all paths in one block
+    f = reciprocal_map()
+    grid = TimeGrid.uniform(1.0, pathlab._SEGMENT + 37)
+    rec = [0, pathlab._SEGMENT, grid.n_steps]
+    passes = _PASS_CASES[0][1]
+    runs = {
+        "wiener": lambda n: (wiener_ensemble(1.0, grid, n, SEED, rec),),
+        "dual_fixed_floor": lambda n: bessel_dual_ensemble(
+            1.0, grid, n, SEED, rec, 0.5),
+        "dual_random_floor": lambda n: bessel_dual_ensemble(
+            1.0, grid, n, SEED, rec),
+        "drifted": lambda n: drifted_ensemble(power_law_map(1.0), 0.3, grid,
+                                              n, SEED, rec),
+        "reflected": lambda n: reflected_ensemble(f, 0.0, 0.3, grid, n,
+                                                  SEED, rec, floors=True),
+        "reflected_passes": lambda n: [a for out in reflected_passes(
+            f, passes, n, SEED) for a in out],
+    }
+    whole = {name: run(13) for name, run in runs.items()}
+    assert not whole["drifted"][1].all()
+    monkeypatch.setattr(pathlab, "_BLOCK", 4)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: workers)
+    for name, run in runs.items():
+        for n in (1, 4, 5, 9, 13):
+            for a, b in zip(run(n), whole[name]):
+                assert (a is None and b is None) or np.array_equal(
+                    a, b[:n]), (name, n)
+
+
+def test_runs_of_no_paths_give_empty_outputs():
+    f = reciprocal_map()
+    grid = TimeGrid.uniform(1.0, 8)
+    rec = [0, 8]
+    assert list(pathlab._path_steps(SEED, 0, 0, 8, rec, bridge=True)) == []
+    assert wiener_ensemble(1.0, grid, 0, SEED, rec).shape == (0, 2)
+    for j0 in (0.5, None):
+        assert [a.shape for a in bessel_dual_ensemble(
+            1.0, grid, 0, SEED, rec, j0)] == [(0, 2), (0, 2)]
+    assert [a.shape for a in drifted_ensemble(f, 1.0, grid, 0, SEED,
+                                              rec)] == [(0, 2), (0,)]
+    assert [a.shape for a in reflected_ensemble(
+        f, 0.0, 0.3, grid, 0, SEED, rec, floors=True)] == [(0, 2), (0,),
+                                                            (0, 2)]
 
 
 def test_threads_running_ensembles_at_once_get_the_serial_bits(monkeypatch):
@@ -998,8 +1080,8 @@ def _measure_reference(s, payoff, x0, grid, n, seed, band):
 
 
 def test_change_of_measure_matches_per_path_reference(monkeypatch):
-    # shares of at least 3 paths, stepped in blocks of 7, so that a share
-    # steps full blocks and a short one
+    # shares of at least 3 paths, stepped in blocks of at most 7, so that
+    # 22 paths in two shares of 11 each step unequal blocks of 5 and 6
     grid = TimeGrid.uniform(0.05, 16)
     monkeypatch.setattr(pathlab, "_WEIGHT_ROWS", 3)
     monkeypatch.setattr(pathlab, "_BLOCK", 7)
@@ -1007,9 +1089,9 @@ def test_change_of_measure_matches_per_path_reference(monkeypatch):
     for s in (power_law_map(3.0),
               f_from_sigma({"kind": "power", "coefficient": 1.0,
                             "exponent": 2.0})):
-        got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,
+        got = change_of_measure_expectation(s, payoff, 1.0, grid, 22, SEED,
                                             (0.95, 1.5))
-        want, stops = _measure_reference(s, payoff, 1.0, grid, 20, SEED,
+        want, stops = _measure_reference(s, payoff, 1.0, grid, 22, SEED,
                                          (0.95, 1.5))
         assert got == want
         # some paths leave the band at the first step, some never do
@@ -1017,9 +1099,9 @@ def test_change_of_measure_matches_per_path_reference(monkeypatch):
         # a narrow band: every path of every block leaves before T, so each
         # block stops stepping once its last path has retired
         narrow = (0.99, 1.01)
-        got = change_of_measure_expectation(s, payoff, 1.0, grid, 20, SEED,
+        got = change_of_measure_expectation(s, payoff, 1.0, grid, 22, SEED,
                                             narrow)
-        want, stops = _measure_reference(s, payoff, 1.0, grid, 20, SEED,
+        want, stops = _measure_reference(s, payoff, 1.0, grid, 22, SEED,
                                          narrow)
         assert got == want
         assert stops.max() < grid.n_steps
