@@ -22,7 +22,6 @@ from .smoothmaps import (
     reciprocal_map,
     schwarzian,
     schwarzian_process,
-    shift_map,
 )
 from .pathlab import (
     PathBundle,

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .pathlab import ReflectedPass, TimeGrid, reflected_ensemble
+from .pathlab import STREAM_LAYOUT, ReflectedPass, TimeGrid, \
+    reflected_ensemble
 from .smoothmaps import SmoothMap
 
 
@@ -108,7 +109,9 @@ class PayoffSpec:
 class ThetaTable:
     """Boundary values Theta(tau, j) on a tau grid, with their MC standard
     errors and the provenance needed to hand the table to the PDE solver:
-    the descriptors of the map and of the payoff it was estimated for."""
+    the descriptors of the map and of the payoff it was estimated for, and
+    the stream layout its paths were drawn in (pathlab.STREAM_LAYOUT; empty
+    for a table that records none)."""
 
     j: float
     taus: np.ndarray
@@ -118,6 +121,7 @@ class ThetaTable:
     seed: int
     map_descriptor: dict = field(default_factory=dict)
     payoff_descriptor: dict = field(default_factory=dict)
+    stream: dict = field(default_factory=dict)
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
@@ -165,15 +169,17 @@ class ThetaTable:
 
     def save(self, path) -> None:
         """CSV body `tau,theta,stderr` (round-trip float repr) plus a
-        JSON side file `<name>.meta.json` with j, n_paths, seed, and the
-        descriptors of the map and the payoff the table was computed under."""
+        JSON side file `<name>.meta.json` with j, n_paths, seed, the
+        stream layout, and the descriptors of the map and the payoff the
+        table was computed under."""
         path = Path(path)
         lines = ["tau,theta,stderr"]
         for t, v, s in zip(self.taus, self.theta, self.stderr):
             lines.append(f"{float(t)!r},{float(v)!r},{float(s)!r}")
         path.write_text("\n".join(lines) + "\n")
         meta = {"j": self.j, "n_paths": self.n_paths, "seed": self.seed,
-                "map": self.map_descriptor, "payoff": self.payoff_descriptor}
+                "map": self.map_descriptor, "payoff": self.payoff_descriptor,
+                "stream": self.stream}
         Path(f"{path}.meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
@@ -211,12 +217,13 @@ class ThetaTable:
             j, n_paths, seed = float(meta["j"]), int(meta["n_paths"]), int(meta["seed"])
             map_descriptor = meta.get("map", {})
             payoff_descriptor = meta.get("payoff", {})
+            stream = meta.get("stream", {})
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"{meta_path}: malformed side file: {exc!r}") from None
         try:
             return cls(j=j, taus=data[:, 0], theta=data[:, 1], stderr=data[:, 2],
                        n_paths=n_paths, seed=seed, map_descriptor=map_descriptor,
-                       payoff_descriptor=payoff_descriptor)
+                       payoff_descriptor=payoff_descriptor, stream=stream)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from None
 
@@ -330,7 +337,8 @@ def _theta_table(f, j, taus, payoff, n_paths, seed, outputs) -> ThetaTable:
     return ThetaTable(j=float(j), taus=taus, theta=theta, stderr=stderr,
                       n_paths=int(n_paths), seed=int(seed),
                       map_descriptor=f.descriptor,
-                      payoff_descriptor=payoff.descriptor)
+                      payoff_descriptor=payoff.descriptor,
+                      stream=STREAM_LAYOUT)
 
 
 def _mean_se(h: np.ndarray) -> tuple[float, float]:

@@ -25,12 +25,12 @@ from . import closedform as cf
 from .boundary import PayoffSpec, ThetaTable, estimate_theta, price_pass, \
     theta_pass
 from .errors import ConfigError, DomainError, NonMonotoneError, NumericsError
-from .pathlab import _SEGMENT, TimeGrid, _run_shares, _worker_count, \
+from .pathlab import STREAM_LAYOUT, TimeGrid, _run_shares, _worker_count, \
     bessel_dual_ensemble, drifted_ensemble, read_plan, reflected_ensemble, \
     reflected_passes, wiener_ensemble
 from .pdesolve import FundraiserScheme, NaiveDirichletScheme, NeumannCapScheme, \
-    TaperedTerminalScheme, TransformedCauchyScheme, corner_defect, f_from_sigma, \
-    solve_start, stencil
+    TaperedTerminalScheme, TransformedCauchyScheme, check_price_point, \
+    corner_defect, f_from_sigma, fundraiser_grid, solve_start, stencil
 from .smoothmaps import from_descriptor
 
 _NUMERIC_DEFAULTS = {
@@ -51,6 +51,9 @@ _RIVALS = {cls.kind: cls for cls in (NeumannCapScheme, TaperedTerminalScheme,
                                      TransformedCauchyScheme,
                                      NaiveDirichletScheme)}
 _SCHEME_NAMES = (FundraiserScheme.kind, *_RIVALS)
+# compare-schemes without --scheme
+_COMPARED = ("fundraiser", "neumann_cap", "tapered_terminal",
+             "transformed_cauchy")
 
 # most steps of the direct Monte Carlo pass of price and convergence: the
 # bridge-reflected walk keeps only the O(dt) drift-freezing bias.  At 512
@@ -179,6 +182,42 @@ def _check_ladder(js: list, x0: float, f, note: str = "") -> None:
               f"rungs {js}{note} must not exceed model.x0={x0}")
     for j in js:
         _check_floor("convergence.j_sequence", j, f)
+
+
+def _ladder(cfg: dict) -> list:
+    """The floors of convergence: convergence.j_sequence, else the default
+    ladder."""
+    return cfg.get("convergence", {}).get("j_sequence",
+                                          [0.4, 0.2, 0.1, 0.05, 0.02])
+
+
+def _check_price_points(cfg: dict, f, command: str, names=None) -> None:
+    """f(x0) at or above node 1 of every PDE grid that price, convergence or
+    a compare-schemes level builds for a model.sigma config
+    (pdesolve.check_price_point), naming the floor's config key: model.j0,
+    or convergence.j_sequence for a rung.  main checks it before it creates
+    the output directory, so before any path runs."""
+    model, num = cfg["model"], cfg["numerics"]
+    if "sigma" not in model or command not in ("price", "convergence",
+                                               "compare-schemes"):
+        return
+    floors = ([("convergence.j_sequence", j) for j in _ladder(cfg)]
+              if command == "convergence" else [("model.j0", model["j0"])])
+    kinds, sizes = [FundraiserScheme.kind], [num["space_nodes"]]
+    if command == "compare-schemes":
+        kinds, sizes = names or _COMPARED, [m for m, _ in _level_sizes(num)]
+    y = float(f(model["x0"]))
+    for key, j in floors:
+        cap = float(f(j))
+        for kind in kinds:
+            for m in sizes:
+                grid = (fundraiser_grid(cap, m) if kind == FundraiserScheme.kind
+                        else _RIVALS[kind](cap).grid(m))
+                try:
+                    check_price_point(grid, y)
+                except ConfigError as exc:
+                    _fail(key, f"floor {j!r} is too deep for the {kind} "
+                               f"grid with {m} space steps: {exc}")
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
@@ -513,15 +552,12 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
 def _write_meta(path: Path, digest: str, seed: int, t_start: float,
                 stages: dict, reads) -> None:
     """The side file of price and convergence: the config hash, the Monte
-    Carlo seed and the stream layout its paths were drawn in (pathlab's
-    docstring), the run's wall time since t_start, the seconds of each
-    stage of price_at_floors (the path passes, their reductions, the PDE and
-    the CSV and table writes) and its stream reads."""
-    stream = {"generator": "Philox", "key": ["seed", "path index"],
-              "segment_steps": _SEGMENT,
-              "segment": ["normals", "bridge uniforms"]}
+    Carlo seed and the stream layout its paths were drawn in
+    (pathlab.STREAM_LAYOUT), the run's wall time since t_start, the seconds
+    of each stage of price_at_floors (the path passes, their reductions, the
+    PDE and the CSV and table writes) and its stream reads."""
     path.write_text(json.dumps(
-        {"config_hash": digest, "seed": seed, "stream": stream,
+        {"config_hash": digest, "seed": seed, "stream": STREAM_LAYOUT,
          "runtime_s": time.perf_counter() - t_start, "stages_s": stages,
          "reads": reads},
         indent=2, sort_keys=True) + "\n")
@@ -587,8 +623,7 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
     j0 = model["j0"]
     y_ref = float(f(model["x0"]))
     schemes = []
-    for name in names or ["fundraiser", "neumann_cap", "tapered_terminal",
-                          "transformed_cauchy"]:
+    for name in names or _COMPARED:
         if name in _RIVALS:
             schemes.append(_RIVALS[name](float(f(j0))))
         else:
@@ -616,8 +651,8 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
             solved = _solve_level(cfg, payoff, group, m, steps)
             elapsed = time.perf_counter() - t0
             done.append(([(scheme.kind, lev, m, steps, grid.interp(row, y_ref),
-                           corner_defect(model["sigma"], payoff, model["T"],
-                                         scheme, grid=grid))
+                           corner_defect(payoff, model["T"], scheme,
+                                         grid=grid))
                           for scheme, (grid, row) in zip(group, solved)],
                          elapsed))
         return done
@@ -661,8 +696,7 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
     x0, T = model["x0"], model["T"]
     fund_form = {side: form for _, side, form
                  in cf.oracle_rows(f, payoff)}.get("fundraiser")
-    js = cfg.get("convergence", {}).get(
-        "j_sequence", [0.4, 0.2, 0.1, 0.05, 0.02])
+    js = _ladder(cfg)
     _check_ladder(js, x0, f, "" if "convergence" in cfg else " (the default)")
 
     # tables are per-j here, so a pinned numerics.theta_table never applies
@@ -806,6 +840,7 @@ def main(argv=None) -> int:
         cfg, f, payoff = _load_config(args.config, overrides)
         if args.command == "compare-schemes":
             _check_compare_schemes(cfg, f, names)
+        _check_price_points(cfg, f, args.command, names)
         out = Path(cfg["output"]["dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)

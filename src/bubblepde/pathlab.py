@@ -86,6 +86,11 @@ _BLOCK = 4096
 # Steps per segment of the stream layout (see above).  It is part of the
 # layout: changing it changes every reflected path.
 _SEGMENT = 512
+# The stream layout above as the side files record it, beside the seed of
+# the paths drawn in it.
+STREAM_LAYOUT = {"generator": "Philox", "key": ["seed", "path index"],
+                 "segment_steps": _SEGMENT,
+                 "segment": ["normals", "bridge uniforms"]}
 _TILE = 256  # paths per transposed tile of a time-major draw
 # Paths in the smallest share of change_of_measure_expectation.
 _WEIGHT_ROWS = 256

@@ -46,10 +46,16 @@ def _sigma_callable(sigma) -> Callable:
     raise ConfigError(f"unsupported sigma descriptor: {sigma!r}")
 
 
-def _doubling_tail(func: Callable, start: float, n_panels: int = 60,
-                   ratio_cut: float = 0.999):
-    """Integrate func over [start, inf) by doubling panels [2^k, 2^k+1)*start
-    and classify the tail: returns (converges: bool, partial_sum).
+# Doubling panels of _doubling_tail, and the median ratio of its last panel
+# increments below which the tail converges.
+_TAIL_PANELS = 60
+_TAIL_RATIO = 0.999
+
+
+def _doubling_tail(func: Callable, start: float):
+    """Integrate func over [start, inf) by _TAIL_PANELS doubling panels
+    [2^k, 2^k+1)*start and classify the tail: returns (converges: bool,
+    partial_sum).
 
     func takes an array of points.  Each panel is one 16-node Gauss-Legendre
     rule: a singularity of func at y <= 0 lies at t <= -3 in the panel's
@@ -57,11 +63,11 @@ def _doubling_tail(func: Callable, start: float, n_panels: int = 60,
     errs by about 5.8^-32 = 1e-24 relative.
 
     The tail is declared convergent when panel increments either fall below
-    an absolute floor or keep shrinking geometrically (ratio < ratio_cut);
+    an absolute floor or keep shrinking geometrically (ratio < _TAIL_RATIO);
     constant or growing increments mean divergence.
     """
     t, w = np.polynomial.legendre.leggauss(16)
-    lo = start * 2.0 ** np.arange(n_panels)
+    lo = start * 2.0 ** np.arange(_TAIL_PANELS)
     incs = 0.5 * lo * (func(lo[:, None] * (1.5 + 0.5 * t)) @ w)
     total = float(np.sum(incs))
     tail = incs[-8:]
@@ -70,7 +76,7 @@ def _doubling_tail(func: Callable, start: float, n_panels: int = 60,
         return True, total
     ratios = tail[1:] / np.where(tail[:-1] == 0, 1.0, tail[:-1])
     r = float(np.median(ratios))
-    return (0 < r < ratio_cut), total
+    return (0 < r < _TAIL_RATIO), total
 
 
 def is_strict_local_martingale(sigma) -> bool:
@@ -225,8 +231,8 @@ class FundraiserScheme(Scheme):
         return float(from_descriptor(self.theta.map_descriptor)(self.j))
 
     def grid(self, m: int) -> SpaceGrid:
-        """Geometric nodes from cap * _LO_FRAC up to the cap, no y = 0 node."""
-        return SpaceGrid.geometric(self.cap * _LO_FRAC, self.cap, m)
+        """fundraiser_grid under the scheme's cap."""
+        return fundraiser_grid(self.cap, m)
 
     def rows(self, payoff, y, T, times):
         if y[0] <= 0:
@@ -238,6 +244,25 @@ class FundraiserScheme(Scheme):
         # a time grid may end within roundoff past T: its last tau is 0
         taus = np.maximum(T - times.nodes, 0.0)
         return v, bottom, self.theta.interpolator()(taus)
+
+
+def fundraiser_grid(cap: float, m: int) -> SpaceGrid:
+    """The floor-anchored scheme's grid under cap: geometric nodes from
+    cap * _LO_FRAC up to the cap, no y = 0 node."""
+    return SpaceGrid.geometric(cap * _LO_FRAC, cap, m)
+
+
+def check_price_point(grid: SpaceGrid, y: float) -> None:
+    """Refuse (ConfigError) a price point y below grid node 1, the first
+    node the march solves.  Node 0 holds the bottom value payoff(0) whatever
+    the boundary data, so a price read below node 1 leans on it: on the
+    fundraiser grid, which starts at f(j) * _LO_FRAC, a floor j so deep
+    that its bottom node reaches f(x0) prices payoff(0), and a deeper one
+    leaves f(x0) off the grid."""
+    if not y >= grid.nodes[1]:
+        raise ConfigError(
+            f"the price point y={y!r} lies below y={float(grid.nodes[1])!r}, "
+            "the first node the PDE solves; the node below holds payoff(0)")
 
 
 @dataclass(frozen=True)
@@ -733,7 +758,7 @@ def solve_start(sigma, payoff: PayoffSpec, T: float, pairs, times: TimeGrid,
     raise stacked
 
 
-def corner_defect(sigma, payoff: PayoffSpec, T: float, scheme: Scheme,
+def corner_defect(payoff: PayoffSpec, T: float, scheme: Scheme,
                   grid: Optional[SpaceGrid] = None) -> float:
     """Mismatch between the terminal datum and the boundary datum at the
     space-time corner (t = T, y = cap), both read off the rows the solver

@@ -1,9 +1,9 @@
 """Smooth monotone maps with analytic derivatives and closed-form Schwarzians.
 
 Carriers for the market's scale/price transformations. Each map knows its
-open domain, its first two derivatives, its pre-Schwarzian T_f = f''/f',
-its Schwarzian S_f = f'''/f' - (3/2)(f''/f')^2 and its monotonicity sign,
-which is enough for the multiplicative path functional built from them:
+open domain, its first two derivatives, its pre-Schwarzian T_f = f''/f'
+and its Schwarzian S_f = f'''/f' - (3/2)(f''/f')^2, which is enough for
+the multiplicative path functional built from them:
 schwarzian_process along one recorded path, multiplicative_functional at a
 node given the integral of S_f up to it (the change of measure adds that
 integral up step by step as it walks its paths).
@@ -17,12 +17,16 @@ the measure change, so a map carries both: (alpha - 1)/(x - xi) and
 Moebius map, T_{f o g} = T_f(g) g' + T_g and S_{f o g} = S_f(g) g'^2 + S_g
 for a composition, which are the inner map's own when f is affine (S_g
 alone when f is Moebius).
+
+A map is named by its descriptor alone: from_descriptor(f.descriptor)
+rebuilds any map a constructor builds, on the same domain and with the
+same evaluators, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +50,6 @@ class SmoothMap:
     eval, d1, d2 : vectorized evaluators for f, f', f''
     pre : vectorized evaluator for the pre-Schwarzian T_f = f''/f'
     schw : vectorized evaluator for the Schwarzian S_f = T_f' - T_f^2/2
-    sign : +1 for increasing, -1 for decreasing
     descriptor : JSON-friendly construction record (used for hashing/serialization)
     """
 
@@ -56,7 +59,6 @@ class SmoothMap:
     d2: Callable[[np.ndarray], np.ndarray]
     pre: Callable[[np.ndarray], np.ndarray]
     schw: Callable[[np.ndarray], np.ndarray]
-    sign: int
     descriptor: dict = field(default_factory=dict)
 
     def __call__(self, x):
@@ -82,7 +84,8 @@ class SmoothMap:
 def _fd_cross_check(m: SmoothMap) -> None:
     # Probe a handful of interior points; compare analytic d1 against a
     # central difference of eval (and d2 against a difference of d1), the
-    # closed-form T_f against d2/d1 and S_f against T_f' - T_f^2/2.
+    # closed-form T_f against d2/d1 and S_f against T_f' - T_f^2/2; f'
+    # must keep one strict sign over the probes.
     lo, hi = m.domain
     a = lo if np.isfinite(lo) else -1.0
     b = hi if np.isfinite(hi) else max(a + 2.0, 3.0)
@@ -102,8 +105,8 @@ def _fd_cross_check(m: SmoothMap) -> None:
     fds = (m.pre(pts + eps) - m.pre(pts - eps)) / (2 * eps) - 0.5 * pre * pre
     if np.any(np.abs(m.schw(pts) - fds) > FD_TOL * (1.0 + np.abs(fds))):
         raise DomainError(f"Schwarzian cross-check failed for map {m.descriptor}")
-    if np.any(m.sign * d1 <= 0):
-        raise DomainError(f"monotonicity sign violated for map {m.descriptor}")
+    if not (np.all(d1 > 0) or np.all(d1 < 0)):
+        raise DomainError(f"f' changes sign or vanishes for map {m.descriptor}")
 
 
 def _flat(x) -> np.ndarray:
@@ -132,7 +135,7 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
             eval=lambda x: np.log(np.asarray(x, dtype=float) - xi),
             d1=lambda x: 1.0 / (np.asarray(x, dtype=float) - xi),
             d2=lambda x: -1.0 / (np.asarray(x, dtype=float) - xi) ** 2,
-            pre=pre, schw=schw, sign=1,
+            pre=pre, schw=schw,
             descriptor={"kind": "log", "xi": xi},
         )
     else:
@@ -143,7 +146,6 @@ def power_law_map(alpha: float, xi: float = 0.0) -> SmoothMap:
             d2=lambda x: a * (a - 1) * (np.asarray(x, dtype=float) - xi) ** (a - 2),
             pre=_flat if a == 1.0 else pre,
             schw=_flat if abs(a) == 1.0 else schw,
-            sign=1 if a > 0 else -1,
             descriptor={"kind": "power_law", "alpha": a, "xi": xi},
         )
     _fd_cross_check(m)
@@ -186,7 +188,6 @@ def mobius_map(coeffs: tuple) -> SmoothMap:
     m = SmoothMap(
         domain=dom, eval=ev, d1=ev1, d2=ev2,
         pre=_flat if c == 0.0 else pre, schw=_flat,
-        sign=1 if det > 0 else -1,
         descriptor={"kind": "mobius", "a": a, "b": b, "c": c, "d": d},
     )
     _fd_cross_check(m)
@@ -198,14 +199,9 @@ def reciprocal_map() -> SmoothMap:
     return mobius_map((0.0, 1.0, 1.0, 0.0))
 
 
-def affine_map(slope: float, intercept: float,
-               domain: Optional[tuple[float, float]] = None) -> SmoothMap:
-    """slope*x + intercept, optionally restricted to a subinterval."""
-    m = mobius_map((float(slope), float(intercept), 0.0, 1.0))
-    if domain is None:
-        return m
-    return replace(m, domain=(float(domain[0]), float(domain[1])),
-                   descriptor=dict(m.descriptor, domain=list(domain)))
+def affine_map(slope: float, intercept: float) -> SmoothMap:
+    """slope*x + intercept on the whole line: mobius (slope, intercept, 0, 1)."""
+    return mobius_map((float(slope), float(intercept), 0.0, 1.0))
 
 
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
@@ -247,18 +243,10 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
         domain=inner.domain, eval=ev, d1=ev1, d2=ev2,
         pre=inner.pre if outer.pre is _flat else pre,
         schw=inner.schw if outer.schw is _flat else schw,
-        sign=outer.sign * inner.sign,
         descriptor={"kind": "compose", "outer": outer.descriptor, "inner": inner.descriptor},
     )
     _fd_cross_check(m)
     return m
-
-
-def shift_map(f: SmoothMap, j: float) -> SmoothMap:
-    """f_j(x) = f(x + j): compose f with the unit-slope shift, exact domain."""
-    lo, hi = f.domain
-    inner = affine_map(1.0, float(j), domain=(lo - j, hi if np.isinf(hi) else hi - j))
-    return compose(f, inner)
 
 
 def from_descriptor(desc: dict) -> SmoothMap:

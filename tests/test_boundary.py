@@ -1,5 +1,6 @@
 """Boundary-function estimation, payoff specs, and the theta table format."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,12 +18,15 @@ from bubblepde import (
     estimate_theta,
     forward_bm_fundraiser,
     forward_recip_bessel_fundraiser,
+    log_map,
+    pathlab,
     price_and_decompose,
     power_law_map,
     price_fundraiser_mc,
     reciprocal_map,
     theta_recip_bessel_forward,
 )
+from bubblepde.boundary import price_pass, theta_pass
 
 SEED = 555
 
@@ -55,6 +59,25 @@ def test_payoff_table_validation():
         PayoffSpec.from_table([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ConfigError):
         PayoffSpec.from_table([0.0, 1.0], [1.0])
+
+
+@pytest.mark.parametrize("kind, strike, table, match", [
+    ("butterfly", 0.0, None, "unknown payoff kind"),
+    ("call", -1.0, None, "strike must be finite and >= 0"),
+    ("call", np.inf, None, "strike must be finite and >= 0"),
+    ("call", np.nan, None, "strike must be finite and >= 0"),
+    ("table", 0.0, None, "needs \\(nodes, values\\)"),
+    ("table", 0.0, ([0.0], [1.0]), "matching 1-d nodes and values"),
+    ("table", 0.0, ([[0.0, 1.0]], [[1.0, 2.0]]), "matching 1-d nodes"),
+    ("table", 0.0, ([0.0, np.nan], [1.0, 2.0]), "must be finite"),
+    ("table", 0.0, ([0.0, 1.0], [1.0, np.inf]), "must be finite"),
+    ("table", 0.0, ([0.0, 1.0], [1.0, -0.5]), "must be nonnegative"),
+], ids=["unknown-kind", "strike-negative", "strike-inf", "strike-nan",
+        "table-missing", "table-one-node", "table-2d", "table-nan-node",
+        "table-inf-value", "table-negative-value"])
+def test_payoff_spec_refuses_bad_input(kind, strike, table, match):
+    with pytest.raises(ConfigError, match=match):
+        PayoffSpec(kind, strike=strike, table=table)
 
 
 def test_payoff_descriptor_round_trip():
@@ -113,6 +136,7 @@ def test_table_save_load_round_trip_property(tmp_path, taus, data, map_desc,
     assert (t2.j, t2.n_paths, t2.seed) == (t.j, t.n_paths, t.seed)
     assert t2.map_descriptor == map_desc
     assert t2.payoff_descriptor == payoff.descriptor
+    assert t2.stream == t.stream == {}
 
 
 def test_payoff_rejects_unknown_kind():
@@ -270,6 +294,54 @@ def test_estimate_theta_bond_is_exactly_one():
 def test_estimate_theta_rejects_bad_floor():
     with pytest.raises(DomainError):
         estimate_theta(reciprocal_map(), -0.5, [1.0], PayoffSpec.bond(), 10, 8, SEED)
+
+
+def _raising(x):
+    raise ValueError("no value here")
+
+
+@pytest.mark.parametrize("f, j, taus, match", [
+    (reciprocal_map(), 0.5, [-0.5, 1.0], "tau values must be nonnegative"),
+    (reciprocal_map(), 0.5, [0.0], "at least one positive tau"),
+    (dataclasses.replace(reciprocal_map(), pre=_raising), 0.5, [1.0],
+     "map not regular at the floor j=0.5: no value here"),
+    (dataclasses.replace(reciprocal_map(), pre=lambda x: np.inf * x), 0.5,
+     [1.0], "T_f\\(j\\)=inf at j=0.5: the drift is singular"),
+], ids=["negative-tau", "no-positive-tau", "pre-raises", "pre-infinite"])
+def test_theta_pass_refuses_before_any_path(monkeypatch, f, j, taus, match):
+    monkeypatch.setattr(pathlab, "_path_steps",
+                        lambda *a, **k: pytest.fail("a stream was read"))
+    with pytest.raises(DomainError, match=match):
+        theta_pass(f, j, taus, PayoffSpec.forward(), 10, 8, SEED)
+
+
+@pytest.mark.parametrize("f, x0, j0, match", [
+    (reciprocal_map(), 1.0, 1.5, "need 0 < j0 <= x0"),
+    (reciprocal_map(), 1.0, 0.0, "need 0 < j0 <= x0"),
+    (log_map(0.5), 1.0, 0.25, "floor j0=0.25 outside the domain"),
+], ids=["floor-above-spot", "floor-zero", "floor-off-domain"])
+def test_price_pass_refuses_before_any_path(f, x0, j0, match):
+    with pytest.raises(DomainError, match=match):
+        price_pass(f, x0, j0, 1.0, PayoffSpec.forward(), 8)
+
+
+def test_theta_side_file_records_the_stream_layout(tmp_path):
+    tab = estimate_theta(reciprocal_map(), 0.5, [0.5, 1.0],
+                         PayoffSpec.forward(), 10, 8, SEED)
+    assert tab.stream == pathlab.STREAM_LAYOUT
+    p = tmp_path / "theta.csv"
+    tab.save(p)
+    meta_path = tmp_path / "theta.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    assert meta["stream"] == pathlab.STREAM_LAYOUT
+    assert meta["stream"]["segment_steps"] == pathlab._SEGMENT
+    assert ThetaTable.load(p).stream == pathlab.STREAM_LAYOUT
+    # a side file written before tables recorded the layout still loads
+    del meta["stream"]
+    meta_path.write_text(json.dumps(meta))
+    old = ThetaTable.load(p)
+    assert old.stream == {}
+    np.testing.assert_array_equal(old.theta, tab.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,50 @@ def test_floor_outside_the_map_domain_names_its_key(tmp_path, capsys, command,
         assert not (tmp_path / "out").exists()
 
 
+# Under sigma = y^2 the fundraiser grid starts at f(j0) * 1e-5 = 1e-5 / j0
+# and holds payoff(0) there, so at j0 = 1e-5 its bottom node is f(x0) = 1
+# (price read 3.2e-18 against 0.68) and at 1e-6 f(x0) lies off the grid
+# (exit 3); a deep rung reaches it alike, and so does a coarse
+# compare-schemes level: at 1.15e-5 node 1 lies at 0.96 on 120 space steps
+# but at 1.05 on level 0's 60
+@pytest.mark.parametrize("command, j0, ladder, key, floor, steps", [
+    ("price", 1e-5, None, "model.j0", 1e-5, 120),
+    ("price", 1e-6, None, "model.j0", 1e-6, 120),
+    ("compare-schemes", 1e-5, None, "model.j0", 1e-5, 60),
+    ("compare-schemes", 1.15e-5, None, "model.j0", 1.15e-5, 60),
+    ("convergence", 0.25, [0.1, 1e-5], "convergence.j_sequence", 1e-5, 120),
+], ids=["price-silent-zero", "price-off-the-grid", "compare-schemes",
+        "compare-schemes-coarse-level", "convergence-rung"])
+def test_a_floor_too_deep_for_the_pde_grid_names_its_key(
+        tmp_path, capsys, monkeypatch, command, j0, ladder, key, floor, steps):
+    monkeypatch.setattr(pathlab, "_path_steps",
+                        lambda *a, **k: pytest.fail("a stream was read"))
+    extra = {} if ladder is None else {"convergence": {"j_sequence": ladder}}
+    # 120 space steps: level 0 of compare-schemes has 60
+    cfgp = write_config(tmp_path, model=dict(MODEL, sigma=SIG2, j0=j0),
+                        numerics=dict(TINY_NUMERICS, space_nodes=120), **extra)
+    assert main([command, "--config", str(cfgp)]) == 2
+    err = capsys.readouterr().err
+    assert f"config key {key}: floor {floor!r} is too deep for the " \
+           f"fundraiser grid with {steps} space steps: " in err
+    assert "the price point y=1.0 lies below" in err
+    assert not (tmp_path / "out").exists()
+    # the commands that build no PDE grid run at that floor
+    if command == "price":
+        assert main(["oracle", "--config", str(cfgp)]) == 0
+
+
+@pytest.mark.parametrize("j0", [1e-4, 1e-3])
+def test_floors_the_pde_grid_holds_still_price(tmp_path, j0):
+    cfgp = write_config(tmp_path, model=dict(MODEL, sigma=SIG2, j0=j0))
+    assert main(["price", "--config", str(cfgp)]) == 0
+    rows = {row[0]: row[1] for row in _body(tmp_path / "out" / "report.csv")}
+    # within a few per cent of the closed form, which a price read off the
+    # bottom node (payoff(0) = 0) is not
+    oracle = float(rows["oracle_fundraiser"])
+    assert abs(float(rows["pde_price"]) - oracle) < 0.05 * oracle
+
+
 def test_valid_configs_keep_their_hash():
     # every CSV header carries the digest, so a valid config must keep it
     readme = {
@@ -225,13 +269,17 @@ MODEL = {"x0": 1.0, "j0": 0.25, "T": 1.0}
     ("model.f.xi", "model", dict(MODEL, f={"kind": "log", "xi": [0.5]})),
     ("model.f.inner", "model",
      dict(MODEL, f={"kind": "compose", "inner": [1.0], "outer": RECIP_F})),
+    # numbers f_from_sigma refuses
+    ("model.sigma", "model", dict(MODEL, sigma=dict(SIG2, coefficient=0.0))),
+    ("model.sigma", "model", dict(MODEL, sigma=dict(SIG2, coefficient=-1.0))),
 ], ids=["strike-abc", "strike-null", "strike-list", "table-values",
         "sigma-exponent", "sigma-not-power", "sigma-not-a-descriptor",
         "f-missing-alpha", "f-unknown-kind", "strike-bool", "strike-string",
         "table-string-nodes", "table-bool-values", "sigma-string-coefficient",
         "sigma-string-exponent", "f-string-alpha", "f-bool-alpha",
         "f-nested-string-alpha", "table-number-nodes", "f-list-xi",
-        "f-nested-list"])
+        "f-nested-list", "sigma-zero-coefficient",
+        "sigma-negative-coefficient"])
 def test_malformed_descriptor_value_is_a_config_error(tmp_path, key, section,
                                                       value):
     cfgp = write_config(tmp_path, **{section: value})
@@ -248,8 +296,8 @@ COMPOSED_MODEL = dict(MODEL, f={"kind": "compose",
 @pytest.mark.parametrize("key", [
     "numerics.path", "model.typo", "payoff.strik", "output.dri", "outptu",
     # every descriptor, a nested one too: a misspelt coefficient would
-    # otherwise price the coefficient-1 model, and "domain" is a map's
-    # provenance, which no config sets
+    # otherwise price the coefficient-1 model, and "domain" is a key no
+    # map descriptor has
     "model.sigma.coeficient", "model.f.domain", "model.f.outer.alpha",
     "model.f.inner.domain"])
 def test_unknown_config_key_is_rejected(tmp_path, key):
@@ -505,6 +553,20 @@ def test_price_rejects_mismatched_theta_table(tmp_path):
     assert main(["price", "--config", str(cfgp2)]) == 2
 
 
+def test_pinned_theta_table_must_cover_T(tmp_path, capsys):
+    # a table estimated up to T = 0.5 cannot anchor a price at T = 1
+    short = dict(MODEL, sigma=SIG2, T=0.5)
+    assert main(["theta", "--config",
+                 str(write_config(tmp_path, model=short))]) == 0
+    pinned = dict(TINY_NUMERICS, theta_table=str(tmp_path / "out" / "theta.csv"))
+    cfgp = write_config(tmp_path, numerics=pinned)
+    for command in ("price", "theta", "compare-schemes"):
+        assert main([command, "--config", str(cfgp), "--out",
+                     str(tmp_path / command)]) == 2
+        assert ("theta table covers tau <= 0.5, need 1.0"
+                in capsys.readouterr().err), command
+
+
 def test_pinned_theta_table_must_match_the_payoff(tmp_path, capsys):
     # a table built for the forward must not anchor the price of a call
     assert main(["theta", "--config", str(write_config(tmp_path))]) == 0
@@ -691,7 +753,8 @@ def test_price_rejects_non_numeric_theta_cell(tmp_path):
 
 @pytest.mark.parametrize("bad, why", [
     ("nan", "non-finite entries in theta table"),
-    ("swap", "taus must be strictly increasing")])
+    ("swap", "taus must be strictly increasing"),
+    ("header", "expected header 'tau,theta,stderr'")])
 def test_pinned_theta_table_failing_its_checks_names_its_file(
         tmp_path, capsys, bad, why):
     cfgp = write_config(tmp_path)
@@ -700,8 +763,10 @@ def test_pinned_theta_table_failing_its_checks_names_its_file(
     rows = table.read_text().splitlines()
     if bad == "nan":
         rows[3] = rows[3].split(",", 1)[0] + ",nan," + rows[3].split(",")[2]
-    else:
+    elif bad == "swap":
         rows[2], rows[3] = rows[3], rows[2]
+    else:
+        rows[0] = "tau,value,stderr"
     table.write_text("\n".join(rows) + "\n")
     cfg = json.loads(cfgp.read_text())
     cfg["numerics"]["theta_table"] = str(table)

@@ -8,6 +8,7 @@ the upper tail.  CI runs these tests on Linux and on macOS, since each
 platform brings its own libm.
 """
 
+import dataclasses
 import warnings
 
 import mpmath
@@ -128,6 +129,39 @@ def test_delta_bm_fundraiser():
 def test_forward_bm_fundraiser_validates():
     with pytest.raises(DomainError):
         forward_bm_fundraiser(1.0, 2.0, 1.0)  # j > x
+
+
+@pytest.mark.parametrize("form, args, match", [
+    (bond_bm, (0.0, 1.0), "x > 0, T >= 0"),
+    (bond_bm, (1.0, -1.0), "x > 0, T >= 0"),
+    (forward_bm_investor, (0.0, 1.0), "x > 0"),
+    (forward_bm_fundraiser, (1.0, 0.5, 0.0), "T > 0"),
+    (delta_bm_fundraiser, (1.0, 2.0, 1.0), "j <= x"),
+    (delta_bm_fundraiser, (1.0, 0.5, 0.0), "T > 0"),
+    (forward_recip_bessel_investor, (0.0, 1.0), "x > 0, T >= 0"),
+    (forward_recip_bessel_investor, (1.0, -1.0), "x > 0, T >= 0"),
+    (forward_recip_bessel_fundraiser, (1.0, 0.0, 1.0), "0 < j <= x"),
+    (forward_recip_bessel_fundraiser, (1.0, 2.0, 1.0), "0 < j <= x"),
+    (forward_recip_bessel_fundraiser, (1.0, 0.5, 0.0), "T > 0"),
+    (theta_recip_bessel_forward, (1.0, 0.0), "j > 0"),
+    (theta_recip_bessel_forward, (-1.0, 0.5), "tau >= 0"),
+], ids=["bond-x", "bond-T", "bm-investor-x", "bm-fundraiser-T",
+        "delta-j", "delta-T", "recip-investor-x", "recip-investor-T",
+        "recip-fundraiser-j-zero", "recip-fundraiser-j-above-x",
+        "recip-fundraiser-T", "theta-j", "theta-tau"])
+def test_closed_forms_refuse_points_outside_their_domain(form, args, match):
+    with pytest.raises(DomainError, match=f"{form.__name__} needs {match}"):
+        form(*args)
+
+
+@pytest.mark.parametrize("form, args, want", [
+    (bond_bm, (0.7, 0.0), 1.0),
+    (forward_recip_bessel_investor, (0.8, 0.0), 1.25),
+    (theta_recip_bessel_forward, (0.0, 0.4), 2.5),
+], ids=["bond", "recip-investor", "recip-theta"])
+def test_closed_forms_at_zero_time(form, args, want):
+    # no time to move: the bond pays par and the forward is the spot 1/x
+    assert form(*args) == want
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +311,7 @@ _BOND_CASES = {"recip": ["bond_recip_bessel_investor",
     (f_from_sigma({"kind": "power", "coefficient": 1.0, "exponent": 2.0}),
      "recip"),
     (power_law_map(1.0), "bm"),
-    (affine_map(1.0, 0.0, domain=(0.0, np.inf)), "bm"),
+    (dataclasses.replace(affine_map(1.0, 0.0), domain=(0.0, np.inf)), "bm"),
     # y = x on the whole line: no path is absorbed, so the bond is 1
     (affine_map(1.0, 0.0), "other"),
     (mobius_map((1.0, 0.0, 0.0, 1.0)), "other"),

@@ -30,7 +30,7 @@ from bubblepde.pathlab import (
     wiener_ensemble,
 )
 from bubblepde.smoothmaps import (compose, from_descriptor, log_map,
-                                   schwarzian_process, shift_map)
+                                   schwarzian_process)
 
 SEED = 424242
 
@@ -196,7 +196,7 @@ def test_every_config_map_is_unbounded_above(make):
 
 @pytest.mark.parametrize("lo", [0.0, -np.inf], ids=["band", "upper_edge"])
 def test_kernels_refuse_a_finite_upper_edge_before_any_read(monkeypatch, lo):
-    f = affine_map(1.0, 0.0, domain=(lo, 1.2))
+    f = dataclasses.replace(affine_map(1.0, 0.0), domain=(lo, 1.2))
     grid = TimeGrid.uniform(1.0, 4)
     monkeypatch.setattr(pathlab, "_path_steps",
                         lambda *a, **k: pytest.fail("a stream was read"))
@@ -216,7 +216,7 @@ def test_refused_calls_fork_nothing(monkeypatch):
     # raised in the caller before any share forks, with the message of a
     # one-process call
     grid = TimeGrid.uniform(1.0, 4)
-    bounded = affine_map(1.0, 0.0, domain=(0.0, 1.2))
+    bounded = dataclasses.replace(affine_map(1.0, 0.0), domain=(0.0, 1.2))
     f = reciprocal_map()
     refused = {
         "reflected_upper_edge": lambda: reflected_ensemble(
@@ -1121,8 +1121,8 @@ def test_change_of_measure_supermartingale_bound():
 _MEASURE_MAPS = {
     "reciprocal": reciprocal_map,
     "cube": lambda: power_law_map(3.0),
-    "sqrt_shifted": lambda: shift_map(power_law_map(0.5), 0.1),
-    "log_shifted": lambda: shift_map(log_map(), 0.1),
+    "sqrt_shifted": lambda: power_law_map(0.5, xi=-0.1),
+    "log_shifted": lambda: log_map(xi=-0.1),
     "reciprocal_of_square": lambda: compose(reciprocal_map(),
                                             power_law_map(2.0)),
 }

@@ -69,7 +69,7 @@ def test_f_from_sigma_power_fast_path():
     x = np.array([0.5, 1.0, 2.0])
     np.testing.assert_allclose(f(x), 1.0 / x, rtol=1e-12)
     np.testing.assert_allclose(f.d1(x), -1.0 / x ** 2, rtol=1e-12)
-    assert f.sign == -1
+    assert np.all(f.d1(np.geomspace(1e-3, 1e3, 13)) < 0)  # decreasing
 
 
 def test_f_from_sigma_rejects_true_martingale_exponent():
@@ -133,6 +133,48 @@ def test_space_grid_interp_rejects_points_off_the_grid(y):
         grid.interp(grid.nodes, y)
 
 
+# the pinned table is built when a case runs: _pinned_table is defined below
+@pytest.mark.parametrize("make, error, match", [
+    (lambda: SpaceGrid(nodes=[0.0, 1.0, 0.5, 2.0]), ConfigError,
+     "strictly increasing"),
+    (lambda: SpaceGrid(nodes=[0.0, 1.0, 1.0, 2.0]), ConfigError,
+     "strictly increasing"),
+    (lambda: TimeGrid(nodes=[0.0]), DomainError, "at least two nodes"),
+    (lambda: FundraiserScheme(j=0.0, theta=_pinned_table(0.1, 10.0)),
+     ConfigError, "floor j must be positive"),
+    (lambda: solve(SIG2, FWD, 1.0,
+                   FundraiserScheme(j=0.1, theta=_pinned_table(0.1, 10.0)),
+                   grid=SpaceGrid.geometric_with_zero(1e-4, 10.0, 50),
+                   times=TimeGrid.uniform(1.0, 8)),
+     ConfigError, "lives on y > 0"),
+    (lambda: NeumannCapScheme(n=0.0), ConfigError, "cap n must be positive"),
+    (lambda: TaperedTerminalScheme(n=-1.0), ConfigError,
+     "cap n must be positive"),
+    (lambda: NaiveDirichletScheme(cap=0.0), ConfigError, "cap must be positive"),
+], ids=["space-decreasing", "space-repeated", "time-one-node",
+        "fundraiser-floor-zero", "fundraiser-grid-with-zero",
+        "neumann-cap-zero", "tapered-cap-negative", "naive-cap-zero"])
+def test_grids_and_schemes_refuse_bad_input(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
+def test_price_point_must_lie_on_a_solved_node():
+    # under y = 1/x a floor of 1e-5 puts the fundraiser grid's bottom node,
+    # which holds payoff(0), at f(x0) = 1 itself
+    grid = pdesolve.fundraiser_grid(1e5, 800)
+    assert grid.nodes[0] == pytest.approx(1.0)
+    for y in (1.0, float(np.nextafter(grid.nodes[1], 0.0)), np.nan):
+        with pytest.raises(ConfigError, match="first node the PDE solves"):
+            pdesolve.check_price_point(grid, y)
+    pdesolve.check_price_point(grid, float(grid.nodes[1]))
+    pdesolve.check_price_point(pdesolve.fundraiser_grid(1e4, 800), 1.0)
+    # the fundraiser scheme builds the same grid
+    scheme = FundraiserScheme(j=0.1, theta=_pinned_table(0.1, 10.0))
+    assert np.array_equal(scheme.grid(800).nodes,
+                          pdesolve.fundraiser_grid(10.0, 800).nodes)
+
+
 # ---------------------------------------------------------------------------
 # scheme plumbing
 
@@ -157,8 +199,8 @@ def test_default_grid_is_the_scheme_grid():
         got = solve(SIG2, FWD, 1.0, scheme, times=times).values
         want = solve(SIG2, FWD, 1.0, scheme, grid=grid, times=times).values
         assert np.array_equal(got, want), scheme.kind
-        assert corner_defect(SIG2, FWD, 1.0, scheme) \
-            == corner_defect(SIG2, FWD, 1.0, scheme, grid=grid), scheme.kind
+        assert corner_defect(FWD, 1.0, scheme) \
+            == corner_defect(FWD, 1.0, scheme, grid=grid), scheme.kind
 
 
 def test_fundraiser_scheme_checks_theta_floor():
@@ -661,16 +703,16 @@ def test_value_at_rejects_points_outside_the_solution():
 
 def test_corner_defect_by_scheme():
     tab = _theta_table(0.1)
-    assert corner_defect(SIG2, FWD, 1.0, FundraiserScheme(j=0.1, theta=tab)) \
+    assert corner_defect(FWD, 1.0, FundraiserScheme(j=0.1, theta=tab)) \
         == pytest.approx(0.0, abs=1e-12)
-    assert corner_defect(SIG2, FWD, 1.0, TaperedTerminalScheme(n=10.0)) == 0.0
+    assert corner_defect(FWD, 1.0, TaperedTerminalScheme(n=10.0)) == 0.0
     # forward slope mismatch at the cap for the Neumann treatment
-    assert corner_defect(SIG2, FWD, 1.0, NeumannCapScheme(n=10.0)) \
+    assert corner_defect(FWD, 1.0, NeumannCapScheme(n=10.0)) \
         == pytest.approx(1.0, rel=1e-6)
     # transformed terminal at the cap is payoff(n)/n = 1 against a zero datum
-    assert corner_defect(SIG2, FWD, 1.0, TransformedCauchyScheme(n=10.0)) \
+    assert corner_defect(FWD, 1.0, TransformedCauchyScheme(n=10.0)) \
         == pytest.approx(1.0, rel=1e-6)
-    assert corner_defect(SIG2, FWD, 1.0, NaiveDirichletScheme(cap=10.0)) == 0.0
+    assert corner_defect(FWD, 1.0, NaiveDirichletScheme(cap=10.0)) == 0.0
 
 
 def _reference_corner_defect(scheme, payoff, y):
@@ -718,7 +760,7 @@ def test_corner_defect_equals_the_per_scheme_formulas_bitwise(payoff, T):
     # defect nonzero too
     for scheme in _every_scheme(_pinned_table(0.1, 7.25)):  # cap 10
         for grid in (scheme.grid(800), _hand_grid(scheme)):
-            got = corner_defect(SIG2, payoff, T, scheme, grid=grid)
+            got = corner_defect(payoff, T, scheme, grid=grid)
             want = _reference_corner_defect(scheme, payoff, grid.nodes)
             assert got.hex() == float(want).hex(), (scheme.kind, grid.m)
 
@@ -742,7 +784,7 @@ def test_corner_defect_raises_the_config_error_of_solve(scheme, payoff, grid,
         solve(SIG2, payoff, T, scheme, grid=grid,
               times=TimeGrid.uniform(T, 8) if T > 0 else None)
     with pytest.raises(ConfigError) as defect:
-        corner_defect(SIG2, payoff, T, scheme, grid=grid)
+        corner_defect(payoff, T, scheme, grid=grid)
     assert str(defect.value) == str(solved.value)
 
 

@@ -2,6 +2,7 @@
 the multiplicative path functional."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from bubblepde import (
     reciprocal_map,
     schwarzian,
     schwarzian_process,
-    shift_map,
 )
 from bubblepde.pathlab import PathBundle, TimeGrid, wiener_ensemble
 from bubblepde.smoothmaps import _fd_cross_check, multiplicative_functional
@@ -104,22 +104,42 @@ def test_compose_rejects_range_mismatch():
         compose(power_law_map(0.5), affine_map(1.0, -10.0))
 
 
-def test_shift_map():
-    f = power_law_map(2.0)
-    g = shift_map(f, 0.5)
-    assert g(1.0) == pytest.approx(f(1.5))
-    assert g.d1(1.0) == pytest.approx(f.d1(1.5))
-    assert g.contains(-0.25) and not g.contains(-0.75)
+# one map of every constructor and of every kind a config can name
+ROUND_TRIP_MAPS = {
+    **{f"power_{a:g}": (lambda a=a: power_law_map(a, 0.2))
+       for a in (-1.0, 0.5, 1.0, 1.5, 3.0)},
+    "log": log_map,
+    "log_shifted": lambda: log_map(-0.5),
+    "mobius": lambda: mobius_map((2.0, 3.0, 1.0, 1.0)),
+    "mobius_int": lambda: mobius_map((1, 0, -1, 1)),
+    "reciprocal": reciprocal_map,
+    "affine": lambda: affine_map(3.0, -2.0),
+    "compose": lambda: compose(reciprocal_map(), power_law_map(2.0)),
+    "nested_compose": lambda: compose(
+        affine_map(2.0, 1.0),
+        compose(mobius_map((1.0, 0.5, 0.3, 1.2)), power_law_map(1.7, -0.5))),
+    **{f"sigma_p{p:g}": (lambda p=p: f_from_sigma(
+        {"kind": "power", "coefficient": 2.0, "exponent": p}))
+       for p in (1.5, 2.0, 3.0)},
+}
 
 
 def test_descriptor_round_trip():
-    maps = [power_law_map(1.5, 0.2), mobius_map((0.0, 1.0, 1.0, 0.0)),
-            affine_map(2.0, 1.0), compose(reciprocal_map(), power_law_map(2.0))]
-    x = np.array([1.1, 2.3])
-    for f in maps:
-        g = from_descriptor(f.descriptor)
-        np.testing.assert_allclose(g(x), f(x), rtol=1e-14)
-        np.testing.assert_allclose(g.d2(x), f.d2(x), rtol=1e-12)
+    # a descriptor is standard JSON, and the map rebuilt from it has the
+    # same domain and descriptor and evaluates bit for bit like the original
+    for name, make in ROUND_TRIP_MAPS.items():
+        f = make()
+        g = from_descriptor(json.loads(json.dumps(f.descriptor,
+                                                  allow_nan=False)))
+        assert g.domain == f.domain, name
+        assert g.descriptor == f.descriptor, name
+        x = _interior(f)
+        for part in ("eval", "d1", "d2", "pre", "schw"):
+            want = np.asarray(getattr(f, part)(x), dtype=float)
+            got = np.asarray(getattr(g, part)(x), dtype=float)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64),
+                                          err_msg=f"{name} {part}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +152,13 @@ PRE_MAPS = {
     "mobius": lambda: mobius_map((2.0, 3.0, 1.0, 1.0)),
     "reciprocal": reciprocal_map,
     "affine": lambda: affine_map(3.0, -2.0),
-    "affine_domain": lambda: affine_map(1.0, 0.5, domain=(0.0, 4.0)),
+    "affine_domain": lambda: dataclasses.replace(affine_map(1.0, 0.5),
+                                                 domain=(0.0, 4.0)),
     "nested_compose": lambda: compose(
         mobius_map((1.0, 0.5, 0.3, 1.2)),
-        compose(power_law_map(1.7), affine_map(2.0, 1.0, domain=(0.0, 5.0)))),
-    "shift": lambda: shift_map(power_law_map(2.0), 0.5),
+        compose(power_law_map(1.7),
+                dataclasses.replace(affine_map(2.0, 1.0), domain=(0.0, 5.0)))),
+    "shift": lambda: power_law_map(2.0, xi=-0.5),
     "sigma_power": lambda: f_from_sigma(
         {"kind": "power", "coefficient": 2.0, "exponent": 1.5}),
 }
@@ -169,7 +191,9 @@ def test_schw_matches_central_difference_of_pre(name):
 def test_compose_affine_outer_keeps_inner_pre_bitwise():
     x = np.array([0.3, 0.9, 1.7, 3.1])
     for g in (power_law_map(-1.0), power_law_map(1.7), reciprocal_map(), log_map()):
-        for outer in (affine_map(2.5, -1.0), affine_map(1.0, 0.0, domain=(-100.0, 100.0))):
+        for outer in (affine_map(2.5, -1.0),
+                      dataclasses.replace(affine_map(1.0, 0.0),
+                                          domain=(-100.0, 100.0))):
             np.testing.assert_array_equal(compose(outer, g).pre(x), g.pre(x))
         # a Moebius outer map has S = 0, so the composition keeps S_g's bits
         for outer in (affine_map(2.5, -1.0), mobius_map((1.0, 2.0, 0.5, 3.0))):
@@ -184,6 +208,16 @@ def test_fd_cross_check_rejects_a_wrong_pre(name):
     bad = dataclasses.replace(f, pre=lambda x: 1.01 * f.pre(x))
     with pytest.raises(DomainError, match="pre-Schwarzian"):
         _fd_cross_check(bad)
+
+
+def test_fd_cross_check_rejects_a_map_that_is_not_monotone():
+    # x^2 on the whole line, every evaluator right, and f' = 2x changes sign
+    f = dataclasses.replace(
+        affine_map(1.0, 0.0), eval=np.square, d1=lambda x: 2.0 * x,
+        d2=lambda x: np.full(np.shape(x), 2.0), pre=lambda x: 1.0 / x,
+        schw=lambda x: -1.5 / x ** 2)
+    with pytest.raises(DomainError, match="f' changes sign or vanishes"):
+        _fd_cross_check(f)
 
 
 @pytest.mark.parametrize("name", ["power_1.7", "log", "nested_compose",
@@ -246,7 +280,7 @@ def test_schwarzian_invariant_under_mobius_postcomposition():
 def test_affine_precomposition_scales_schwarzian():
     # S_{f o g} = (S_f o g) * slope^2 for affine g
     f = power_law_map(0.5)
-    g = affine_map(2.0, 0.5, domain=(0.0, np.inf))
+    g = dataclasses.replace(affine_map(2.0, 0.5), domain=(0.0, np.inf))
     x = np.array([0.5, 1.0, 2.0])
     np.testing.assert_allclose(schwarzian(compose(f, g), x),
                                schwarzian(f, g(x)) * 4.0, rtol=1e-12)
