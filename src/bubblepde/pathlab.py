@@ -1,13 +1,13 @@
-"""Seeded path simulation: Wiener, Bessel-3 via the max-dual construction,
-drifted unit-diffusion SDEs absorbed at their lower domain edge, and the
-reflected (floor-constrained) SDE; plus path functionals and the change of
-measure, which walks Wiener paths to their first node outside a band.  The
-Bessel-3, drifted and reflected laws sample each step's Brownian bridge, not
-only its end nodes: the reflected scheme reflects on the bridge minimum, the
-drifted walk is absorbed when the bridge falls to the edge, and the dual's
-running maximum takes the bridge maximum.  The drifted and reflected runners
-step the paper's markets, whose domains are unbounded above, and refuse a map
-with a finite upper edge.
+"""Seeded path simulation: Wiener, drifted unit-diffusion SDEs absorbed at
+their lower domain edge, and the reflected (floor-constrained) SDE, whose
+driftless case is Bessel-3 by Pitman's theorem (bessel_dual_ensemble); plus
+path functionals and the change of measure, which walks Wiener paths to
+their first node outside a band.  The drifted and reflected laws sample each
+step's Brownian bridge, not only its end nodes: the reflected scheme
+reflects on the bridge minimum, and the drifted walk is absorbed when the
+bridge falls to the edge.  The drifted and reflected runners step the
+paper's markets, whose domains are unbounded above, and refuse a map with a
+finite upper edge.
 Each law has one vectorized ensemble runner: it runs paths first_index ...
 first_index + n_paths - 1 and keeps the nodes it is asked to record, so a
 single path is a one-path call.  The reflected law's runner,
@@ -22,9 +22,9 @@ matter how an ensemble is chunked or batched, and ensemble reductions run in
 fixed path-index order.  All four runners read their streams in one layout,
 through one reader: each stream is read in segments of _SEGMENT steps (the
 last segment may be shorter), and for each segment first its normals, one
-per step, and then, for the reflected, drifted and dual laws, one uniform
-per step, which samples that step's bridge.  The dual with a random floor
-first reads the floor's uniform.  For the Wiener law (and the measure
+per step, and then, for the reflected and drifted laws, one uniform per
+step, which samples that step's bridge.  The Bessel-3 dual with a random
+floor first reads the floor's uniform.  For the Wiener law (and the measure
 change, which runs on it) this is simply one standard normal per step.  The
 layout is fixed by the law and the step count alone.  A runner does not
 build one generator per path: each thread keeps one pool of generators for
@@ -33,7 +33,7 @@ paths, which sets exactly the state path_stream(seed, i) starts in, so the
 draws and the layout are those of the per-path streams.  In a stream's last
 segment nothing follows the uniforms, so a path's uniforms there are drawn
 only when a kernel first reads one of them: a path that never comes near
-its floor, its edge or its running maximum in that segment draws none, and
+its floor or its edge in that segment draws none, and
 the bits it does draw are the same.  So the bridge-layout read of n steps is
 a prefix of the read of N > n steps exactly when n is a multiple of
 _SEGMENT: its segments are the longer read's first ones, and the uniforms
@@ -68,8 +68,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .smoothmaps import (SmoothMap, _flat, multiplicative_functional,
-                         schwarzian)
+from .smoothmaps import (SmoothMap, _flat, affine_map,
+                         multiplicative_functional, schwarzian)
 
 # Relative guard keeping the drifted walk off a finite lower domain edge.
 EDGE_GUARD = 1e-12
@@ -100,6 +100,9 @@ _WEIGHT_ROWS = 256
 # = 18.37 dt; 18.5 leaves room for rounding.  Only steps with a * b below
 # it sample their bridge, and only they read their uniform.
 _BRIDGE_REACH = 18.5
+# The map of bessel_dual_ensemble's walk: the identity on the whole line, so
+# that a random floor may be 0.
+_IDENTITY = affine_map(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -434,9 +437,7 @@ def _shared(work, first_index, n_paths, rows=None):
 
 def _bridge_min(x, y, u, dt):
     """The minimum of the Brownian bridge from x to y over a step dt, sampled
-    with the uniform u (Glasserman 2003, 6.4).  The bridge maximum is
-    -_bridge_min(-x, -y, u, dt), which rounds exactly as
-    (x + y + sqrt((y - x)^2 - 2 dt log(1 - u))) / 2."""
+    with the uniform u (Glasserman 2003, 6.4)."""
     d = y - x
     return 0.5 * (x + y - np.sqrt(d * d - 2.0 * dt * np.log1p(-u)))
 
@@ -448,6 +449,8 @@ def wiener_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     Returns values[p, k] = X at node record[k] of path first_index + p
     (record sorted and deduplicated).
     """
+    if not -np.inf < x0 < np.inf:
+        raise DomainError(f"wiener_ensemble needs a finite x0, got {x0}")
     work = functools.partial(_wiener_share, x0, grid, seed,
                              _record(record, grid))
     return _shared(work, first_index, n_paths)
@@ -475,20 +478,19 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     """Bessel-3 through its dual walk (Pitman's theorem): X* Brownian from
     2 j0 - x0, J* its running maximum from j0, X = 2 J* - X*.
 
-    J* takes the maximum of each step's Brownian bridge, not only its end
-    node: from the nodes X*_{n-1} and X*_n and the step's uniform U,
-        M_n = (X*_{n-1} + X*_n + sqrt((X*_n - X*_{n-1})^2 - 2 dt log(1 - U))) / 2
-        J*_n = max(J*_{n-1}, M_n),
-    so X and J* at the nodes are exact in law at any step count.  M_n is
-    sampled only where it can exceed J*_{n-1},
-    (J*_{n-1} - X*_{n-1}) (J*_{n-1} - X*_n) < 18.5 dt; elsewhere
-    J*_n = max(J*_{n-1}, X*_n) for every U.
+    The dual is the driftless walk reflected at its floor: the reflected
+    kernel (reflected_ensemble) on the identity map from chi0 = x0 - j0 above
+    the floor l0 = j0.  Its floor level is J*, X = chi + l, and J* - chi is
+    X* driven by the negated normals, so the kernel's bridge minimum of chi
+    is J* less the bridge maximum of X*: X and J* at the nodes are exact in
+    law at any step count.
 
     With j0 = x0 -> 0 this is the classical 2*max - walk representation of
     the Bessel-3 process from 0; for fixed 0 < j0 <= x0 it realizes the
     process conditioned to have overall infimum j0.  j0=None draws each
-    path's floor uniformly on (0, x0) (the overall-infimum law of the
-    Bessel-3 process), giving the unconditioned process from x0.
+    path's floor x0 U from the leading uniform U of its stream (the
+    overall-infimum law of the Bessel-3 process), giving the unconditioned
+    process from x0.
 
     Returns (values, jstars): X and J* at the recorded nodes of paths
     first_index ... first_index + n_paths - 1.
@@ -496,41 +498,13 @@ def bessel_dual_ensemble(x0: float, grid: TimeGrid, n_paths: int, seed: int,
     if j0 is None and not 0 <= x0 < np.inf:
         raise DomainError("bessel_dual_ensemble with a random floor needs a "
                           "finite x0 >= 0")
-    if j0 is not None and not (0 < j0 <= x0):
-        raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0")
-    work = functools.partial(_dual_share, x0, grid, seed,
-                             _record(record, grid), j0)
-    return _shared(work, first_index, n_paths)
-
-
-def _dual_share(x0, grid, seed, rec, j0, first_index, n_paths):
-    """bessel_dual_ensemble's share of paths, at the checked record rec."""
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    reach = _BRIDGE_REACH * dt
-    values = np.empty((n_paths, len(rec)))
-    jstars = np.empty((n_paths, len(rec)))
-    # with j0=None the floor's uniform is the first variate of each stream
-    for rows, u0, k0, steps in _path_steps(seed, first_index, n_paths,
-                                           grid.n_steps, rec, bridge=True,
-                                           lead=j0 is None):
-        m = rows.stop - rows.start
-        J = x0 * u0 if j0 is None else np.full(m, float(j0))
-        Xstar = 2 * J - x0
-        if k0 is not None:
-            values[rows, k0] = 2 * J - Xstar
-            jstars[rows, k0] = J
-        for n, z, u, k in steps:
-            prop = Xstar + sqdt[n] * z
-            near = np.flatnonzero((J - Xstar) * (J - prop) < reach[n])
-            J = np.maximum(J, prop)
-            if near.size:
-                top = -_bridge_min(-Xstar[near], -prop[near], u(near), dt[n])
-                J[near] = np.maximum(J[near], top)
-            Xstar = prop
-            if k is not None:
-                values[rows, k] = 2 * J - Xstar
-                jstars[rows, k] = J
+    if j0 is not None and not (0 < j0 <= x0 < np.inf):
+        raise DomainError("bessel_dual_ensemble needs 0 < j0 <= x0 < inf")
+    spec = ReflectedPass(x0 if j0 is None else x0 - j0, j0, grid, record,
+                         floors=True)
+    work = functools.partial(_reflected_share, _IDENTITY, [spec],
+                             [_record(record, grid)], seed)
+    [(values, _, jstars)] = _shared(work, first_index, n_paths)
     return values, jstars
 
 
@@ -612,7 +586,10 @@ def _drifted_share(f, x0, grid, seed, rec, first_index, n_paths):
 class ReflectedPass:
     """One pass of the reflected kernel over an ensemble: its start, chi0
     above the floor level l0, its grid and the nodes it records (with floors,
-    the floor level at them too)."""
+    the floor level at them too).  l0=None, which reflected_passes refuses,
+    is bessel_dual_ensemble's random floor: each path's floor is chi0 U, U
+    the leading uniform of its stream, and it starts chi0 - chi0 U above
+    it."""
 
     chi0: float
     l0: float
@@ -687,14 +664,13 @@ def reflected_passes(f: SmoothMap, passes, n_paths: int, seed: int,
     above, as in drifted_ensemble.
     """
     _require_unbounded_above(f)
-    lo = f.domain[0]
     recs = []
     for spec in passes:
-        if not lo < spec.l0:
+        if not f.contains(spec.l0):  # None and nan are outside too
             raise DomainError(f"floor {spec.l0} outside the domain of f")
-        if not spec.chi0 >= 0:
-            raise DomainError(f"start {spec.chi0} below the floor: need "
-                              f"chi0 >= 0")
+        if not 0 <= spec.chi0 < np.inf:
+            raise DomainError(f"start {spec.chi0} below the floor or not "
+                              f"finite: need 0 <= chi0 < inf")
         recs.append(_record(spec.record, spec.grid))
     work = functools.partial(_reflected_share, f, passes, recs, seed)
     return _shared(work, first_index, n_paths)
@@ -706,11 +682,12 @@ def _reflected_share(f, passes, recs, seed, first_index, n_paths):
              for spec, rec in zip(passes, recs)]
     for read in read_plan(passes):
         group = sorted((walks[i] for i in read), key=lambda w: -w.n_steps)
-        for rows, _, _, steps in _path_steps(seed, first_index, n_paths,
-                                             group[0].n_steps, (),
-                                             bridge=True):
+        # a random floor comes only as bessel_dual_ensemble's one pass
+        for rows, u0, _, steps in _path_steps(
+                seed, first_index, n_paths, group[0].n_steps, (), bridge=True,
+                lead=group[0].l0 is None):
             for walk in group:
-                walk.start(rows)
+                walk.start(rows, u0)
             for n, z, u, _ in steps:
                 for walk in group:
                     if n >= walk.n_steps:
@@ -727,7 +704,7 @@ class _ReflectedWalk:
     is the pass's record as the caller checked it (_record)."""
 
     def __init__(self, f: SmoothMap, spec: ReflectedPass, rec, n_paths: int):
-        self.f, self.chi0, self.l0 = f, float(spec.chi0), float(spec.l0)
+        self.f, self.chi0, self.l0 = f, float(spec.chi0), spec.l0
         self.flat = f.pre is _flat
         self.at = {int(node): k for k, node in enumerate(rec)}
         self.n_steps = spec.grid.n_steps
@@ -738,11 +715,16 @@ class _ReflectedWalk:
         self.levels = np.empty((n_paths, len(rec))) if spec.floors else None
         self.contact = np.zeros(n_paths, dtype=bool)
 
-    def start(self, rows: slice) -> None:
-        """Put the paths of the block rows at the start."""
+    def start(self, rows: slice, u0) -> None:
+        """Put the paths of the block rows at the start; with a random
+        floor, u0 holds their streams' leading uniforms."""
         self.rows = rows
-        self.chi = np.full(rows.stop - rows.start, self.chi0)
-        self.lev = np.full(len(self.chi), self.l0)
+        if self.l0 is None:
+            self.lev = self.chi0 * u0
+            self.chi = self.chi0 - self.lev
+        else:
+            self.chi = np.full(rows.stop - rows.start, self.chi0)
+            self.lev = np.full(len(self.chi), float(self.l0))
         self.hit = np.zeros(len(self.chi), dtype=bool)
         self._keep(self.at.get(0))
 

@@ -1216,6 +1216,27 @@ def test_simulate_kinds(tmp_path, monkeypatch, kind):
         assert any(r.startswith("Jstar_T_mean,") for r in summary)
 
 
+def test_simulate_bessel3_is_skorokhod_under_the_identity_map(tmp_path):
+    # Pitman's theorem end to end: under f(x) = x the reflected walk is the
+    # Bessel-3 dual, so both kinds write the same path files and summary
+    # body; only the hash line, which names the kind, differs
+    outs = {}
+    for kind in ("bessel3", "skorokhod"):
+        cfgp = write_config(tmp_path, model=dict(MODEL, f=BM_F),
+                            simulate={"kind": kind})
+        outs[kind] = tmp_path / kind
+        assert main(["simulate", "--config", str(cfgp), "--out",
+                     str(outs[kind])]) == 0
+    names = sorted(p.name for p in outs["bessel3"].glob("path_*.csv"))
+    assert len(names) == 3
+    for name in names:
+        assert ((outs["bessel3"] / name).read_bytes()
+                == (outs["skorokhod"] / name).read_bytes())
+    bodies = [(outs[k] / "ensemble_summary.csv").read_text().splitlines()
+              for k in outs]
+    assert bodies[0][0] != bodies[1][0] and bodies[0][1:] == bodies[1][1:]
+
+
 @pytest.mark.parametrize("kind", ["wiener", "bessel3", "drifted", "skorokhod"])
 def test_simulate_dumping_every_path(tmp_path, kind):
     # dump_paths at and past paths: every path is dumped and the rest of the

@@ -233,6 +233,19 @@ def test_refused_calls_fork_nothing(monkeypatch):
         "dual_j0": lambda: bessel_dual_ensemble(1.0, grid, 7, SEED, [4], 1.5),
         "dual_random_floor_x0": lambda: bessel_dual_ensemble(
             -1.0, grid, 7, SEED, [4]),
+        "reflected_chi0_inf": lambda: reflected_ensemble(
+            f, np.inf, 0.5, grid, 7, SEED, [4]),
+        "reflected_floor_inf": lambda: reflected_ensemble(
+            f, 0.0, np.inf, grid, 7, SEED, [4]),
+        "reflected_floor_none": lambda: reflected_ensemble(
+            f, 0.0, None, grid, 7, SEED, [4]),
+        "passes_floor_none": lambda: reflected_passes(
+            f, [ReflectedPass(0.0, 0.5, grid, [4]),
+                ReflectedPass(0.0, None, grid, [4])], 7, SEED),
+        "dual_x0_inf": lambda: bessel_dual_ensemble(np.inf, grid, 7, SEED,
+                                                    [4], 1.0),
+        "wiener_x0_inf": lambda: wiener_ensemble(np.inf, grid, 7, SEED, [4]),
+        "wiener_x0_nan": lambda: wiener_ensemble(np.nan, grid, 7, SEED, [4]),
         "wiener_record": lambda: wiener_ensemble(1.0, grid, 7, SEED, [5]),
         "measure_x0": lambda: change_of_measure_expectation(
             f, lambda x: x, 2.0, grid, 7, SEED, (0.5, 1.5)),
@@ -864,8 +877,8 @@ def test_reflected_passes_check_every_pass_before_any_runs(monkeypatch):
 
 # Values of paths 7 and 8 (seed SEED, 1061 steps on [0, 1]) at nodes 0, 511,
 # 512, 513 and 1061, which straddle the first stream segment's end.  They pin
-# the stream layout and the step arithmetic of each runner; the drifted and
-# dual rows are also those of the scalar references below.
+# the stream layout and the step arithmetic of each runner; the drifted,
+# dual and reflected rows are also those of the scalar references below.
 _PINNED = {
     "wiener": [
         [[1.0, 0.484966295682148, 0.47810705348976074, 0.4995437947838205,
@@ -873,22 +886,23 @@ _PINNED = {
          [1.0, 0.6333332068943717, 0.6879569140723928, 0.6808771865540556,
           0.8090344544715551]]],
     "dual_fixed_floor": [
-        [[1.0, 1.7269729826866504, 1.7338322248790377, 1.7391115512164834,
-          1.3818294698929003],
-         [1.0, 1.3666667931056278, 1.3120430859276064, 1.282622953366729,
-          1.3123023138376733]],
-        [[0.9, 1.0059696391844002, 1.0059696391844002, 1.0059696391844002,
-          1.2848936456478226],
-         [0.9, 0.9, 0.9, 0.9, 0.9]]],
+        [[1.0, 1.62403130366279, 1.6171720614704026, 1.611892735132957,
+          2.5270228293833856],
+         [1.0, 1.6235557529236049, 1.678179460101626, 1.7075995926625034,
+          2.1447905806292726]],
+        [[0.9, 1.46953250399032, 1.46953250399032, 1.46953250399032,
+          1.46953250399032],
+         [0.9, 1.3951112730146165, 1.3951112730146165, 1.3951112730146165,
+          1.6285464472334736]]],
     "dual_random_floor": [
-        [[0.2, 0.8549358136001692, 0.8334990723061095, 0.8336179147090972,
-          0.4973985466089547],
-         [0.2, 0.5096502786653831, 0.5167300061837203, 0.5261511690501078,
-          0.6088167241902442]],
-        [[0.057461598431257956, 0.1270732279055359, 0.1270732279055359,
-          0.1270732279055359, 0.44202061264092046],
-         [0.07945357832231646, 0.07945357832231646, 0.07945357832231646,
-          0.07945357832231646, 0.07945357832231646]]],
+        [[0.2, 0.7259148664743108, 0.7473516077683705, 0.7472327653653827,
+          1.713346902936295],
+         [0.2, 0.8346938094840664, 0.8276140819657292, 0.8181929190993417,
+          1.2753974325553088]],
+        [[0.057461598431257956, 0.5782753089942206, 0.5782753089942206,
+          0.5782753089942206, 0.5782753089942206],
+         [0.07945357832231646, 0.5516256223970415, 0.5516256223970415,
+          0.5516256223970415, 0.8215606566950931]]],
     "drifted": [
         [[1.0, 0.9454911686571881, 0.9396287703275961, 0.9353525072195514,
           2.220588715295289],
@@ -938,22 +952,25 @@ def _bridge_low(x, y, u, dt):
     return 0.5 * (x + y - np.sqrt(d * d - 2.0 * dt * np.log1p(-u)))
 
 
-def _dual_reference(x0, j0, grid, seed, i):
-    """X and J* of path i of bessel_dual_ensemble at every node, one scalar
-    step at a time from a new path_stream: J* takes the sampled bridge
-    maximum of every step, near its running maximum or not."""
-    u0, z, u = _fresh_stream_draws(seed, i, grid.n_steps, True, j0 is None)
-    J = x0 * u0 if j0 is None else j0
-    Y = 2 * J - x0
-    xs, js = [2 * J - Y], [J]
+def _reflected_reference(f, chi0, l0, grid, seed, i):
+    """X and the floor level l of path i of reflected_ensemble at every
+    node, and whether the floor rose, one scalar step at a time from a new
+    path_stream: every step samples its bridge minimum, near the floor or
+    not.  l0=None is bessel_dual_ensemble's random floor, chi0 U from the
+    stream's leading uniform U, with the start chi0 - chi0 U above it."""
+    u0, z, u = _fresh_stream_draws(seed, i, grid.n_steps, True, l0 is None)
+    if l0 is None:
+        l0 = chi0 * u0
+        chi0 = chi0 - l0
+    chi, lev, hit, xs, ls = chi0, l0, False, [chi0 + l0], [l0]
     for dt, zn, un in zip(grid.dt, z, u):
-        Y1 = Y + np.sqrt(dt) * zn
-        d = Y1 - Y
-        top = 0.5 * (Y + Y1 + np.sqrt(d * d - 2.0 * dt * np.log1p(-un)))
-        J, Y = max(J, Y1, top), Y1
-        xs.append(2 * J - Y)
-        js.append(J)
-    return np.array(xs), np.array(js)
+        prop = chi - 0.5 * f.pre(np.array([chi + lev]))[0] * dt \
+            + np.sqrt(dt) * zn
+        dl = max(-_bridge_low(chi, prop, un, dt), 0.0)
+        chi, lev, hit = prop + dl, lev + dl, hit or dl > 0
+        xs.append(chi + lev)
+        ls.append(lev)
+    return np.array(xs), np.array(ls), hit
 
 
 def _drifted_reference(f, x0, grid, seed, i):
@@ -983,12 +1000,15 @@ def test_drifted_and_dual_runners_match_scalar_references():
     # the pinned rows, and more paths of a map that absorbs at its lower edge
     # and one with no edge, on the three-segment grid; the references
     # sample every step's bridge, so they also check that the runners' near
-    # filters skip only bridges that cannot reach their level
+    # filters skip only bridges that cannot reach their level.  The dual's
+    # reference is the reflected walk's on the identity map
     grid = TimeGrid.uniform(1.0, 1061)
     rec = [0, 511, 512, 513, 1061]
-    duals = {"dual_fixed_floor": (1.0, 0.9), "dual_random_floor": (0.2, None)}
-    for name, (x0, j0) in duals.items():
-        refs = [_dual_reference(x0, j0, grid, SEED, i) for i in (7, 8)]
+    duals = {"dual_fixed_floor": (1.0 - 0.9, 0.9),
+             "dual_random_floor": (0.2, None)}
+    for name, (chi0, l0) in duals.items():
+        refs = [_reflected_reference(power_law_map(1.0), chi0, l0, grid,
+                                     SEED, i) for i in (7, 8)]
         for k, want in enumerate(_PINNED[name]):
             np.testing.assert_array_equal(
                 [ref[k][rec] for ref in refs], want, err_msg=name)
@@ -1009,11 +1029,62 @@ def test_drifted_and_dual_runners_match_scalar_references():
             assert alive[i] == survived
             bridged += by_bridge
     assert bridged
-    X, J = bessel_dual_ensemble(0.5, grid, 6, SEED, every, 0.5)
-    for i in range(6):
-        want_x, want_j = _dual_reference(0.5, 0.5, grid, SEED, i)
-        np.testing.assert_array_equal(X[i], want_x)
-        np.testing.assert_array_equal(J[i], want_j)
+
+
+def test_reflected_runner_matches_its_scalar_reference():
+    # the pinned rows, from the floor, and more paths from the floor and
+    # from above it, every node recorded, on the three-segment grid of the
+    # reciprocal map, whose drift the kernel evaluates
+    grid = TimeGrid.uniform(1.0, 1061)
+    rec = [0, 511, 512, 513, 1061]
+    f = reciprocal_map()
+    refs = [_reflected_reference(f, 0.0, 0.3, grid, SEED, i) for i in (7, 8)]
+    values, contact, levels = _PINNED["reflected"]
+    np.testing.assert_array_equal([ref[0][rec] for ref in refs], values)
+    np.testing.assert_array_equal([ref[1][rec] for ref in refs], levels)
+    assert [ref[2] for ref in refs] == contact
+    every = range(grid.n_steps + 1)
+    for chi0 in (0.0, 0.4):
+        X, hit, L = reflected_ensemble(f, chi0, 0.3, grid, 8, SEED, every,
+                                       floors=True)
+        for i in range(8):
+            want_x, want_l, want_hit = _reflected_reference(f, chi0, 0.3,
+                                                            grid, SEED, i)
+            np.testing.assert_array_equal(X[i], want_x)
+            np.testing.assert_array_equal(L[i], want_l)
+            assert hit[i] == want_hit
+        assert hit.any() and (chi0 == 0.0 or not hit.all())
+
+
+@pytest.mark.parametrize("x0, j0", [(1.0, 0.9), (1.0, 1.0), (0.3, 0.05),
+                                    (2.5, 1e-3)])
+def test_bessel_dual_is_the_reflected_walk_on_the_identity(monkeypatch, x0,
+                                                          j0):
+    # Pitman's theorem in the engine, bit for bit: the dual from x0 with
+    # floor j0 is the driftless walk reflected at j0, started x0 - j0 above
+    # it; seven paths in blocks of two run as two forked shares
+    grid = TimeGrid.uniform(1.0, 1061)
+    rec = [0, 511, 512, 513, 1061]
+    monkeypatch.setattr(pathlab, "_BLOCK", 2)
+    monkeypatch.setattr(pathlab, "_cpu_count", lambda: 2)
+    forks = []
+    fork_share = pathlab._fork_share
+    monkeypatch.setattr(pathlab, "_fork_share",
+                        lambda work: forks.append(work) or fork_share(work))
+    X, J = bessel_dual_ensemble(x0, grid, 7, SEED, rec, j0, 5)
+    values, _, levels = reflected_ensemble(power_law_map(1.0), x0 - j0, j0,
+                                           grid, 7, SEED, rec, 5, floors=True)
+    np.testing.assert_array_equal(X, values)
+    np.testing.assert_array_equal(J, levels)
+    assert len(forks) == 2
+
+
+def test_bessel_dual_random_floor_is_x0_times_the_leading_uniform():
+    grid = TimeGrid.uniform(1.0, 40)
+    X, J = bessel_dual_ensemble(0.7, grid, 9, SEED, [0, 40], None, 3)
+    want = [0.7 * path_stream(SEED, 3 + p).random() for p in range(9)]
+    np.testing.assert_array_equal(J[:, 0], want)
+    assert np.all(X[:, 0] >= J[:, 0]) and np.all(X[:, 1] >= J[:, 1])
 
 
 def test_bessel_dual_ensemble_random_floor_law():
