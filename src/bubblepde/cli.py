@@ -379,12 +379,28 @@ def _theta_taus(cfg: dict) -> np.ndarray:
                               cfg["numerics"]["theta_taus"] - 1).nodes
 
 
+def _pinned_theta(cfg: dict, f, payoff: PayoffSpec, command: str,
+                  names=None):
+    """The Theta table numerics.theta_table pins, loaded and checked
+    (_load_theta), for the commands that read it: theta, price under
+    model.sigma and compare-schemes running the fundraiser scheme; else
+    None.  main loads it before it creates the output directory and hands
+    it to the run."""
+    pinned, model = cfg["numerics"].get("theta_table"), cfg["model"]
+    if pinned and (command == "theta"
+                   or (command == "price" and "sigma" in model)
+                   or (command == "compare-schemes"
+                       and FundraiserScheme.kind in (names or _COMPARED))):
+        return _load_theta(cfg, f, payoff, model["j0"], pinned)
+    return None
+
+
 def _make_theta(cfg: dict, f, payoff: PayoffSpec, j: float, target: Path,
-                pinned):
-    """The Theta table of (f, j, payoff): loaded from the file `pinned` when
-    given (_load_theta), otherwise estimated and saved to `target`."""
-    if pinned:
-        return _load_theta(cfg, f, payoff, j, pinned)
+                table):
+    """The Theta table of (f, j, payoff): the pinned table when given,
+    otherwise estimated and saved to `target`."""
+    if table is not None:
+        return table
     num = cfg["numerics"]
     table = estimate_theta(f, j, _theta_taus(cfg), payoff, num["theta_paths"],
                            num["theta_time_steps"], num["seed"])
@@ -445,8 +461,9 @@ def price_at_floors(cfg: dict, f, payoff: PayoffSpec, floors, stages: dict):
     """The fundraiser prices at each (j, theta_path, pinned) of floors:
     ([((mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value), ...] in floor
     order, the stream reads of _run_passes).  pde_value is anchored on the
-    Theta table at j that _load_theta loads from `pinned` or that is
-    estimated and saved to `theta_path`; it is None without model.sigma.
+    Theta table at j: the loaded table `pinned`, or when that is None the
+    table estimated and saved to `theta_path`; it is None without
+    model.sigma, where pinned is None too.
 
     Every floor's reflected passes -- the Monte Carlo pass, on at most
     _MC_TIME_STEPS of numerics.time_steps steps, and the Theta pass of a
@@ -462,10 +479,8 @@ def price_at_floors(cfg: dict, f, payoff: PayoffSpec, floors, stages: dict):
     for j, _, pinned in floors:
         jobs.append((f"mc j={j!r}", num["paths"], *price_pass(
             f, x0, j, T, payoff, min(num["time_steps"], _MC_TIME_STEPS))))
-        table = None
-        if "sigma" in model and pinned:
-            table = _load_theta(cfg, f, payoff, j, pinned)
-        elif "sigma" in model:
+        table = pinned  # main loads a pinned table under model.sigma only
+        if "sigma" in model and table is None:
             jobs.append((f"theta j={j!r}", num["theta_paths"], *theta_pass(
                 f, j, _theta_taus(cfg), payoff, num["theta_paths"],
                 num["theta_time_steps"], num["seed"])))
@@ -493,10 +508,11 @@ def price_at_floors(cfg: dict, f, payoff: PayoffSpec, floors, stages: dict):
             reads)
 
 
-def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
+def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str,
+              theta=None) -> int:
     pinned = cfg["numerics"].get("theta_table")
     table = _make_theta(cfg, f, payoff, cfg["model"]["j0"], out / "theta.csv",
-                        pinned)
+                        theta)
     where = f"read from {pinned}" if pinned else f"-> {out / 'theta.csv'}"
     print(f"theta table: {len(table.taus)} tau nodes on [0, {table.taus[-1]}], "
           f"j={table.j}, {table.n_paths} paths {where}")
@@ -505,7 +521,8 @@ def run_theta(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
     return 0
 
 
-def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
+def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str,
+              theta=None) -> int:
     # the scipy module a price calls, loaded before the clock starts, so
     # that runtime_s times the pricing, not the import
     import scipy.linalg.lapack
@@ -516,8 +533,7 @@ def run_price(cfg: dict, f, payoff: PayoffSpec, out: Path, digest: str) -> int:
 
     stages = {}
     [((mc, mc_se), (phi, psi, (phi_se, psi_se)), pde_value)], reads = \
-        price_at_floors(cfg, f, payoff, [(j0, out / "theta.csv",
-                                          cfg["numerics"].get("theta_table"))],
+        price_at_floors(cfg, f, payoff, [(j0, out / "theta.csv", theta)],
                         stages)
     oracle = {side: form(x0, j0, T)
               for _, side, form in cf.oracle_rows(f, payoff)}
@@ -618,7 +634,7 @@ def _balance(costs, workers: int) -> list[list[int]]:
 
 
 def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
-                        digest: str, names=None) -> int:
+                        digest: str, names=None, theta=None) -> int:
     model, num = cfg["model"], cfg["numerics"]
     j0 = model["j0"]
     y_ref = float(f(model["x0"]))
@@ -627,8 +643,7 @@ def run_compare_schemes(cfg: dict, f, payoff: PayoffSpec, out: Path,
         if name in _RIVALS:
             schemes.append(_RIVALS[name](float(f(j0))))
         else:
-            table = _make_theta(cfg, f, payoff, j0, out / "theta.csv",
-                                num.get("theta_table"))
+            table = _make_theta(cfg, f, payoff, j0, out / "theta.csv", theta)
             schemes.append(FundraiserScheme(j=j0, theta=table))
 
     tasks = [(scheme, lev, m, steps) for scheme in schemes
@@ -696,8 +711,7 @@ def run_convergence(cfg: dict, f, payoff: PayoffSpec, out: Path,
     x0, T = model["x0"], model["T"]
     fund_form = {side: form for _, side, form
                  in cf.oracle_rows(f, payoff)}.get("fundraiser")
-    js = _ladder(cfg)
-    _check_ladder(js, x0, f, "" if "convergence" in cfg else " (the default)")
+    js = _ladder(cfg)  # checked by _resolve, or as the default by main
 
     # tables are per-j here, so a pinned numerics.theta_table never applies
     stages = {}
@@ -840,7 +854,11 @@ def main(argv=None) -> int:
         cfg, f, payoff = _load_config(args.config, overrides)
         if args.command == "compare-schemes":
             _check_compare_schemes(cfg, f, names)
+        if args.command == "convergence" and "convergence" not in cfg:
+            _check_ladder(_ladder(cfg), cfg["model"]["x0"], f,
+                          " (the default)")
         _check_price_points(cfg, f, args.command, names)
+        theta = _pinned_theta(cfg, f, payoff, args.command, names)
         out = Path(cfg["output"]["dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -852,7 +870,8 @@ def main(argv=None) -> int:
             json.dumps(cfg, indent=2, sort_keys=True) + "\n")
         run = _COMMANDS[args.command][0]
         return run(cfg, f, payoff, out, digest,
-                   **({"names": names} if names else {}))
+                   **({"names": names} if names else {}),
+                   **({"theta": theta} if theta is not None else {}))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

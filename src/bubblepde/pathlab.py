@@ -19,7 +19,7 @@ reflected_ensemble is its one-pass call.
 Reproducibility contract: every path index i owns a counter-based stream
 keyed by (master seed, i) -- numpy Philox -- so path i is bit-identical no
 matter how an ensemble is chunked or batched, and ensemble reductions run in
-fixed path-index order.  All four runners read their streams in one layout,
+fixed path-index order.  Every runner reads its streams in one layout,
 through one reader: each stream is read in segments of _SEGMENT steps (the
 last segment may be shorter), and for each segment first its normals, one
 per step, and then, for the reflected and drifted laws, one uniform per

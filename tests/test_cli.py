@@ -154,10 +154,7 @@ def test_floor_outside_the_map_domain_names_its_key(tmp_path, capsys, command,
     assert main([command, "--config", str(cfgp)]) == 2
     assert f"config key {key}: floor {floor} lies outside the domain " \
            "(0.5, inf) of the model's map" in capsys.readouterr().err
-    if ladder is None and j0 == 0.75:  # the default ladder fails at its run
-        assert not (tmp_path / "out" / "convergence.csv").exists()
-    else:
-        assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # Under sigma = y^2 the fundraiser grid starts at f(j0) * 1e-5 = 1e-5 / j0
@@ -565,6 +562,18 @@ def test_pinned_theta_table_must_cover_T(tmp_path, capsys):
                      str(tmp_path / command)]) == 2
         assert ("theta table covers tau <= 0.5, need 1.0"
                 in capsys.readouterr().err), command
+
+
+def test_missing_pinned_theta_table_is_refused_before_the_output_dir(
+        tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfgp = write_config(tmp_path, numerics=dict(TINY_NUMERICS,
+                                                theta_table=str(missing)))
+    for command in ("price", "theta", "compare-schemes"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 2
+        assert str(missing) in capsys.readouterr().err, command
+        assert not out.exists(), command
 
 
 def test_pinned_theta_table_must_match_the_payoff(tmp_path, capsys):
